@@ -11,9 +11,16 @@ that BD does not scale and BDopt is the right baseline.
 
 
 from repro.core.modifications import ModificationSet
-from repro.runner.experiment import ExperimentConfig, run_experiment
+from repro.runner.parallel import SweepExecutor
 
-from benchmarks.common import current_scale, emit, emit_header, save_record
+from benchmarks.common import (
+    current_scale,
+    emit,
+    emit_header,
+    paper_cell,
+    save_record,
+    sweep_workers,
+)
 
 SCALE = current_scale()
 
@@ -29,20 +36,20 @@ def test_ablation_baseline_comparison(benchmark):
     n, k, f = 10, 5, 2  # kept small: plain BD floods exponentially
 
     def study():
-        rows = {}
-        for name, (protocol, mods) in VARIANTS.items():
-            config = ExperimentConfig(
-                n=n, k=k, f=f, payload_size=1024, protocol=protocol,
-                modifications=mods, seed=71,
-            )
-            result = run_experiment(config)
-            rows[name] = {
+        cells = [
+            paper_cell(n, k, f, mods, payload_size=1024, seed=71, protocol=protocol)
+            for protocol, mods in VARIANTS.values()
+        ]
+        results = SweepExecutor(workers=sweep_workers()).run(cells)
+        return {
+            name: {
                 "latency_ms": result.latency_ms,
                 "messages": result.message_count,
-                "kilobytes": result.total_kilobytes,
+                "kilobytes": result.total_bytes / 1000.0,
                 "all_delivered": result.all_correct_delivered,
             }
-        return rows
+            for name, result in zip(VARIANTS, results)
+        }
 
     rows = benchmark.pedantic(study, rounds=1, iterations=1)
 

@@ -7,9 +7,15 @@ configurations of Sec. 7.4 as the connectivity k grows.
 
 
 from repro.core.modifications import ModificationSet
-from repro.runner.experiment import ExperimentConfig, run_repeated
 
-from benchmarks.common import current_scale, emit, emit_header, k_grid_for, save_record
+from benchmarks.common import (
+    connectivity_series,
+    current_scale,
+    emit,
+    emit_header,
+    k_grid_for,
+    save_record,
+)
 
 SCALE = current_scale()
 
@@ -26,24 +32,7 @@ def test_fig5_composite_configurations_vs_connectivity(benchmark):
     ks = k_grid_for(n, f, SCALE.fig5_ks)
 
     def study():
-        series = {}
-        for name, mods in CONFIGURATIONS.items():
-            points = []
-            for k in ks:
-                config = ExperimentConfig(
-                    n=n, k=k, f=f, payload_size=1024, modifications=mods, seed=23
-                )
-                results = run_repeated(config, runs=SCALE.runs)
-                latencies = [r.latency_ms for r in results if r.latency_ms is not None]
-                points.append(
-                    {
-                        "k": k,
-                        "latency_ms": sum(latencies) / len(latencies) if latencies else None,
-                        "kilobytes": sum(r.total_kilobytes for r in results) / len(results),
-                    }
-                )
-            series[name] = points
-        return series
+        return connectivity_series(CONFIGURATIONS, n, f, ks, seed=23)
 
     series = benchmark.pedantic(study, rounds=1, iterations=1)
 

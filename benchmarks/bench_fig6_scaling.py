@@ -12,14 +12,15 @@ are fanned out together through the parallel sweep executor.
 from repro.core.modifications import ModificationSet
 from repro.metrics.report import relative_variation_percent
 from repro.runner.parallel import SweepExecutor
-from repro.scenarios import DelaySpec, ScenarioSpec, TopologySpec, seed_cells
+from repro.scenarios import seed_cells
 
 from benchmarks.common import (
     current_scale,
     emit,
     emit_header,
     k_grid_for,
-    mean_or_none,
+    mean_latency_and_kilobytes,
+    paper_cell,
     save_record,
     sweep_workers,
 )
@@ -32,25 +33,9 @@ CONFIGURATIONS = {
 }
 
 
-def _cells(n, k, f, mods, seed=31):
-    base = ScenarioSpec(
-        name=f"fig6-n{n}-k{k}",
-        topology=TopologySpec(kind="random_regular", n=n, k=k, min_connectivity=min(k, 2 * f + 1)),
-        delay=DelaySpec(kind="fixed", mean_ms=50.0),
-        modifications=mods,
-        f=f,
-        payload_size=1024,
-        seed=seed,
-        shared_bandwidth_bps=1e9,
-    )
+def _cells(n, k, f, mods):
+    base = paper_cell(n, k, f, mods, payload_size=1024, seed=31, name=f"fig6-n{n}-k{k}")
     return seed_cells(base, SCALE.runs)
-
-
-def _means(results):
-    return (
-        mean_or_none([r.latency_ms for r in results]),
-        mean_or_none([r.total_bytes / 1000.0 for r in results]),
-    )
 
 
 def fig6_layout():
@@ -95,8 +80,8 @@ def test_fig6_scaling_with_number_of_processes(benchmark):
 
     series = {}
     for series_name, n, k, ref_slice, cand_slice in points:
-        ref_lat, ref_kb = _means(results[ref_slice])
-        cand_lat, cand_kb = _means(results[cand_slice])
+        ref_lat, ref_kb = mean_latency_and_kilobytes(results[ref_slice])
+        cand_lat, cand_kb = mean_latency_and_kilobytes(results[cand_slice])
         series.setdefault(series_name, []).append(
             {
                 "k": k,

@@ -9,48 +9,30 @@ paper annotates: [2.5%, Q1, median, Q3, 97.5%].
 
 import pytest
 
-from repro.core.modifications import ModificationSet
 from repro.metrics.report import boxplot_stats
-from repro.runner.experiment import ExperimentConfig
-from repro.runner.sweep import paired_variations
 
-from benchmarks.common import current_scale, emit, emit_header, save_record
+from benchmarks.common import (
+    current_scale,
+    emit,
+    emit_header,
+    paired_variations,
+    save_record,
+)
 
 SCALE = current_scale()
 
 
 def _collect(synchronous: bool):
-    impacts = {}
-    for index in range(1, 13):
-        reference_mods = (
-            ModificationSet.dolev_optimized()
-            if index == 1
-            else ModificationSet.bdopt_with_mbd1()
-        )
-        reference = ExperimentConfig(
-            n=SCALE.modification_grid[0][0],
-            k=SCALE.modification_grid[0][1],
-            f=SCALE.modification_grid[0][2],
-            payload_size=1024,
-            synchronous=synchronous,
-            modifications=reference_mods,
-            seed=41,
-        )
-        variations = paired_variations(
-            reference,
-            ModificationSet.single_mbd(index),
-            grid=SCALE.modification_grid,
-            runs=SCALE.runs,
-        )
-        impacts[index] = {
-            "bytes": [v.bytes_variation_percent for v in variations],
-            "latency": [
-                v.latency_variation_percent
-                for v in variations
-                if v.latency_variation_percent is not None
-            ],
+    variations = paired_variations(
+        range(1, 13), payload_size=1024, seed=41, synchronous=synchronous
+    )
+    return {
+        index: {
+            "bytes": columns["bytes_variation_percent"],
+            "latency": columns["latency_variation_percent"],
         }
-    return impacts
+        for index, columns in variations.items()
+    }
 
 
 def _report(impacts, *, figure_bytes: str, figure_latency: str, suffix: str):

@@ -8,43 +8,30 @@ from about -24% to -18%).
 """
 
 
-from repro.core.modifications import ModificationSet
 from repro.metrics.report import median
-from repro.runner.experiment import ExperimentConfig
-from repro.runner.sweep import paired_variations
 
-from benchmarks.common import current_scale, emit, emit_header, format_range, save_record
+from benchmarks.common import (
+    current_scale,
+    emit,
+    emit_header,
+    format_range,
+    paired_variations,
+    save_record,
+)
 
 SCALE = current_scale()
 STUDIED = (7, 8, 9, 11)  # the most impactful modifications for bandwidth
 
 
-def _variations(index: int, synchronous: bool):
-    reference = ExperimentConfig(
-        n=SCALE.modification_grid[0][0],
-        k=SCALE.modification_grid[0][1],
-        f=SCALE.modification_grid[0][2],
-        payload_size=1024,
-        synchronous=synchronous,
-        modifications=ModificationSet.bdopt_with_mbd1(),
-        seed=61,
-    )
-    return paired_variations(
-        reference,
-        ModificationSet.single_mbd(index),
-        grid=SCALE.modification_grid,
-        runs=SCALE.runs,
-    )
-
-
 def test_sec76_synchronous_vs_asynchronous_impact(benchmark):
     def study():
-        table = {}
-        for index in STUDIED:
-            table[index] = {
-                "sync": [v.bytes_variation_percent for v in _variations(index, True)],
-                "async": [v.bytes_variation_percent for v in _variations(index, False)],
-            }
+        table = {index: {} for index in STUDIED}
+        for setting, synchronous in (("sync", True), ("async", False)):
+            variations = paired_variations(
+                STUDIED, payload_size=1024, seed=61, synchronous=synchronous
+            )
+            for index, columns in variations.items():
+                table[index][setting] = columns["bytes_variation_percent"]
         return table
 
     table = benchmark.pedantic(study, rounds=1, iterations=1)

@@ -8,39 +8,17 @@ against BDopt; MBD.2–12 are compared against BDopt + MBD.1.
 
 import pytest
 
-from repro.core.modifications import ModificationSet
-from repro.runner.experiment import ExperimentConfig
-from repro.runner.sweep import paired_variations
-
-from benchmarks.common import current_scale, emit, emit_header, format_range, save_record
+from benchmarks.common import (
+    current_scale,
+    emit,
+    emit_header,
+    format_range,
+    paired_variations,
+    save_record,
+)
 
 SCALE = current_scale()
 PAYLOAD_SIZES = (16, 1024)
-
-
-def _reference_for(index: int) -> ModificationSet:
-    return (
-        ModificationSet.dolev_optimized()
-        if index == 1
-        else ModificationSet.bdopt_with_mbd1()
-    )
-
-
-def _run_modification_study(index: int, payload_size: int, synchronous: bool = True):
-    reference = ExperimentConfig(
-        n=SCALE.modification_grid[0][0],
-        k=SCALE.modification_grid[0][1],
-        f=SCALE.modification_grid[0][2],
-        payload_size=payload_size,
-        synchronous=synchronous,
-        modifications=_reference_for(index),
-    )
-    return paired_variations(
-        reference,
-        ModificationSet.single_mbd(index),
-        grid=SCALE.modification_grid,
-        runs=SCALE.runs,
-    )
 
 
 @pytest.mark.parametrize("payload_size", PAYLOAD_SIZES)
@@ -48,10 +26,7 @@ def test_table1_impact_of_each_modification(benchmark, payload_size):
     """Regenerate the Table 1 rows for one payload size."""
 
     def study():
-        rows = {}
-        for index in range(1, 13):
-            rows[index] = _run_modification_study(index, payload_size)
-        return rows
+        return paired_variations(range(1, 13), payload_size=payload_size, seed=0)
 
     rows = benchmark.pedantic(study, rounds=1, iterations=1)
 
@@ -62,17 +37,10 @@ def test_table1_impact_of_each_modification(benchmark, payload_size):
     emit(f"{'MBD':>4} | {'Lat. var. %':>16} | {'# bits var. %':>16}")
     record = {}
     for index, variations in rows.items():
-        latencies = [
-            v.latency_variation_percent
-            for v in variations
-            if v.latency_variation_percent is not None
-        ]
-        sizes = [v.bytes_variation_percent for v in variations]
+        latencies = variations["latency_variation_percent"]
+        sizes = variations["bytes_variation_percent"]
         emit(f"{index:>4} | {format_range(latencies):>16} | {format_range(sizes):>16}")
-        record[f"mbd{index}"] = {
-            "latency_variation_percent": latencies,
-            "bytes_variation_percent": sizes,
-        }
+        record[f"mbd{index}"] = variations
     save_record(f"table1_payload{payload_size}_sync", {
         "scale": SCALE.name,
         "payload_size": payload_size,

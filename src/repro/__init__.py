@@ -49,7 +49,6 @@ from repro.network.simulation.delays import (
     UniformDelay,
 )
 from repro.network.simulation.network import SimulatedNetwork
-from repro.runner.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.runner.parallel import SweepExecutor, run_sweep
 from repro.scenarios import (
     AdversarySpec,
@@ -132,10 +131,6 @@ __all__ = [
     "BurstyLossWindow",
     "MetricsCollector",
     "RunMetrics",
-    # experiments
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
     # scenarios and sweeps
     "ScenarioSpec",
     "TopologySpec",

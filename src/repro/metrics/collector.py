@@ -3,7 +3,7 @@
 A :class:`MetricsCollector` is attached to a network runtime and records
 every message put on a link and every application-level delivery.  At the
 end of a run it is frozen into a :class:`RunMetrics` snapshot that the
-experiment runner and the benchmarks consume.
+scenario engine and the benchmarks consume.
 """
 
 from __future__ import annotations

@@ -480,7 +480,7 @@ class EquivocatingSource(ByzantineBehavior):
 
 
 #: Behaviour names accepted by :func:`build_behaviour` (and therefore by
-#: the experiment runner and the scenario engine).  Append-only: the
+#: the scenario engine).  Append-only: the
 #: names are scenario-grid values, so reordering would change sampled
 #: fuzz streams for existing seeds.
 BEHAVIOUR_NAMES: Tuple[str, ...] = (
@@ -512,8 +512,8 @@ def build_behaviour(
     ``inner_factory`` is a zero-argument callable returning a *correct*
     protocol instance for the process; it is only invoked for behaviours
     that wrap a correct protocol (every relay variant).  This is the
-    single construction path shared by the experiment runner and the
-    scenario engine, so a behaviour name means the same thing everywhere.
+    single construction path (static placements and adaptive mid-run
+    conversions alike), so a behaviour name means the same thing everywhere.
     """
     if behaviour == "mute":
         return MuteProcess(process_id, neighbors)

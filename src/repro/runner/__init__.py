@@ -1,10 +1,13 @@
-"""Experiment runner used by the benchmarks and the examples.
+"""Sweep executors, result cache and protocol configurations.
 
-:func:`~repro.runner.experiment.run_experiment` builds a topology,
-instantiates one protocol per process (optionally replacing up to ``f`` of
-them with Byzantine behaviours), broadcasts a payload from a source and
-returns the latency / network-consumption metrics of the run —
-reproducing the measurement loop of Sec. 7.1.
+A paper measurement (Sec. 7.1) is one
+:class:`~repro.scenarios.spec.ScenarioSpec` cell run by
+:func:`~repro.scenarios.engine.run_scenario`; this package fans cells
+out — inline or over a process pool (:mod:`~repro.runner.parallel`),
+across TCP-connected worker hosts (:mod:`~repro.runner.distributed`) —
+caches their results by scenario hash (:mod:`~repro.runner.cache`) and
+names the protocol families and modification sets the cells select
+(:mod:`~repro.runner.configs`).
 """
 
 from repro.runner.cache import CACHE_VERSION, ResultCache, partition_cached
@@ -21,22 +24,9 @@ from repro.runner.distributed import (
     run_worker,
     worker_main,
 )
-from repro.runner.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    run_repeated,
-)
 from repro.runner.parallel import StreamedResult, SweepExecutor, run_sweep
-from repro.runner.sweep import SweepPoint, sweep
 
 __all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "run_repeated",
-    "SweepPoint",
-    "sweep",
     "SweepExecutor",
     "StreamedResult",
     "run_sweep",

@@ -11,7 +11,8 @@ ship:
   sockets on localhost (:mod:`repro.network.asyncio_runtime`).  The
   deterministic parts of the expansion — topology generation, adversary
   placement, protocol wiring — are byte-for-byte the ones the simulator
-  uses; the spec's fault events are re-expressed as runtime actions:
+  uses; the spec's fault events are dispatched straight onto the
+  cluster's runtime actions:
 
   ========================  =====================================
   fault event               runtime action
@@ -30,7 +31,7 @@ ship:
                             new link accepted and dialed mid-run
   lossy ``DelaySpec``       probabilistic / periodic connection
                             drop filters seeded from the scenario
-                            hash (``plan_loss``)
+                            hash (``arm_loss``)
   adaptive faults           node observations feed an
                             ``AdaptiveController``; fired triggers
                             crash nodes, cut links or swap live
@@ -55,7 +56,7 @@ from __future__ import annotations
 import abc
 import asyncio
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
@@ -80,7 +81,6 @@ from repro.scenarios.faults import (
     RewireLinkAt,
 )
 from repro.scenarios.spec import BACKEND_NAMES, BroadcastSpec, ScenarioSpec
-from repro.topology.generators import Topology
 
 
 class ScenarioBackend(abc.ABC):
@@ -106,66 +106,6 @@ class SimulationBackend(ScenarioBackend):
         return simulate_scenario(spec)
 
 
-# ----------------------------------------------------------------------
-# Fault-event → runtime-action translation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class NodeCrash:
-    """Crash ``pid`` at ``at_s`` wall-clock seconds after the epoch."""
-
-    pid: int
-    at_s: float
-
-
-@dataclass(frozen=True)
-class LinkDropFilter:
-    """Drop traffic on ``{u, v}`` during ``[start_s, end_s)`` (epoch-relative)."""
-
-    u: int
-    v: int
-    start_s: float
-    end_s: Optional[float]
-
-
-@dataclass(frozen=True)
-class DeferredStart:
-    """Keep ``pid`` dormant until ``wake_s`` seconds after the epoch."""
-
-    pid: int
-    wake_s: float
-
-
-@dataclass(frozen=True)
-class DormantJoin:
-    """Keep ``pid`` a drop-dormant non-member until ``at_s`` after the epoch."""
-
-    pid: int
-    at_s: float
-
-
-@dataclass(frozen=True)
-class NodeLeave:
-    """``pid`` leaves (fail-silent + link teardown) at ``at_s`` after the epoch."""
-
-    pid: int
-    at_s: float
-
-
-@dataclass(frozen=True)
-class LinkRewire:
-    """Replace ``{pid, old_peer}`` with ``{pid, new_peer}`` at ``at_s``."""
-
-    pid: int
-    old_peer: int
-    new_peer: int
-    at_s: float
-
-
-RuntimeAction = Union[
-    NodeCrash, LinkDropFilter, DeferredStart, DormantJoin, NodeLeave, LinkRewire
-]
-
-
 @dataclass(frozen=True)
 class ScheduledBroadcast:
     """One workload broadcast on the wall clock: fire at ``at_s`` after the epoch."""
@@ -173,33 +113,6 @@ class ScheduledBroadcast:
     broadcast: BroadcastSpec
     at_s: float
     payload: bytes
-
-
-@dataclass(frozen=True)
-class ConnectionLoss:
-    """Probabilistic loss filter for one link of the asyncio runtime.
-
-    Mirrors the scenario's lossy delay model at the connection level:
-    every message on ``{u, v}`` is lost with ``probability``, drawn from
-    a ``seed``-keyed RNG.  The seed derives from the scenario hash, so
-    the drop sequence is fixed per scenario even though wall-clock
-    message ordering is not.
-    """
-
-    u: int
-    v: int
-    probability: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ConnectionBurst:
-    """Periodic outage bursts for one link of the asyncio runtime."""
-
-    u: int
-    v: int
-    period_s: float
-    burst_s: float
 
 
 class AsyncioBackend(ScenarioBackend):
@@ -247,56 +160,40 @@ class AsyncioBackend(ScenarioBackend):
     def _scale(self, time_ms: float) -> float:
         return time_ms * self.time_scale
 
-    def plan_faults(self, faults: Tuple[FaultEvent, ...]) -> List[RuntimeAction]:
-        """Translate the spec's fault events into runtime actions.
+    def arm(self, cluster: AsyncioCluster, faults: Tuple[FaultEvent, ...]) -> None:
+        """Install the spec's fault events on a built (not yet started) cluster.
 
-        Pure and deterministic — unit-testable without opening sockets.
+        Timestamps scale through ``time_scale``.  Immediate crashes and
+        dormancy are effective right away; timed actions are armed when
+        the cluster's epoch opens.
         """
-        actions: List[RuntimeAction] = []
         for fault in faults:
             if isinstance(fault, CrashAt):
-                actions.append(NodeCrash(pid=fault.pid, at_s=self._scale(fault.time_ms)))
+                cluster.schedule_crash(fault.pid, self._scale(fault.time_ms))
             elif isinstance(fault, LinkDropWindow):
-                actions.append(
-                    LinkDropFilter(
-                        u=fault.u,
-                        v=fault.v,
-                        start_s=self._scale(fault.start_ms),
-                        end_s=None if fault.end_ms is None else self._scale(fault.end_ms),
-                    )
+                cluster.add_link_drop_window(
+                    fault.u,
+                    fault.v,
+                    self._scale(fault.start_ms),
+                    None if fault.end_ms is None else self._scale(fault.end_ms),
                 )
             elif isinstance(fault, DelayedStart):
-                if fault.time_ms < 0:
-                    # Mirror SimulatedNetwork.delay_start: the same spec
-                    # must error identically on every backend.
-                    raise ConfigurationError(
-                        f"start time must be non-negative, got {fault.time_ms}"
-                    )
-                actions.append(
-                    DeferredStart(pid=fault.pid, wake_s=self._scale(fault.time_ms))
-                )
+                cluster.delay_start(fault.pid, self._scale(fault.time_ms))
             elif isinstance(fault, JoinAt):
-                actions.append(
-                    DormantJoin(pid=fault.pid, at_s=self._scale(fault.time_ms))
-                )
+                cluster.join_at(fault.pid, self._scale(fault.time_ms))
             elif isinstance(fault, LeaveAt):
-                actions.append(
-                    NodeLeave(pid=fault.pid, at_s=self._scale(fault.time_ms))
-                )
+                cluster.schedule_leave(fault.pid, self._scale(fault.time_ms))
             elif isinstance(fault, RewireLinkAt):
-                actions.append(
-                    LinkRewire(
-                        pid=fault.pid,
-                        old_peer=fault.old_peer,
-                        new_peer=fault.new_peer,
-                        at_s=self._scale(fault.time_ms),
-                    )
+                cluster.schedule_rewire(
+                    fault.pid,
+                    fault.old_peer,
+                    fault.new_peer,
+                    self._scale(fault.time_ms),
                 )
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(
                     f"the asyncio backend does not support fault {fault!r}"
                 )
-        return actions
 
     def plan_workload(self, spec: ScenarioSpec) -> List[ScheduledBroadcast]:
         """Translate the spec's workload into a wall-clock broadcast schedule.
@@ -314,85 +211,37 @@ class AsyncioBackend(ScenarioBackend):
             for broadcast in spec.broadcasts()
         ]
 
-    def plan_loss(
-        self, spec: ScenarioSpec, topology: Topology
-    ) -> Tuple[List[ConnectionLoss], List[ConnectionBurst]]:
-        """Translate the spec's lossy delay regime into connection filters.
+    def arm_loss(self, cluster: AsyncioCluster, spec: ScenarioSpec) -> None:
+        """Install the spec's lossy delay regime as connection filters.
 
-        Pure and deterministic — one probabilistic filter and/or one
-        periodic burst per undirected link, with the loss-filter seeds
-        derived from the scenario hash and the link endpoints (so two
-        scenarios, or two links, never share a drop sequence).  Burst
-        times scale through ``time_scale`` like every other timestamp.
+        One probabilistic filter and/or one periodic burst per undirected
+        link of the cluster, with the loss-filter seeds derived from the
+        scenario hash and the link endpoints (so two scenarios, or two
+        links, never share a drop sequence — the drop sequence is fixed
+        per scenario even though wall-clock message ordering is not).
+        Burst times scale through ``time_scale`` like every other
+        timestamp.
         """
-        losses: List[ConnectionLoss] = []
-        bursts: List[ConnectionBurst] = []
         delay = spec.delay
         if not delay.is_lossy:
-            return losses, bursts
+            return
+        topology = cluster.topology
         base_seed = int(spec.scenario_hash()[:16], 16)
         for u in topology.nodes:
             for v in sorted(topology.neighbors(u)):
                 if v <= u:
                     continue
                 if delay.loss > 0.0:
-                    losses.append(
-                        ConnectionLoss(
-                            u=u,
-                            v=v,
-                            probability=delay.loss,
-                            seed=base_seed ^ (u * 0x9E3779B1 + v),
-                        )
+                    cluster.add_loss_filter(
+                        u, v, delay.loss, base_seed ^ (u * 0x9E3779B1 + v)
                     )
                 if delay.burst_period_ms > 0.0 and delay.burst_len_ms > 0.0:
-                    bursts.append(
-                        ConnectionBurst(
-                            u=u,
-                            v=v,
-                            period_s=self._scale(delay.burst_period_ms),
-                            burst_s=self._scale(delay.burst_len_ms),
-                        )
+                    cluster.add_periodic_drop_window(
+                        u,
+                        v,
+                        self._scale(delay.burst_period_ms),
+                        self._scale(delay.burst_len_ms),
                     )
-        return losses, bursts
-
-    @staticmethod
-    def arm(cluster: AsyncioCluster, actions: List[RuntimeAction]) -> None:
-        """Install runtime actions on a built (not yet started) cluster.
-
-        Immediate crashes and dormancy are effective right away; timed
-        actions are armed when the cluster's epoch opens.
-        """
-        for action in actions:
-            if isinstance(action, NodeCrash):
-                cluster.schedule_crash(action.pid, action.at_s)
-            elif isinstance(action, LinkDropFilter):
-                cluster.add_link_drop_window(
-                    action.u, action.v, action.start_s, action.end_s
-                )
-            elif isinstance(action, DeferredStart):
-                cluster.delay_start(action.pid, action.wake_s)
-            elif isinstance(action, DormantJoin):
-                cluster.join_at(action.pid, action.at_s)
-            elif isinstance(action, NodeLeave):
-                cluster.schedule_leave(action.pid, action.at_s)
-            elif isinstance(action, LinkRewire):
-                cluster.schedule_rewire(
-                    action.pid, action.old_peer, action.new_peer, action.at_s
-                )
-
-    @staticmethod
-    def arm_loss(
-        cluster: AsyncioCluster,
-        losses: List[ConnectionLoss],
-        bursts: List[ConnectionBurst],
-    ) -> None:
-        """Install the planned connection-level loss filters on a cluster."""
-        for loss in losses:
-            cluster.add_loss_filter(loss.u, loss.v, loss.probability, loss.seed)
-        for burst in bursts:
-            cluster.add_periodic_drop_window(
-                burst.u, burst.v, burst.period_s, burst.burst_s
-            )
 
     def arm_adaptive(
         self,
@@ -436,11 +285,11 @@ class AsyncioBackend(ScenarioBackend):
 
     # -- execution -----------------------------------------------------
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        self.validate(spec)
         return asyncio.run(self.run_async(spec))
 
     async def run_async(self, spec: ScenarioSpec) -> ScenarioResult:
         """Materialize the spec into an :class:`AsyncioCluster` and run it."""
+        self.validate(spec)
         topology = spec.topology.build(spec.seed)
         validate_topology(spec, topology)
         byzantine = place_byzantine(spec, topology)
@@ -453,8 +302,8 @@ class AsyncioBackend(ScenarioBackend):
             host=self.host,
             collector=collector,
         )
-        self.arm(cluster, self.plan_faults(spec.faults))
-        self.arm_loss(cluster, *self.plan_loss(spec, topology))
+        self.arm(cluster, spec.faults)
+        self.arm_loss(cluster, spec)
         adaptive = self.arm_adaptive(cluster, spec, byzantine)
 
         schedule = self.plan_workload(spec)
@@ -545,16 +394,7 @@ __all__ = [
     "ScenarioBackend",
     "SimulationBackend",
     "AsyncioBackend",
-    "NodeCrash",
-    "LinkDropFilter",
-    "DeferredStart",
-    "DormantJoin",
-    "NodeLeave",
-    "LinkRewire",
-    "RuntimeAction",
     "ScheduledBroadcast",
-    "ConnectionLoss",
-    "ConnectionBurst",
     "BACKENDS",
     "get_backend",
 ]

@@ -116,20 +116,11 @@ class ScenarioResult:
     @property
     def all_correct_delivered(self) -> bool:
         """BRB-Totality over the correct processes, for every broadcast."""
-        if not self.outcomes:
-            return set(self.correct_processes) <= set(self.delivered_processes)
         return all(outcome.all_correct_delivered for outcome in self.outcomes)
 
     @property
     def agreement_holds(self) -> bool:
         """No two correct processes delivered different payloads for a key."""
-        if not self.outcomes:
-            payloads = {
-                payload
-                for _, pid, _, _, payload in self.delivery_trace
-                if pid in self.correct_processes
-            }
-            return len(payloads) <= 1
         return all(outcome.agreement_holds for outcome in self.outcomes)
 
     @property
@@ -139,14 +130,6 @@ class ScenarioResult:
         Vacuously true for broadcasts whose source is Byzantine
         (BRB-Validity only constrains broadcasts by correct sources).
         """
-        if not self.outcomes:
-            if any(pid == self.spec.source for pid, _ in self.byzantine):
-                return True
-            return all(
-                payload == self.payload_hex
-                for _, pid, _, _, payload in self.delivery_trace
-                if pid in self.correct_processes
-            )
         return all(outcome.validity_holds for outcome in self.outcomes)
 
     # ------------------------------------------------------------------

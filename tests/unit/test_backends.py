@@ -1,8 +1,8 @@
-"""Unit tests for execution backends and fault → runtime-action translation.
+"""Unit tests for execution backends and fault → runtime-action dispatch.
 
-Everything here runs without opening a socket: the translation layer is
-pure data, and the node-level runtime actions (crash, dormancy, drop
-windows) are exercised directly against stub protocols.
+Everything here runs without opening a socket: faults and loss are armed
+on a built (never started) cluster of stub protocols, and the node-level
+runtime actions (crash, dormancy, drop windows) are exercised directly.
 """
 
 import asyncio
@@ -23,13 +23,6 @@ from repro.scenarios import (
     get_backend,
 )
 from repro.scenarios import CrashWhen, DelaySpec, ObservationFilter, TurnByzantineWhen
-from repro.scenarios.backends import (
-    ConnectionBurst,
-    ConnectionLoss,
-    DeferredStart,
-    LinkDropFilter,
-    NodeCrash,
-)
 from repro.topology.generators import harary_topology
 
 
@@ -54,59 +47,130 @@ class StubProtocol:
         return []
 
 
-class TestFaultTranslation:
-    def test_crash_at_translates_scaled(self):
-        backend = AsyncioBackend(time_scale=1e-3)
-        actions = backend.plan_faults((CrashAt(pid=3, time_ms=120.0),))
-        assert actions == [NodeCrash(pid=3, at_s=pytest.approx(0.12))]
+def stub_cluster(topology, f=1, cluster_type=AsyncioCluster):
+    """A built (not started) cluster hosting one stub protocol per process."""
+    protocols = {
+        pid: StubProtocol(pid, sorted(topology.neighbors(pid)))
+        for pid in topology.nodes
+    }
+    return cluster_type(
+        topology, SystemConfig.for_system(len(topology.nodes), f), protocols
+    )
 
-    def test_crash_at_zero_is_immediate(self):
-        backend = AsyncioBackend()
-        (action,) = backend.plan_faults((CrashAt(pid=1, time_ms=0.0),))
-        assert action.at_s == 0.0
 
-    def test_link_drop_window_translates_both_bounds(self):
-        backend = AsyncioBackend(time_scale=1e-3)
-        actions = backend.plan_faults(
+class TestArmFaultsOnCluster:
+    """``arm`` dispatches fault events, scaled, onto a built cluster."""
+
+    def _cluster(self):
+        return stub_cluster(harary_topology(5, 3))
+
+    def test_crash_at_zero_applies_before_start(self):
+        cluster = self._cluster()
+        AsyncioBackend().arm(cluster, (CrashAt(pid=2, time_ms=0.0),))
+        assert cluster.nodes[2].crashed
+        assert not cluster.nodes[0].crashed
+        assert not cluster._pending_actions
+
+    def test_timed_crash_is_scaled_and_waits_for_the_epoch(self):
+        cluster = self._cluster()
+        AsyncioBackend(time_scale=1e-3).arm(cluster, (CrashAt(pid=3, time_ms=120.0),))
+        assert not cluster.nodes[3].crashed
+        ((at_s, _),) = cluster._pending_actions
+        assert at_s == pytest.approx(0.12)
+
+    def test_link_drop_window_scales_both_bounds_on_both_endpoints(self):
+        cluster = self._cluster()
+        AsyncioBackend(time_scale=1e-3).arm(
+            cluster,
             (
                 LinkDropWindow(u=0, v=1, start_ms=10.0, end_ms=30.0),
                 LinkDropWindow(u=2, v=3, start_ms=0.0, end_ms=None),
-            )
+            ),
         )
-        assert actions == [
-            LinkDropFilter(u=0, v=1, start_s=pytest.approx(0.01), end_s=pytest.approx(0.03)),
-            LinkDropFilter(u=2, v=3, start_s=0.0, end_s=None),
-        ]
+        for node, peer in ((0, 1), (1, 0)):
+            assert not cluster.nodes[node].link_dropped(peer, elapsed_s=0.005)
+            assert cluster.nodes[node].link_dropped(peer, elapsed_s=0.01)
+            assert cluster.nodes[node].link_dropped(peer, elapsed_s=0.029)
+            assert not cluster.nodes[node].link_dropped(peer, elapsed_s=0.03)
+        # ``end_ms=None``: the link goes down at 0 and never reopens.
+        for node, peer in ((2, 3), (3, 2)):
+            assert cluster.nodes[node].link_dropped(peer, elapsed_s=0.0)
+            assert cluster.nodes[node].link_dropped(peer, elapsed_s=1e6)
+        # The window is per-link, not per-node.
+        assert not cluster.nodes[0].link_dropped(4, elapsed_s=0.02)
 
-    def test_delayed_start_translates(self):
-        backend = AsyncioBackend(time_scale=2e-3)
-        (action,) = backend.plan_faults((DelayedStart(pid=4, time_ms=50.0),))
-        assert action == DeferredStart(pid=4, wake_s=pytest.approx(0.1))
+    def test_link_drop_requires_an_edge(self):
+        topology = harary_topology(6, 3)
+        u, v = next(
+            (u, v)
+            for u in topology.nodes
+            for v in topology.nodes
+            if u < v and not topology.has_edge(u, v)
+        )
+        with pytest.raises(ConfigurationError):
+            AsyncioBackend().arm(
+                stub_cluster(topology),
+                (LinkDropWindow(u=u, v=v, start_ms=0.0, end_ms=None),),
+            )
+
+    def test_delayed_start_marks_dormant_until_the_scaled_wake_time(self):
+        cluster = self._cluster()
+        AsyncioBackend(time_scale=2e-3).arm(cluster, (DelayedStart(pid=4, time_ms=50.0),))
+        assert cluster.nodes[4].dormant
+        ((wake_s, _),) = cluster._pending_actions
+        assert wake_s == pytest.approx(0.1)
 
     def test_negative_delayed_start_rejected_like_the_simulator(self):
-        # Backend parity: the simulator rejects negative start times, so
-        # the translation layer must too — the same spec may not error
-        # on one backend and run on the other.
+        # Backend parity: the spec dataclass itself rejects a negative
+        # start time, so the same spec can never error on one backend
+        # and run on the other.
         with pytest.raises(ConfigurationError):
-            AsyncioBackend().plan_faults((DelayedStart(pid=1, time_ms=-5.0),))
+            DelayedStart(pid=1, time_ms=-5.0)
 
     def test_time_scale_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             AsyncioBackend(time_scale=0.0)
 
-    def test_shared_bandwidth_rejected(self):
-        spec = ScenarioSpec(
+
+class TestValidate:
+    def _capped_spec(self):
+        return ScenarioSpec(
             topology=TopologySpec(kind="harary", n=5, k=3),
             f=1,
             shared_bandwidth_bps=1e9,
             backend="asyncio",
         )
+
+    def test_shared_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
-            AsyncioBackend().validate(spec)
+            AsyncioBackend().validate(self._capped_spec())
+
+    def test_run_async_validates_like_run(self):
+        # Awaiting the public coroutine directly must not silently
+        # ignore the cap the sync wrapper rejects.
+        with pytest.raises(ConfigurationError):
+            asyncio.run(AsyncioBackend().run_async(self._capped_spec()))
 
 
-class TestLossTranslation:
-    """plan_loss is pure: connection filters from the spec's delay regime."""
+class RecordingCluster(AsyncioCluster):
+    """A real cluster that also records the loss filters installed on it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.losses = []  # (u, v, probability, seed)
+        self.bursts = []  # (u, v, period_s, burst_s)
+
+    def add_loss_filter(self, u, v, probability, seed):
+        self.losses.append((u, v, probability, seed))
+        super().add_loss_filter(u, v, probability, seed)
+
+    def add_periodic_drop_window(self, u, v, period_s, burst_s, offset_s=0.0):
+        self.bursts.append((u, v, period_s, burst_s))
+        super().add_periodic_drop_window(u, v, period_s, burst_s, offset_s)
+
+
+class TestArmLossOnCluster:
+    """``arm_loss`` installs connection filters from the spec's delay regime."""
 
     def _spec(self, **delay_kwargs):
         return ScenarioSpec(
@@ -117,49 +181,49 @@ class TestLossTranslation:
             seed=9,
         )
 
-    def test_lossless_spec_plans_nothing(self):
-        spec = self._spec()
-        backend = AsyncioBackend()
-        losses, bursts = backend.plan_loss(spec, spec.topology.build(spec.seed))
-        assert losses == [] and bursts == []
+    def _armed(self, spec, backend=None):
+        cluster = stub_cluster(
+            spec.topology.build(spec.seed), f=0, cluster_type=RecordingCluster
+        )
+        (backend or AsyncioBackend()).arm_loss(cluster, spec)
+        return cluster
+
+    def test_lossless_spec_installs_nothing(self):
+        cluster = self._armed(self._spec())
+        assert cluster.losses == [] and cluster.bursts == []
+        assert not cluster.nodes[0].link_dropped(1, elapsed_s=0.0)
 
     def test_one_loss_filter_per_undirected_link(self):
-        spec = self._spec(loss=0.2)
-        backend = AsyncioBackend()
-        topology = spec.topology.build(spec.seed)
-        losses, bursts = backend.plan_loss(spec, topology)
-        assert bursts == []
-        assert len(losses) == topology.edge_count
-        assert all(isinstance(loss, ConnectionLoss) for loss in losses)
-        assert all(loss.probability == 0.2 for loss in losses)
-        assert all(loss.u < loss.v for loss in losses)
+        cluster = self._armed(self._spec(loss=0.2))
+        assert cluster.bursts == []
+        assert len(cluster.losses) == cluster.topology.edge_count
+        assert all(probability == 0.2 for _, _, probability, _ in cluster.losses)
+        assert all(u < v for u, v, _, _ in cluster.losses)
 
     def test_loss_seeds_derive_from_the_scenario_hash(self):
         spec = self._spec(loss=0.2)
-        backend = AsyncioBackend()
-        topology = spec.topology.build(spec.seed)
-        losses, _ = backend.plan_loss(spec, topology)
-        # Deterministic: replanning yields identical seeds...
-        again, _ = backend.plan_loss(spec, topology)
-        assert losses == again
+        losses = self._armed(spec).losses
+        # Deterministic: re-arming yields identical seeds...
+        assert self._armed(spec).losses == losses
         # ... distinct per link ...
-        assert len({loss.seed for loss in losses}) == len(losses)
-        # ... and distinct per scenario.
-        other, _ = backend.plan_loss(spec.with_seed(10), topology)
-        assert {loss.seed for loss in losses}.isdisjoint(
-            {loss.seed for loss in other}
-        )
+        seeds = {seed for _, _, _, seed in losses}
+        assert len(seeds) == len(losses)
+        # ... and distinct per scenario (same graph, different hash).
+        other = self._armed(spec.with_seed(10)).losses
+        assert seeds.isdisjoint({seed for _, _, _, seed in other})
 
     def test_burst_windows_scale_through_time_scale(self):
         spec = self._spec(burst_period_ms=100.0, burst_len_ms=20.0)
-        backend = AsyncioBackend(time_scale=2e-3)
-        topology = spec.topology.build(spec.seed)
-        losses, bursts = backend.plan_loss(spec, topology)
-        assert losses == []
-        assert len(bursts) == topology.edge_count
-        assert all(isinstance(burst, ConnectionBurst) for burst in bursts)
-        assert bursts[0].period_s == pytest.approx(0.2)
-        assert bursts[0].burst_s == pytest.approx(0.04)
+        cluster = self._armed(spec, AsyncioBackend(time_scale=2e-3))
+        assert cluster.losses == []
+        assert len(cluster.bursts) == cluster.topology.edge_count
+        _, _, period_s, burst_s = cluster.bursts[0]
+        assert period_s == pytest.approx(0.2)
+        assert burst_s == pytest.approx(0.04)
+        # Installed on both endpoints: down for the first 40 ms of every 200 ms.
+        assert cluster.nodes[0].link_dropped(1, elapsed_s=0.03)
+        assert cluster.nodes[1].link_dropped(0, elapsed_s=0.23)
+        assert not cluster.nodes[0].link_dropped(1, elapsed_s=0.05)
 
 
 class TestNodeLossFilters:
@@ -267,62 +331,6 @@ class TestArmAdaptiveOnCluster:
             Observation(kind="send", time_ms=0.0, pid=1, dest=0)
         )
         assert not cluster.nodes[0].crashed
-
-
-class TestArmOnCluster:
-    def _cluster(self):
-        topology = harary_topology(5, 3)
-        protocols = {
-            pid: StubProtocol(pid, sorted(topology.neighbors(pid)))
-            for pid in topology.nodes
-        }
-        config = SystemConfig.for_system(5, 1)
-        return AsyncioCluster(topology, config, protocols)
-
-    def test_crash_at_zero_applies_before_start(self):
-        cluster = self._cluster()
-        AsyncioBackend.arm(cluster, [NodeCrash(pid=2, at_s=0.0)])
-        assert cluster.nodes[2].crashed
-        assert not cluster.nodes[0].crashed
-
-    def test_timed_crash_waits_for_the_epoch(self):
-        cluster = self._cluster()
-        AsyncioBackend.arm(cluster, [NodeCrash(pid=2, at_s=0.5)])
-        assert not cluster.nodes[2].crashed
-        assert cluster._pending_actions
-
-    def test_link_drop_installed_on_both_endpoints(self):
-        cluster = self._cluster()
-        AsyncioBackend.arm(cluster, [LinkDropFilter(u=0, v=1, start_s=0.0, end_s=0.5)])
-        assert cluster.nodes[0].link_dropped(1, elapsed_s=0.1)
-        assert cluster.nodes[1].link_dropped(0, elapsed_s=0.1)
-        assert not cluster.nodes[0].link_dropped(1, elapsed_s=0.6)
-        # The window is per-link, not per-node.
-        assert not cluster.nodes[0].link_dropped(3, elapsed_s=0.1)
-
-    def test_link_drop_requires_an_edge(self):
-        topology = harary_topology(6, 3)
-        non_edge = next(
-            (u, v)
-            for u in topology.nodes
-            for v in topology.nodes
-            if u < v and not topology.has_edge(u, v)
-        )
-        protocols = {
-            pid: StubProtocol(pid, sorted(topology.neighbors(pid)))
-            for pid in topology.nodes
-        }
-        cluster = AsyncioCluster(topology, SystemConfig.for_system(6, 1), protocols)
-        with pytest.raises(ConfigurationError):
-            AsyncioBackend.arm(
-                cluster, [LinkDropFilter(*non_edge, start_s=0.0, end_s=None)]
-            )
-
-    def test_delayed_start_marks_dormant(self):
-        cluster = self._cluster()
-        AsyncioBackend.arm(cluster, [DeferredStart(pid=3, wake_s=0.2)])
-        assert cluster.nodes[3].dormant
-        assert cluster._pending_actions
 
 
 class TestNodeRuntimeActions:
