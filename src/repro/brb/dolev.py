@@ -30,6 +30,7 @@ from repro.core.messages import BrachaMessage, DolevMessage, MessageType, Path
 from repro.core.modifications import ModificationSet
 from repro.core.protocol import BroadcastProtocol
 from repro.paths.disjoint import DisjointPathVerifier
+from repro.paths.pathset import path_to_bits
 
 
 def content_origin(content) -> Optional[int]:
@@ -142,35 +143,24 @@ class DolevDisseminator:
         by this reception.
         """
         content = message.content
-        state = self._state(content)
         wire_path: Path = message.path
+        # Forged paths with absurd identifiers are dropped before any ``1 << id``.
+        if wire_path and (
+            len(wire_path) > 4096 or min(wire_path) < 0 or max(wire_path) >= 2 ** 20
+        ):
+            return [], []
+        state = self._state(content)
         origin = content_origin(content)
 
         if not wire_path:
             # An empty path means the sender created the content or
             # delivered it and is relaying per MD.2: either way it has it.
             state.neighbors_delivered.add(sender)
-
-        direct = not wire_path and sender == origin
-        if direct:
-            intermediaries: Tuple[int, ...] = ()
-        else:
-            members = set(wire_path)
-            members.add(sender)
-            members.discard(origin)
-            members.discard(self.process_id)
-            intermediaries = tuple(sorted(members))
-
-        # MD.4: ignore paths that contain a neighbor that already delivered.
-        if (
+        elif (
             self.mods.md4_ignore_paths_with_delivered
-            and wire_path
-            and set(wire_path) & state.neighbors_delivered
+            and not state.neighbors_delivered.isdisjoint(wire_path)
         ):
-            return [], []
-
-        # Drop messages with forged paths referencing absurd identifiers.
-        if len(wire_path) > 4096 or any(p < 0 or p >= 2 ** 20 for p in wire_path):
+            # MD.4: ignore paths that contain a neighbor that already delivered.
             return [], []
 
         # MD.5: after delivering and relaying the empty path, stop relaying
@@ -181,6 +171,14 @@ class DolevDisseminator:
             and (state.relayed_empty or not self.mods.md2_empty_path_after_delivery)
         ):
             return [], []
+
+        # Node mask of the intermediaries: sender and wire path, without this
+        # process and the origin (shifted by only when it is a validated id).
+        direct = not wire_path and sender == origin
+        intermediaries = path_to_bits(wire_path) | 1 << sender
+        intermediaries &= ~(1 << self.process_id)
+        if origin == sender or origin in wire_path:
+            intermediaries &= ~(1 << origin)
 
         result = state.verifier.add_path(intermediaries)
 

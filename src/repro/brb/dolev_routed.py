@@ -36,6 +36,7 @@ from repro.core.messages import BrachaMessage, MessageType
 from repro.core.protocol import BroadcastProtocol
 from repro.core.sizes import FieldSizes, PAPER_FIELD_SIZES
 from repro.paths.disjoint import DisjointPathVerifier
+from repro.paths.pathset import path_to_bits
 from repro.topology.generators import Topology
 
 
@@ -174,16 +175,18 @@ class RoutedDolevBroadcast(BroadcastProtocol):
         key = (content.source, content.bid)
         if key in self.delivered:
             return []
+        is_process = self.config.is_process
+        if not (is_process(content.source) and all(map(is_process, message.traversed))):
+            return []  # forged identifiers: drop before any ``1 << id``
         verifier = self._verifiers.get(content)
         if verifier is None:
             verifier = DisjointPathVerifier(self.config.disjoint_paths_required)
             self._verifiers[content] = verifier
-        intermediaries = set(message.traversed)
-        intermediaries.add(sender)
-        intermediaries.discard(content.source)
-        intermediaries.discard(self.process_id)
-        direct = sender == content.source and not message.traversed
-        result = verifier.add_path(() if direct else tuple(sorted(intermediaries)))
+        # Node mask of the intermediaries, without the source and this process.
+        intermediaries = path_to_bits(message.traversed) | 1 << sender
+        result = verifier.add_path(
+            intermediaries & ~(1 << content.source | 1 << self.process_id)
+        )
         if not result.newly_satisfied:
             return []
         self.delivered[key] = content.payload

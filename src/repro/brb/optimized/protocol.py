@@ -456,19 +456,13 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
     ) -> None:
         """Path accounting, Dolev relay and Bracha transitions of a content."""
         mods = self.mods
-        if not wire_path:
-            # Empty wire path: the only candidate intermediary is the
-            # sender itself (a process never sends to itself, so the
-            # ``process_id`` discard cannot apply).
-            direct = sender == creator
-            intermediaries: Tuple[int, ...] = () if direct else (sender,)
-        else:
-            direct = False
-            members = set(wire_path)
-            members.add(sender)
-            members.discard(creator)
-            members.discard(self.process_id)
-            intermediaries = tuple(sorted(members))
+        # Node mask of the intermediaries: sender and wire path, without
+        # the creator and this process (callers validated every id).
+        direct = not wire_path and sender == creator
+        intermediaries = 1 << sender
+        for hop in wire_path:
+            intermediaries |= 1 << hop
+        intermediaries &= ~(1 << creator | 1 << self.process_id)
 
         result = content.verifier.add_path(intermediaries)
         newly_delivered = False
@@ -520,7 +514,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         self,
         record: PayloadRecord,
         creator: int,
-        intermediaries: Tuple[int, ...],
+        intermediaries: int,
         direct: bool,
     ) -> bool:
         """MBD.2: feed an extracted SEND path and report new delivery."""
@@ -533,7 +527,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             extracted = intermediaries
             extracted_direct = direct
         else:
-            extracted = tuple(sorted(set(intermediaries) | {creator}))
+            extracted = intermediaries | 1 << creator
             extracted_direct = False
         result = send_record.verifier.add_path(extracted)
         newly = result.newly_satisfied or (

@@ -6,19 +6,30 @@ node-disjoint paths.  The decision problem over an arbitrary set of paths
 is a set-packing problem; the paper (Sec. 6.6) keeps it tractable in
 practice with two ideas that this module implements:
 
-* paths are represented as node bit-sets, and a newly received path is
-  combined with the *previously explored combinations* of disjoint paths
-  (dynamic programming) instead of recomputing all combinations;
+* paths are node bit-masks, and a newly received path is combined with
+  the *previously explored combinations* of disjoint paths (dynamic
+  programming) instead of recomputing all combinations;
 * dominated information is pruned — a path whose node set is a superset
   of an already-received path is ignored, and a combination that uses a
   superset of the nodes of another combination of the same cardinality is
   dropped.
 
-Paths are given to the verifier as their set of *intermediary* processes:
-the processes that relayed the content, excluding the content's creator
-and the receiving process.  An empty set therefore means the content was
-received directly from its creator over the authenticated link; such a
+The mask is the one representation of a path between the wire tuple and
+this module: the protocols build ``1 << sender | 1 << hop | ...`` over the
+*intermediary* processes — those that relayed the content, excluding its
+creator and the receiving process — and pass that integer to
+:meth:`DisjointPathVerifier.add_path` (an iterable of node identifiers is
+encoded on entry, for tests and ad-hoc callers).  The mask ``0`` is a
+reception straight from the creator over the authenticated link; such a
 path is disjoint from every other path.
+
+The explored combinations are a *list of levels* indexed by cardinality:
+``levels[c]`` holds the node unions achievable with ``c`` pairwise
+disjoint paths and ``levels[0]`` is the constant ``[0]`` (no path), so a
+new path grows level ``c`` into level ``c + 1`` by one uniform step.
+Levels are walked top-down and updated in place: level ``c + 1`` is read
+before the unions grown from level ``c`` are merged into it, so every
+level is extended from its state before the call.
 
 The verifier is *incremental* and *monotonic*: once ``satisfied`` becomes
 true it stays true, and adding paths never lowers the best count.
@@ -27,7 +38,7 @@ true it stays true, and adding paths never lowers the best count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List, Union
 
 from repro.paths.pathset import PathStore, path_to_bits
 
@@ -72,6 +83,9 @@ class DisjointPathVerifier:
         exhaustive search would, but it never reports a false positive.
     """
 
+    __slots__ = ("required", "max_combinations", "_store", "_has_direct",
+                 "_levels", "_best_indirect", "_satisfied")
+
     def __init__(self, required: int, *, max_combinations: int = 4096) -> None:
         if required < 1:
             raise ValueError("at least one disjoint path must be required")
@@ -79,13 +93,9 @@ class DisjointPathVerifier:
         self.max_combinations = max_combinations
         self._store = PathStore()
         self._has_direct = False
-        # _frontier[c] = list of node-union bit-sets achievable with c
-        # pairwise-disjoint received (non-empty) paths.
-        self._frontier: Dict[int, List[int]] = {}
+        self._levels: List[List[int]] = [[0]]  # see the module docstring
         self._best_indirect = 0
         self._satisfied = False
-        #: Number of combination operations performed (CPU proxy metric).
-        self.combination_operations = 0
 
     # ------------------------------------------------------------------
     # Inspection
@@ -113,7 +123,7 @@ class DisjointPathVerifier:
     @property
     def stored_combination_count(self) -> int:
         """Number of disjoint-path combinations currently memoized."""
-        return sum(len(unions) for unions in self._frontier.values())
+        return sum(map(len, self._levels)) - 1
 
     def state_size_estimate(self) -> int:
         """Rough memory footprint proxy: stored paths plus combinations."""
@@ -122,63 +132,57 @@ class DisjointPathVerifier:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def add_path(self, intermediaries: Iterable[int]) -> PathAddResult:
-        """Record a received path given by its set of intermediary processes.
+    def add_path(self, path: Union[int, Iterable[int]]) -> PathAddResult:
+        """Record a received path given by its intermediary processes.
 
-        Returns a :class:`PathAddResult` describing whether the path was
-        stored (i.e. was not redundant) and whether it made the
-        requirement satisfied for the first time.
+        ``path`` is the node bit-mask of the intermediaries (``0`` for a
+        direct reception) or an iterable of their identifiers.  The result
+        tells whether the path was stored (i.e. was not redundant) and
+        whether it made the requirement satisfied for the first time.
         """
         if self._satisfied:
             return _REDUNDANT
-        bits = path_to_bits(intermediaries)
+        bits = path if isinstance(path, int) else path_to_bits(path)
         if bits == 0:
             if self._has_direct:
                 return _REDUNDANT
             self._has_direct = True
-            return _STORED_SATISFIED if self._check_satisfied() else _STORED
+            return self._stored()
         if not self._store.add_bits(bits):
             return _REDUNDANT
 
-        new_entries: Dict[int, List[int]] = {1: [bits]}
-        for count in sorted(self._frontier, reverse=True):
-            for union in self._frontier[count]:
-                self.combination_operations += 1
-                if union & bits == 0:
-                    new_entries.setdefault(count + 1, []).append(union | bits)
+        levels = self._levels
+        cap = self.max_combinations
+        for count in range(len(levels), 0, -1):
+            grown = [union | bits for union in levels[count - 1] if not union & bits]
+            if grown:
+                if count == len(levels):
+                    levels.append([])
+                target = levels[count]
+                for union in grown:
+                    for other in target:
+                        if other & union == other:  # other ⊆ union: dominated
+                            break
+                    else:
+                        target.append(union)
+                if len(target) > cap:
+                    target.sort(key=int.bit_count)
+                    del target[cap:]
+        if len(levels) - 1 > self._best_indirect:
+            self._best_indirect = len(levels) - 1
+        return self._stored()
 
-        for count, unions in sorted(new_entries.items()):
-            existing = self._frontier.setdefault(count, [])
-            for union in unions:
-                if not _is_dominated(union, existing):
-                    existing.append(union)
-            if len(existing) > self.max_combinations:
-                existing.sort(key=_popcount)
-                del existing[self.max_combinations :]
-            if count > self._best_indirect:
-                self._best_indirect = count
-        return _STORED_SATISFIED if self._check_satisfied() else _STORED
-
-    def _check_satisfied(self) -> bool:
-        """Return ``True`` when the requirement is met for the first time."""
-        if not self._satisfied and self.best_count >= self.required:
+    def _stored(self) -> PathAddResult:
+        """The result of storing a path, noting first-time satisfaction."""
+        if self.best_count >= self.required:
             self._satisfied = True
-            return True
-        return False
+            return _STORED_SATISFIED
+        return _STORED
 
     def discard_paths(self) -> None:
         """Drop stored paths and combinations (MD.2, after delivery)."""
         self._store.clear()
-        self._frontier.clear()
-
-
-def _popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
-def _is_dominated(union: int, existing: List[int]) -> bool:
-    """True when an existing union of the same cardinality uses ⊆ nodes."""
-    return any(other & union == other for other in existing)
+        del self._levels[1:]
 
 
 __all__ = ["DisjointPathVerifier", "PathAddResult"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.paths.disjoint import DisjointPathVerifier
 from repro.paths.oracle import max_disjoint_selection
 from repro.paths.pathset import PathStore, bits_to_nodes, path_to_bits
+from tests.property.reference_verifier import ReferenceVerifier
 
 # Small universes keep the exhaustive oracle tractable while still
 # exercising plenty of overlap structure.
@@ -81,3 +82,53 @@ class TestPathStoreProperties:
     @settings(max_examples=200, deadline=None)
     def test_bitset_round_trip(self, nodes):
         assert frozenset(bits_to_nodes(path_to_bits(nodes))) == nodes
+
+
+# Up to 31 nodes (the paper's N) with short and long paths, so stored
+# super-paths get evicted and levels grow past the small caps below.
+kernel_paths_strategy = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=30), min_size=0, max_size=6),
+    min_size=0,
+    max_size=24,
+)
+
+
+def _observable(verifier):
+    return (
+        verifier.satisfied,
+        verifier.best_count,
+        verifier.stored_path_count,
+        verifier.stored_combination_count,
+    )
+
+
+class TestKernelMatchesFrozenReference:
+    @given(
+        paths=kernel_paths_strategy,
+        required=st.integers(min_value=1, max_value=5),
+        max_combinations=st.sampled_from([2, 8, 4096]),
+        discard_after=st.none() | st.integers(min_value=0, max_value=23),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_decisions_and_state_after_every_path(
+        self, paths, required, max_combinations, discard_after
+    ):
+        kernel = DisjointPathVerifier(required, max_combinations=max_combinations)
+        reference = ReferenceVerifier(required, max_combinations=max_combinations)
+        for index, path in enumerate(paths):
+            # Alternate the two entry forms: node mask and node iterable.
+            got = kernel.add_path(path_to_bits(path) if index % 2 else path)
+            expected = reference.add_path(path)
+            assert (got.stored, got.newly_satisfied) == (
+                expected.stored,
+                expected.newly_satisfied,
+            )
+            assert _observable(kernel) == _observable(reference)
+            # Same unions in the same order per cardinality: the order
+            # decides what the cap truncates on later calls.
+            assert kernel._levels[1:] == reference.frontier_levels()
+            assert kernel._store.paths == tuple(reference._store._paths)
+            if index == discard_after:  # MD.2 after an MD.1 delivery
+                kernel.discard_paths()
+                reference.discard_paths()
+                assert _observable(kernel) == _observable(reference)

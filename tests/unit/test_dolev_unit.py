@@ -1,5 +1,6 @@
 """Unit tests for the Dolev disseminator and the MD.1–5 optimizations."""
 
+import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.events import RCDeliver
@@ -125,6 +126,33 @@ class TestOptimizedDisseminator:
         c = content(source=0)
         out, delivered = d.on_message(1, DolevMessage(content=c, path=(2 ** 30,)))
         assert out == [] and delivered == []
+
+    @pytest.mark.parametrize("forged", [(-1,), (2 ** 20,), (6, -3), (7,) * 4097])
+    def test_forged_path_dropped_before_mask_encoding(self, forged):
+        # The guard runs ahead of every ``1 << id``: a negative identifier
+        # must be dropped silently, not raise ValueError from the shift.
+        for mods in (ModificationSet.dolev_optimized(), ModificationSet.none()):
+            d = DolevDisseminator(5, [0, 1, 2, 3], required_paths=2, modifications=mods)
+            c = content(source=0)
+            assert d.on_message(1, DolevMessage(content=c, path=forged)) == ([], [])
+            assert d.state_size_estimate() == 0
+
+    def test_forged_origin_is_not_shifted_by(self):
+        # A claimed creator outside the id range is never an intermediary,
+        # so it must not reach ``1 << origin`` either.
+        d = self._disseminator()
+        c = content(source=0, creator=-7, mtype=MessageType.ECHO)
+        out, delivered = d.on_message(1, DolevMessage(content=c, path=(6,)))
+        assert delivered == [] and {s.message.path for s in out} == {(6, 1)}
+
+    def test_intermediaries_exclude_origin_and_self(self):
+        # (0, 6) via 1 and (5, 7) via 2 share nothing once the origin 0 and
+        # the receiver 5 are removed: two disjoint paths, delivery.
+        d = DolevDisseminator(5, [0, 1, 2, 3], required_paths=2)
+        c = content(source=0)
+        _, first = d.on_message(1, DolevMessage(content=c, path=(0, 6)))
+        _, second = d.on_message(2, DolevMessage(content=c, path=(5, 7)))
+        assert first == [] and second == [c]
 
     def test_extra_exclusions_hook(self):
         d = DolevDisseminator(

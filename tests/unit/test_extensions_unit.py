@@ -96,6 +96,16 @@ class TestRoutedDolevUnit:
         assert any(isinstance(c, RCDeliver) for c in second)
         assert protocol.delivered[(0, 0)] == b"m"
 
+    def test_forged_identifiers_dropped_at_destination(self):
+        topo = harary_topology(8, 4)
+        protocol = self._protocol(4, topo, f=1)
+        content = BrachaMessage(MessageType.SEND, source=0, bid=0, payload=b"m")
+        forged = RoutedMessage(content=content, route=(4,), traversed=(-1,))
+        assert protocol.on_message(2, forged) == []
+        alien = BrachaMessage(MessageType.SEND, source=-3, bid=0, payload=b"m")
+        assert protocol.on_message(2, RoutedMessage(content=alien, route=(4,))) == []
+        assert protocol.state_size_estimate() == 0
+
     def test_routed_message_wire_size(self):
         content = BrachaMessage(MessageType.SEND, source=0, bid=0, payload=b"abcd")
         message = RoutedMessage(content=content, route=(1, 2), traversed=(3,))

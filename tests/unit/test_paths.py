@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.paths.disjoint import DisjointPathVerifier
+from repro.paths.disjoint import DisjointPathVerifier, PathAddResult
 from repro.paths.oracle import graph_disjoint_paths, max_disjoint_selection
 from repro.paths.pathset import PathStore, bits_to_nodes, path_to_bits
 from repro.topology.generators import harary_topology
@@ -153,6 +153,46 @@ class TestDisjointPathVerifier:
         verifier.add_path([4])
         # The cap may delay detection but never produces false positives.
         assert verifier.best_count <= max_disjoint_selection([[1, 2], [2, 3], [4]])
+
+    def test_zero_mask_is_the_direct_path(self):
+        by_mask, by_nodes = DisjointPathVerifier(2), DisjointPathVerifier(2)
+        for verifier, direct in ((by_mask, 0), (by_nodes, ())):
+            assert verifier.add_path(direct) == PathAddResult(True, False)
+            assert verifier.has_direct_path and verifier.stored_path_count == 1
+            assert verifier.add_path(direct) == PathAddResult(False, False)
+            assert verifier.add_path([3]) == PathAddResult(True, True)
+
+    def test_mask_and_node_iterable_are_the_same_path(self):
+        paths = [[1, 2], [3, 4], [1, 3], [2, 4], [1, 2, 9], [5], [4]]
+        by_mask, by_nodes = DisjointPathVerifier(4), DisjointPathVerifier(4)
+        for path in paths:
+            assert by_mask.add_path(path_to_bits(path)) == by_nodes.add_path(path)
+            assert by_mask.best_count == by_nodes.best_count
+            assert by_mask.state_size_estimate() == by_nodes.state_size_estimate()
+
+    def test_late_shorter_path_evicts_stored_superpaths(self):
+        # Asynchronous delays deliver the long routes first (async_layered).
+        verifier = DisjointPathVerifier(3)
+        for path in ([1, 2, 3], [1, 4], [5, 6]):
+            assert verifier.add_path(path).stored
+        assert verifier.stored_path_count == 3
+        assert verifier.add_path([1]).stored
+        # {1} evicts {1,2,3} and {1,4}; the explored combinations stay.
+        assert verifier.stored_path_count == 2
+        assert not verifier.add_path([1, 4]).stored
+        assert verifier.best_count == 2
+        assert verifier.add_path([7]).newly_satisfied
+
+    def test_discard_then_continue_keeps_best_count(self):
+        # MD.1 delivers from the source before the verifier is satisfied;
+        # MD.2 then discards the paths while receptions continue.
+        verifier = DisjointPathVerifier(4)
+        verifier.add_path([1])
+        verifier.add_path([2])
+        verifier.discard_paths()
+        assert verifier.best_count == 2 and verifier.state_size_estimate() == 0
+        assert verifier.add_path([1]).stored
+        assert verifier.best_count == 2 and verifier.stored_combination_count == 1
 
 
 class TestOracles:
