@@ -29,6 +29,9 @@ _KIND_CROSS_LAYER = 4
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 
+# Type byte -> member, in place of the (much slower) ``MessageType(byte)``.
+_MESSAGE_TYPES = {int(mtype): mtype for mtype in MessageType}
+
 AnyMessage = Union[BrachaMessage, DolevMessage, CrossLayerMessage]
 
 
@@ -39,20 +42,26 @@ def _pack_u32(value: int) -> bytes:
 
 
 def _pack_path(path: Tuple[int, ...]) -> bytes:
-    if len(path) > 0xFFFF:
-        raise EncodingError("path too long to encode")
-    return _U16.pack(len(path)) + b"".join(_pack_u32(p) for p in path)
+    count = len(path)
+    try:
+        return struct.pack(f">H{count}I", count, *path)
+    except struct.error as exc:
+        raise EncodingError(
+            f"path of {count} hops does not fit a u16 count of u32 ids: {exc}"
+        ) from exc
 
 
 def _unpack_path(data: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
     (count,) = _U16.unpack_from(data, offset)
     offset += _U16.size
-    path = []
-    for _ in range(count):
-        (value,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        path.append(value)
-    return tuple(path), offset
+    return struct.unpack_from(f">{count}I", data, offset), offset + count * _U32.size
+
+
+def _unpack_mtype(data: bytes, offset: int) -> MessageType:
+    mtype = _MESSAGE_TYPES.get(data[offset])
+    if mtype is None:
+        raise EncodingError(f"unknown message type byte: {data[offset]}")
+    return mtype
 
 
 def _pack_payload(payload: bytes) -> bytes:
@@ -141,42 +150,39 @@ def _encode_cross_layer(message: CrossLayerMessage) -> bytes:
 # Decoding
 # ----------------------------------------------------------------------
 def decode_message(data: bytes) -> AnyMessage:
-    """Deserialize a message previously produced by :func:`encode_message`."""
+    """Deserialize a message previously produced by :func:`encode_message`.
+
+    Raises :class:`EncodingError` for every input that function cannot
+    have produced — the bytes come from a neighbor that may be Byzantine.
+    """
     if not data:
         raise EncodingError("empty buffer")
     kind = data[0]
-    body = data[1:]
     try:
-        if kind == _KIND_BRACHA:
-            message, offset = _decode_bracha(body, 0)
-            _require_consumed(body, offset)
-            return message
-        if kind in (_KIND_DOLEV_RAW, _KIND_DOLEV_BRACHA):
-            if kind == _KIND_DOLEV_BRACHA:
-                content, offset = _decode_bracha(body, 0)
-            else:
-                content, offset = _unpack_payload(body, 0)
-            path, offset = _unpack_path(body, offset)
-            _require_consumed(body, offset)
-            return DolevMessage(content=content, path=path)
         if kind == _KIND_CROSS_LAYER:
-            message, offset = _decode_cross_layer(body, 0)
-            _require_consumed(body, offset)
-            return message
-    except struct.error as exc:
+            message, offset = _decode_cross_layer(data, 1)
+        elif kind == _KIND_BRACHA:
+            message, offset = _decode_bracha(data, 1)
+        elif kind == _KIND_DOLEV_BRACHA or kind == _KIND_DOLEV_RAW:
+            if kind == _KIND_DOLEV_BRACHA:
+                content, offset = _decode_bracha(data, 1)
+            else:
+                content, offset = _unpack_payload(data, 1)
+            path, offset = _unpack_path(data, offset)
+            message = DolevMessage(content=content, path=path)
+        else:
+            raise EncodingError(f"unknown message kind tag: {kind}")
+    except (struct.error, IndexError) as exc:
         raise EncodingError(f"truncated message: {exc}") from exc
-    raise EncodingError(f"unknown message kind tag: {kind}")
-
-
-def _require_consumed(data: bytes, offset: int) -> None:
     if offset != len(data):
         raise EncodingError(
             f"trailing bytes after message: consumed {offset} of {len(data)}"
         )
+    return message
 
 
 def _decode_bracha(data: bytes, offset: int) -> Tuple[BrachaMessage, int]:
-    mtype = MessageType(data[offset])
+    mtype = _unpack_mtype(data, offset)
     has_creator = bool(data[offset + 1])
     offset += 2
     (source,) = _U32.unpack_from(data, offset)
@@ -195,30 +201,35 @@ def _decode_bracha(data: bytes, offset: int) -> Tuple[BrachaMessage, int]:
 
 
 def _decode_cross_layer(data: bytes, offset: int) -> Tuple[CrossLayerMessage, int]:
-    mtype = MessageType(data[offset])
+    mtype = _unpack_mtype(data, offset)
     mask = data[offset + 1]
     offset += 2
-    values = {}
+    source = bid = creator = embedded = payload = local_id = path = None
     if mask & _CL_SOURCE:
-        (values["source"],) = _U32.unpack_from(data, offset)
+        (source,) = _U32.unpack_from(data, offset)
         offset += _U32.size
     if mask & _CL_BID:
-        (values["bid"],) = _U32.unpack_from(data, offset)
+        (bid,) = _U32.unpack_from(data, offset)
         offset += _U32.size
     if mask & _CL_CREATOR:
-        (values["creator"],) = _U32.unpack_from(data, offset)
+        (creator,) = _U32.unpack_from(data, offset)
         offset += _U32.size
     if mask & _CL_EMBEDDED:
-        (values["embedded_creator"],) = _U32.unpack_from(data, offset)
+        (embedded,) = _U32.unpack_from(data, offset)
         offset += _U32.size
     if mask & _CL_PAYLOAD:
-        values["payload"], offset = _unpack_payload(data, offset)
+        payload, offset = _unpack_payload(data, offset)
     if mask & _CL_LOCAL_ID:
-        (values["local_payload_id"],) = _U32.unpack_from(data, offset)
+        (local_id,) = _U32.unpack_from(data, offset)
         offset += _U32.size
     if mask & _CL_PATH:
-        values["path"], offset = _unpack_path(data, offset)
-    return CrossLayerMessage(mtype=mtype, **values), offset
+        path, offset = _unpack_path(data, offset)
+    return (
+        CrossLayerMessage(
+            mtype, source, bid, creator, embedded, payload, local_id, path
+        ),
+        offset,
+    )
 
 
 __all__ = ["encode_message", "decode_message", "AnyMessage"]

@@ -285,6 +285,19 @@ class AsyncioCluster:
         """Messages lost to link-drop windows across all nodes."""
         return sum(node.dropped_messages for node in self.nodes.values())
 
+    def io_counters(self) -> Dict[str, int]:
+        """The nodes' wire I/O counters, summed over the cluster.
+
+        ``frames_sent / writes`` is how many frames one socket write
+        carried on average.
+        """
+        nodes = self.nodes.values()
+        return {
+            "frames_sent": sum(node.frames_sent for node in nodes),
+            "writes": sum(node.writes for node in nodes),
+            "malformed_frames": sum(node.malformed_frames for node in nodes),
+        }
+
     # ------------------------------------------------------------------
     # Workload API
     # ------------------------------------------------------------------

@@ -18,12 +18,19 @@ peer that closed the connection, and every reader already handles that.
 A length prefix above :data:`MAX_FRAME_BYTES` raises :class:`FrameError`
 instead of attempting a multi-gigabyte allocation on a corrupt or
 hostile prefix.
+
+There are two readers of the same format: :func:`read_frame` awaits one
+frame at a time (the sweep executor's request/reply traffic), and
+:func:`iter_frames` splits whatever a socket read returned into all the
+frames it completes (the node↔node data path, where one read carries
+many small protocol messages).
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
+from typing import Iterator
 
 from repro.core.errors import ReproError
 
@@ -53,6 +60,41 @@ def encode_frame(payload: bytes) -> bytes:
     return LENGTH.pack(len(payload)) + payload
 
 
+def _check_prefix(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame prefix announces {length} bytes, above the "
+            f"{MAX_FRAME_BYTES}-byte cap"
+        )
+
+
+def iter_frames(buffer: bytearray) -> Iterator[bytes]:
+    """Yield the payload of every complete frame at the head of ``buffer``.
+
+    The yielded frames are removed from ``buffer`` once the iterator is
+    exhausted (or abandoned); an incomplete tail — part of a prefix or
+    of a payload — stays for the caller to append the next chunk to.
+    Raises :class:`FrameError` on an oversized length prefix, after
+    yielding every frame in front of it; the stream cannot be
+    resynchronised past such a prefix.
+    """
+    offset = 0
+    header = LENGTH.size
+    available = len(buffer)
+    try:
+        while available - offset >= header:
+            (length,) = LENGTH.unpack_from(buffer, offset)
+            _check_prefix(length)
+            end = offset + header + length
+            if end > available:
+                break
+            frame = bytes(buffer[offset + header : end])
+            offset = end
+            yield frame
+    finally:
+        del buffer[:offset]
+
+
 def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     """Queue one frame on ``writer`` (call ``await writer.drain()`` after)."""
     writer.write(encode_frame(payload))
@@ -66,11 +108,7 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes:
     """
     header = await reader.readexactly(LENGTH.size)
     (length,) = LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame prefix announces {length} bytes, above the "
-            f"{MAX_FRAME_BYTES}-byte cap"
-        )
+    _check_prefix(length)
     return await reader.readexactly(length)
 
 
@@ -80,6 +118,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "FrameError",
     "encode_frame",
+    "iter_frames",
     "write_frame",
     "read_frame",
 ]

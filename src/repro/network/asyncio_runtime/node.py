@@ -7,6 +7,30 @@ carrying the dialing node's identifier; afterwards every frame is an
 encoded protocol message.  Connections are only accepted from declared
 neighbors, mirroring the authenticated-channel assumption.
 
+The data path works on batches, not on single frames.  *Inbound*, each
+connection's read loop takes whatever the socket holds (up to
+:data:`READ_CHUNK_BYTES`), appends it to a buffer and hands every frame
+the chunk completes to the protocol, synchronously and in order; a
+partial frame waits for the next chunk.  A frame whose body does not
+decode is dropped and counted (:attr:`AsyncioNode.malformed_frames`) —
+its length prefix was valid, so the framing is intact — while an
+oversized prefix closes the link.  *Outbound*, interpreting a command
+list never touches a socket: each send is checked against the crash
+flag, recorded in the collector, checked against the drop windows, the
+loss filters and the severed set (in that order, one RNG draw per
+consulted message), and its frame is appended to a per-destination
+outbox.  A message object is encoded once per command list however many
+neighbors it goes to.  The outbox is flushed — one ``write`` of the
+concatenated frames per destination, then one ``drain`` each — after
+every chunk, every :meth:`broadcast`, every :meth:`handle_message` and
+every ``on_start``/:meth:`wake` replay step.  Back-pressure is therefore
+paid per batch: a read loop does not take its next chunk while a
+destination it relayed to is not draining, and the loops of other peers
+keep running.  Frames queued before a crash are still written, none
+after; per-link order is the order of the sends.  An observer sees a
+send once it is *queued for the wire or provably lost*, and what is
+queued is written even if the observer's reaction crashes the node.
+
 Ports are ephemeral by default: a node binds port 0, learns the port the
 kernel assigned and publishes it through the cluster's port map, so
 concurrent clusters (pytest-xdist workers, parallel CI jobs) never race
@@ -40,18 +64,28 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.encoding import decode_message, encode_message
-from repro.core.errors import RuntimeAbort
+from repro.core.errors import EncodingError, RuntimeAbort
 from repro.core.events import BRBDeliver, Command, Observation, RCDeliver, SendTo
 from repro.metrics.collector import MetricsCollector, message_type_name
 from repro.network.asyncio_runtime.framing import (
     HELLO as _HELLO,
     FrameError,
-    read_frame,
-    write_frame,
+    encode_frame,
+    iter_frames,
 )
+
+#: Bytes asked of a socket per read.  Every frame a chunk completes is
+#: handled before the next read, so this also bounds how much inbound
+#: traffic one flush (and one back-pressure wait) covers.
+READ_CHUNK_BYTES = 64 * 1024
+
+# One batch's encoded frames by message identity; the entry holds the
+# message so its id cannot be recycled while the batch is interpreted.
+_EncodedFrames = Dict[int, Tuple[object, bytes]]
 
 
 class AsyncioNode:
@@ -90,7 +124,8 @@ class AsyncioNode:
         self._writers: Dict[int, asyncio.StreamWriter] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._reader_tasks: List[asyncio.Task] = []
-        self._lock = asyncio.Lock()
+        # dest -> frames queued since the last flush, in send order.
+        self._outbox: Dict[int, List[bytes]] = {}
         # Pulsed on every neighbor registration; wait_until_connected
         # re-checks the writer set after each pulse (readiness barrier).
         self._registered = asyncio.Event()
@@ -101,7 +136,7 @@ class AsyncioNode:
         # A join-late (churn) dormancy *drops* inbound messages instead
         # of buffering them: a late joiner missed the early traffic.
         self._drop_dormant = False
-        self._dormant_buffer: List[Tuple[int, object]] = []
+        self._dormant_buffer: Deque[Tuple[int, object]] = deque()
         self._pending_broadcasts: List[Tuple[bytes, int]] = []
         # Peers whose channel a churn event tore down: outgoing messages
         # to them are lost, and their redials are rejected.
@@ -120,8 +155,15 @@ class AsyncioNode:
         self.observer: Optional[Callable[[Observation], None]] = None
         #: Outgoing messages lost to drop windows or loss filters.
         self.dropped_messages = 0
+        #: Frames handed to a socket, and the ``write`` calls that carried
+        #: them; ``frames_sent / writes`` is the coalescing factor.
+        self.frames_sent = 0
+        self.writes = 0
+        #: Inbound frames whose body did not decode (dropped, link kept).
+        self.malformed_frames = 0
         #: BRB deliveries observed by this node, as (source, bid, payload).
         self.deliveries: List[BRBDeliver] = []
+        self._delivered_keys: Set[Tuple[int, int]] = set()
         self.delivery_event = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -224,10 +266,10 @@ class AsyncioNode:
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while not set(expected) <= set(self._writers):
+        while not expected <= self._writers.keys():
             remaining = deadline - loop.time()
             if remaining <= 0:
-                missing = sorted(set(expected) - set(self._writers))
+                missing = sorted(expected - self._writers.keys())
                 raise RuntimeAbort(
                     f"node {self.process_id} timed out waiting for "
                     f"connections from {missing}"
@@ -302,6 +344,9 @@ class AsyncioNode:
         the simulator dropping sends on a removed edge.
         """
         self._severed.add(peer)
+        self._close_link(peer)
+
+    def _close_link(self, peer: int) -> None:
         writer = self._writers.pop(peer, None)
         if writer is not None:
             writer.close()
@@ -408,16 +453,14 @@ class AsyncioNode:
         self._drop_dormant = False
         hook = getattr(self.protocol, "on_start", None)
         if hook is not None:
-            async with self._lock:
-                commands = hook()
-            await self._execute(commands)
+            self._execute(hook())
+            await self._flush()
         while self._dormant_buffer:
             if self._crashed:
                 return
-            sender, message = self._dormant_buffer.pop(0)
-            async with self._lock:
-                commands = self.protocol.on_message(sender, message)
-            await self._execute(commands)
+            sender, message = self._dormant_buffer.popleft()
+            self._execute(self.protocol.on_message(sender, message))
+            await self._flush()
         self._dormant = False
         pending, self._pending_broadcasts = self._pending_broadcasts, []
         for payload, bid in pending:
@@ -435,9 +478,8 @@ class AsyncioNode:
         hook = getattr(self.protocol, "on_start", None)
         if hook is None:
             return
-        async with self._lock:
-            commands = hook()
-        await self._execute(commands)
+        self._execute(hook())
+        await self._flush()
 
     async def broadcast(self, payload: bytes, bid: int = 0) -> None:
         """Initiate a broadcast from this node.
@@ -450,12 +492,15 @@ class AsyncioNode:
         if self._dormant:
             self._pending_broadcasts.append((payload, bid))
             return
-        async with self._lock:
-            commands = self.protocol.broadcast(payload, bid)
-        await self._execute(commands)
+        self._execute(self.protocol.broadcast(payload, bid))
+        await self._flush()
 
     async def handle_message(self, peer_id: int, message) -> None:
         """Feed one decoded protocol message into the hosted instance."""
+        self._handle(peer_id, message)
+        await self._flush()
+
+    def _handle(self, peer_id: int, message) -> None:
         if self._crashed:
             return
         if self._dormant:
@@ -466,30 +511,47 @@ class AsyncioNode:
                 return
             self._dormant_buffer.append((peer_id, message))
             return
-        async with self._lock:
-            commands = self.protocol.on_message(peer_id, message)
-        await self._execute(commands)
+        self._execute(self.protocol.on_message(peer_id, message))
 
     async def _read_loop(self, peer_id: int, reader: asyncio.StreamReader) -> None:
+        buffer = bytearray()
         try:
             while True:
-                frame = await read_frame(reader)
-                message = decode_message(frame)
-                await self.handle_message(peer_id, message)
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-            ConnectionError,
-            FrameError,
-        ):
+                chunk = await reader.read(READ_CHUNK_BYTES)
+                if not chunk:  # EOF; a peer that died mid-frame leaves a tail
+                    return
+                buffer += chunk
+                try:
+                    self._handle_frames(peer_id, buffer)
+                finally:
+                    # Also on an oversized prefix: what the frames in
+                    # front of it triggered still reaches the wire.
+                    await self._flush()
+        except FrameError:
+            self._close_link(peer_id)
+        except ConnectionError:
             return
 
-    async def _execute(self, commands: Iterable[Command]) -> None:
+    def _handle_frames(self, peer_id: int, buffer: bytearray) -> None:
+        """Feed every frame ``buffer`` completes to the protocol."""
+        for frame in iter_frames(buffer):
+            try:
+                message = decode_message(frame)
+            except EncodingError:
+                # Garbage inside a well-formed frame: the framing is
+                # intact, so only this body is lost.
+                self.malformed_frames += 1
+                continue
+            self._handle(peer_id, message)
+
+    def _execute(self, commands: Iterable[Command]) -> None:
+        """Interpret one command batch; sends are queued for :meth:`_flush`."""
+        encoded: _EncodedFrames = {}
         for command in commands:
             if self._crashed:
                 return
             if isinstance(command, SendTo):
-                await self._send(command.dest, command.message)
+                self._send(command.dest, command.message, encoded)
             elif isinstance(command, BRBDeliver):
                 self._record_delivery(command)
             elif isinstance(command, RCDeliver):
@@ -505,45 +567,41 @@ class AsyncioNode:
 
     def _record_delivery(self, delivery: BRBDeliver) -> None:
         self.deliveries.append(delivery)
+        self._delivered_keys.add((delivery.source, delivery.bid))
+        time_ms = self._elapsed_s() * 1000.0
         if self.collector is not None:
             self.collector.record_delivery(
-                self._elapsed_s() * 1000.0,
+                time_ms,
                 self.process_id,
                 delivery.source,
                 delivery.bid,
                 delivery.payload,
             )
         self.delivery_event.set()
-        self._notify(
-            Observation(
-                kind="deliver",
-                time_ms=self._elapsed_s() * 1000.0,
-                pid=self.process_id,
-                source=delivery.source,
-                bid=delivery.bid,
-            )
-        )
-
-    def _notify(self, observation: Observation) -> None:
         if self.observer is not None:
-            self.observer(observation)
+            self.observer(
+                Observation(
+                    kind="deliver",
+                    time_ms=time_ms,
+                    pid=self.process_id,
+                    source=delivery.source,
+                    bid=delivery.bid,
+                )
+            )
 
-    async def _send(self, dest: int, message) -> None:
-        if self._crashed:
-            return
+    def _send(self, dest: int, message, encoded: _EncodedFrames) -> None:
+        elapsed_s = self._elapsed_s()
         if self.collector is not None:
             self.collector.record_send(
-                self._elapsed_s() * 1000.0, self.process_id, dest, message
+                elapsed_s * 1000.0, self.process_id, dest, message
             )
-        dropped = self.link_dropped(dest) or dest in self._severed
-        if dropped:
+        if self.link_dropped(dest, elapsed_s) or dest in self._severed:
             self.dropped_messages += 1
-        else:
-            writer = self._writers.get(dest)
-            if writer is not None:
-                frame = encode_message(message)
+        elif dest in self._writers:
+            entry = encoded.get(id(message))
+            if entry is None:
                 try:
-                    write_frame(writer, frame)
+                    frame = encode_frame(encode_message(message))
                 except FrameError as exc:
                     # Outbound overflow is our own bug, not a peer
                     # disconnect: surface it instead of letting
@@ -552,23 +610,49 @@ class AsyncioNode:
                     raise RuntimeAbort(
                         f"outbound message to {dest} exceeds the frame cap: {exc}"
                     ) from exc
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    self._writers.pop(dest, None)
-        # Observed last, like the simulator: the message is on the wire
-        # (or provably lost) before an adaptive adversary reacts to it.
-        self._notify(
-            Observation(
-                kind="send",
-                time_ms=self._elapsed_s() * 1000.0,
-                pid=self.process_id,
-                dest=dest,
-                mtype=message_type_name(message),
-                source=getattr(message, "source", None),
-                bid=getattr(message, "bid", None),
+                entry = encoded[id(message)] = (message, frame)
+            self._outbox.setdefault(dest, []).append(entry[1])
+        # Observed last, like the simulator: the message is queued for
+        # the wire (or provably lost) before an adaptive adversary
+        # reacts to it, and what is queued is written even if the
+        # reaction crashes this node.
+        if self.observer is not None:
+            self.observer(
+                Observation(
+                    kind="send",
+                    time_ms=elapsed_s * 1000.0,
+                    pid=self.process_id,
+                    dest=dest,
+                    mtype=message_type_name(message),
+                    source=getattr(message, "source", None),
+                    bid=getattr(message, "bid", None),
+                )
             )
-        )
+
+    async def _flush(self) -> None:
+        """Write the outbox: one write per destination, then one drain each.
+
+        Every write is issued before the first await, so frames queued by
+        another task while this one waits on a slow peer go out behind
+        them (per-link FIFO).
+        """
+        if not self._outbox:
+            return
+        outbox, self._outbox = self._outbox, {}
+        written = []
+        for dest, frames in outbox.items():
+            writer = self._writers.get(dest)
+            if writer is None:
+                continue
+            writer.write(b"".join(frames))
+            self.frames_sent += len(frames)
+            self.writes += 1
+            written.append((dest, writer))
+        for dest, writer in written:
+            try:
+                await writer.drain()
+            except ConnectionError:
+                self._writers.pop(dest, None)
 
     async def _wait_for_deliveries(self, satisfied, timeout: float) -> bool:
         """Wait until ``satisfied()`` is true, re-checking on every delivery.
@@ -610,7 +694,7 @@ class AsyncioNode:
         """
         wanted = set(keys)
         return await self._wait_for_deliveries(
-            lambda: wanted <= {(d.source, d.bid) for d in self.deliveries}, timeout
+            lambda: wanted <= self._delivered_keys, timeout
         )
 
 

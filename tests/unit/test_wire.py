@@ -21,6 +21,7 @@ from repro.network.asyncio_runtime.framing import (
     FrameError,
     LENGTH,
     encode_frame,
+    iter_frames,
     read_frame,
 )
 from repro.runner import wire
@@ -98,6 +99,27 @@ class TestFraming:
         header = LENGTH.pack(MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameError):
             read_one_frame(header)
+
+    def test_iter_frames_agrees_with_read_frame_and_keeps_a_partial_tail(self):
+        payloads = [b"", b"x", b"hello" * 100]
+        stream = b"".join(encode_frame(p) for p in payloads)
+        tail = encode_frame(b"not all here yet")[:-1]
+        buffer = bytearray(stream + tail)
+        assert list(iter_frames(buffer)) == payloads == read_all_frames(stream)
+        assert bytes(buffer) == tail
+        assert list(iter_frames(buffer)) == []
+        buffer += b"t"
+        assert list(iter_frames(buffer)) == [b"not all here yet"]
+        assert not buffer
+
+    def test_iter_frames_yields_what_precedes_an_oversized_prefix(self):
+        poison = LENGTH.pack(MAX_FRAME_BYTES + 1) + b"unreachable"
+        buffer = bytearray(encode_frame(b"fine") + poison)
+        frames = iter_frames(buffer)
+        assert next(frames) == b"fine"
+        with pytest.raises(FrameError):
+            next(frames)
+        assert bytes(buffer) == poison
 
     def test_oversized_payload_is_rejected_at_encode_time(self):
         class HugeBytes(bytes):
