@@ -24,29 +24,72 @@ combination so that the MBD.1–12 modifications of Sec. 6 can be applied:
 The defaults correspond to the *lat. & bdw.* configuration of Sec. 7.4;
 pass an explicit :class:`~repro.core.modifications.ModificationSet` to
 select any other combination (including the plain *BDopt* baseline).
+
+There is one reception path (:meth:`~CrossLayerBrachaDolev._receive`,
+called once per content of a wire message) and one wire builder
+(:meth:`~CrossLayerBrachaDolev._finalize`), so every rule is written
+once.  A rule that acts on both directions has one site for each:
+
+========  ============================================================
+rule      site
+========  ============================================================
+MD.1      ``_receive``: a content straight from its creator is delivered
+MD.2      ``_plan_relay``: one empty-path announcement after delivery;
+          ``_receive`` reads it back (an empty path means the sender
+          has the content) and discards a delivered content's paths
+MD.3      ``_relay_targets``: skip neighbors that have the content
+MD.4      ``_receive``: drop a path through such a neighbor
+MD.5      ``_receive``: drop a content already delivered and announced
+MBD.1     out ``_finalize`` (id allocation, payload once per neighbor);
+          in ``on_message`` (id → payload map, capped pending queues)
+MBD.2     ``_extract_send_path``: ECHO/READY paths certify the SEND
+          (MD.1/2 applied to that derived content); the SEND itself
+          leaves ``broadcast`` path-less and ``_plan_relay`` drops it
+MBD.3/4   out ``_merge_groups``; in ``_process`` (two ``_receive`` calls)
+MBD.5     out ``_finalize`` (field selection); in the ``sender`` /
+          ``0`` defaults of ``_process`` and ``on_message``
+MBD.6     ``_receive``: ECHO of a process whose READY is delivered
+MBD.7     ``_receive``: ECHO after BRB-delivery
+MBD.8     ``_relay_targets``: no ECHO to a neighbor whose READY is in
+MBD.9     ``_relay_targets``: nothing to a neighbor that BRB-delivered
+          (``_receive`` counts its empty-path READYs)
+MBD.10    ``_plan_relay``: a dominated path is not relayed
+MBD.11    ``_create_own_echo`` / ``_create_own_ready``: role check
+MBD.12    ``_origination_targets``: 2f + 1 neighbors, role holders first
+========  ============================================================
+
+One behaviour is kept on purpose although the paper's MBD.3/4 only
+describe merging a message this process *creates* with one it relays:
+two *relayed* empty-path announcements of the same payload also merge
+into an ECHO_ECHO (a sizeable share of the merged sends of a dense *all*
+run).  The receiver then reads the embedded ECHO as having travelled
+through the outer creator — conservative for safety, since a longer
+path can only delay delivery, but it costs that content's MD.2
+"neighbor has it" bit.  Changing it moves the message counts of *all*.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.events import Command, SendTo
 from repro.core.messages import CrossLayerMessage, MessageType
 from repro.core.modifications import ModificationSet
 from repro.core.protocol import BroadcastProtocol
-from repro.brb.optimized.state import (
-    BroadcastSlot,
-    ContentRecord,
-    PayloadRecord,
-    PlannedMessage,
-)
+from repro.brb.optimized.state import BroadcastSlot, ContentRecord, PayloadRecord
 from repro.paths.disjoint import DisjointPathVerifier
 
 BroadcastKey = Tuple[int, int]
 
 #: Upper bound on messages queued per (neighbor, unknown local id) (MBD.1).
 _MAX_PENDING_PER_LOCAL_ID = 64
+
+#: Upper bound on distinct unknown local ids queued per neighbor (MBD.1).
+#: A correct neighbor has at most one id in flight per broadcast it is
+#: still announcing; the cap is per sender, so a Byzantine neighbor
+#: flooding fresh ids can only starve its own link.
+_MAX_PENDING_LOCAL_IDS_PER_NEIGHBOR = 1024
 
 #: Shared empty command list returned when a message produced nothing —
 #: the common case.  Callers must treat returned command lists as
@@ -117,16 +160,15 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         # record itself, keeping the protocol state acyclic so a finished
         # run is reclaimed by reference counting, not cyclic GC.
         self._neighbor_local_ids: Dict[int, Dict[int, tuple]] = {}
-        self._pending_local: Dict[Tuple[int, int], List[CrossLayerMessage]] = {}
+        self._pending_local: Dict[int, Dict[int, List[CrossLayerMessage]]] = {}
         self._local_id_counter = 0
         # Scratch group and delivery lists reused across _process calls
-        # (cleared on entry).  _process never re-enters itself and both
+        # (cleared after use).  _process never re-enters itself and both
         # lists are fully consumed (or copied) before the call returns,
         # so reuse is safe and saves two allocations per received message.
         self._groups: List[tuple] = []
         self._deliveries: List[Command] = []
-        # MBD.3/4 merging changes wire construction wholesale; precompute
-        # which _finalize path applies.
+        # MBD.3/4: whether _finalize looks for groups to merge at all.
         self._can_merge = self.mods.mbd3_echo_echo or self.mods.mbd4_ready_echo
         # Hot-path aliases of config-derived values (immutable per run).
         self._process_set = config._process_set
@@ -143,28 +185,6 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         self._md2 = mods.md2_empty_path_after_delivery
 
     # ------------------------------------------------------------------
-    # Constructors matching the paper's named configurations
-    # ------------------------------------------------------------------
-    @classmethod
-    def bdopt(cls, process_id: int, config: SystemConfig, neighbors: Iterable[int]):
-        """Cross-layer implementation of the *BDopt* baseline (MD.1–5 only)."""
-        return cls(
-            process_id,
-            config,
-            neighbors,
-            modifications=ModificationSet.dolev_optimized(),
-        )
-
-    @classmethod
-    def with_all_modifications(
-        cls, process_id: int, config: SystemConfig, neighbors: Iterable[int]
-    ):
-        """Every MD and MBD modification enabled."""
-        return cls(
-            process_id, config, neighbors, modifications=ModificationSet.all_enabled()
-        )
-
-    # ------------------------------------------------------------------
     # Public protocol interface
     # ------------------------------------------------------------------
     def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
@@ -174,9 +194,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         deliveries: List[Command] = []
 
         # The source's own SEND content is trivially Dolev-delivered.
-        send_record = record.content(
-            MessageType.SEND, self.process_id, self.config.disjoint_paths_required
-        )
+        send_record = record.content(_SEND, self.process_id, self._dpr)
         if not send_record.delivered:
             send_record.delivered = True
             send_record.relayed_empty = True
@@ -184,8 +202,8 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             path: Optional[Tuple[int, ...]] = None if self.mods.mbd2_single_hop_send else ()
             groups.append((targets, MessageType.SEND, self.process_id, record, path, None))
             # The source reacts to its own SEND (Algorithm 1 sends to Π,
-            # which includes the sender itself).
-            self._bracha_on_send(slot, record, groups, deliveries)
+            # which includes the sender itself) with its ECHO.
+            self._create_own_echo(slot, record, groups, deliveries)
         return self._finalize(groups) + deliveries
 
     def on_message(self, sender: int, message: CrossLayerMessage) -> List[Command]:
@@ -206,7 +224,14 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
                 if local_id is None:
                     # Neither payload nor local id: cannot be interpreted.
                     return []
-                queue = self._pending_local.setdefault((sender, local_id), [])
+                # MBD.1: queue it until the sender announces the id; both
+                # the ids per neighbor and the messages per id are capped.
+                pending = self._pending_local.setdefault(sender, {})
+                queue = pending.get(local_id)
+                if queue is None:
+                    if len(pending) >= _MAX_PENDING_LOCAL_IDS_PER_NEIGHBOR:
+                        return []
+                    queue = pending[local_id] = []
                 if len(queue) < _MAX_PENDING_PER_LOCAL_ID:
                     queue.append(message)
                 return []
@@ -225,12 +250,12 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         mapping = self._neighbor_local_ids.setdefault(sender, {})
         mapping.setdefault(message.local_payload_id, (record, slot))
         commands = self._process(sender, message, record, slot)
-        pending = self._pending_local.pop((sender, message.local_payload_id), None)
-        if pending:
+        pending = self._pending_local.get(sender)
+        if pending and message.local_payload_id in pending:
             if commands is _NO_COMMANDS:
                 # _process returns a shared empty list; never mutate it.
                 commands = []
-            for queued in pending:
+            for queued in pending.pop(message.local_payload_id):
                 commands.extend(self._process(sender, queued, record, slot))
         return commands
 
@@ -244,145 +269,47 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         record: PayloadRecord,
         slot: BroadcastSlot,
     ) -> List[Command]:
+        """Receive the content(s) of one wire message, then finalize once."""
         mtype = message.mtype
-        if mtype is _SEND or mtype is _ECHO or mtype is _READY:
-            # Single-content messages skip the decomposition list — the
-            # merged ECHO_ECHO / READY_ECHO kinds are the rare case.
-            if mtype is _SEND:
-                creator = record.source
-            else:
-                creator = message.creator
-                if creator is None:
-                    creator = sender
-            wire_path = message.path or ()
-            process_set = self._process_set
-            if creator not in process_set or (
-                wire_path
-                and (
-                    len(wire_path) > self._n
-                    or not process_set.issuperset(wire_path)
-                )
-            ):
-                # Forged creator or path referencing unknown processes.
-                return _NO_COMMANDS
-            # MBD.9 bookkeeping: READYs received with an empty path.
-            if mtype is _READY and not wire_path:
-                seen = record.neighbor_empty_readys.get(sender)
-                if seen is None:
-                    seen = record.neighbor_empty_readys[sender] = set()
-                seen.add(creator)
-                if len(seen) >= self._delivery_quorum:
-                    slot.neighbors_bd_delivered.add(sender)
-            # Inlined prefix of _handle_content: resolve the content
-            # record and apply the cheap suppression rules without a
-            # call — the vast majority of received messages stop here
-            # (MD.5: the content is delivered and announced).
-            ckey = (mtype, creator)
-            content = record.contents.get(ckey)
-            if content is None:
-                content = ContentRecord(verifier=DisjointPathVerifier(self._dpr))
-                record.contents[ckey] = content
-            if not wire_path:
-                content.neighbors_delivered.add(sender)
-            if mtype is _ECHO and (
-                (self._mbd6 and creator in record.delivered_ready_creators)
-                or (self._mbd7 and slot.delivered)
-            ):
-                return _NO_COMMANDS
-            if (
-                wire_path
-                and self._md4
-                and not content.neighbors_delivered.isdisjoint(wire_path)
-            ):
-                return _NO_COMMANDS
-            if (
-                content.delivered
-                and self._md5
-                and (content.relayed_empty or not self._md2)
-            ):
-                return _NO_COMMANDS
-            groups = self._groups
-            groups.clear()
-            deliveries = self._deliveries
-            deliveries.clear()
-            self._deliver_content(
-                sender,
-                slot,
-                record,
-                mtype,
-                creator,
-                wire_path,
-                content,
-                groups,
-                deliveries,
-            )
+        wire_path = message.path or ()
+        if mtype is _SEND:
+            # A SEND is always created by the source of the broadcast.
+            self._receive(sender, slot, record, _SEND, record.source, wire_path)
         else:
-            process_set = self._process_set
-            groups = self._groups
-            groups.clear()
-            deliveries = self._deliveries
-            deliveries.clear()
-            for kind, creator, wire_path in self._decompose(sender, message, record):
-                if creator not in process_set:
-                    continue
-                if wire_path and (
-                    len(wire_path) > self._n
-                    or not process_set.issuperset(wire_path)
-                ):
-                    # Forged path referencing unknown processes or absurd
-                    # length.
-                    continue
-                # MBD.9 bookkeeping: READYs received with an empty path.
-                if kind is _READY and not wire_path:
-                    seen = record.neighbor_empty_readys.get(sender)
-                    if seen is None:
-                        seen = record.neighbor_empty_readys[sender] = set()
-                    seen.add(creator)
-                    if len(seen) >= self._delivery_quorum:
-                        slot.neighbors_bd_delivered.add(sender)
-                self._handle_content(
-                    sender, slot, record, kind, creator, wire_path, groups, deliveries
+            creator = message.creator
+            if creator is None:
+                # MBD.5: an omitted creator is the authenticated link's sender.
+                creator = sender
+            if mtype is _ECHO or mtype is _READY:
+                self._receive(sender, slot, record, mtype, creator, wire_path)
+            else:
+                # MBD.3/4: a merged message is its outer content plus an
+                # ECHO that travelled through the outer content's creator.
+                embedded = message.embedded_creator
+                if embedded is None or not (mtype is _ECHO_ECHO or mtype is _READY_ECHO):
+                    # A merged kind without its second creator, or no known type.
+                    return _NO_COMMANDS
+                kind = _READY if mtype is _READY_ECHO else _ECHO
+                self._receive(sender, slot, record, kind, creator, wire_path)
+                self._receive(
+                    sender, slot, record, _ECHO, embedded, wire_path + (creator,)
                 )
+        # The scratch lists are cleared after use, so a suppressed message
+        # (the majority) leaves them untouched.
+        groups = self._groups
+        deliveries = self._deliveries
         if groups:
             commands = self._finalize(groups)
             commands.extend(deliveries)
-            return commands
-        if deliveries:
-            return list(deliveries)
-        return _NO_COMMANDS
+        elif deliveries:
+            commands = list(deliveries)
+        else:
+            return _NO_COMMANDS
+        groups.clear()
+        deliveries.clear()
+        return commands
 
-    def _decompose(
-        self, sender: int, message: CrossLayerMessage, record: PayloadRecord
-    ) -> List[Tuple[MessageType, int, Tuple[int, ...]]]:
-        """Split a wire message into its constituent content receptions."""
-        path = message.path
-        if path is None:
-            path = ()
-        mtype = message.mtype
-        if mtype is _SEND:
-            # A SEND is always created by the source of the broadcast.
-            return [(_SEND, record.source, path)]
-        creator = message.creator if message.creator is not None else sender
-        if mtype is _ECHO:
-            return [(_ECHO, creator, path)]
-        if mtype is _READY:
-            return [(_READY, creator, path)]
-        embedded = message.embedded_creator
-        if embedded is None:
-            return []
-        if mtype is _ECHO_ECHO:
-            return [
-                (_ECHO, creator, path),
-                (_ECHO, embedded, path + (creator,)),
-            ]
-        if mtype is _READY_ECHO:
-            return [
-                (_READY, creator, path),
-                (_ECHO, embedded, path + (creator,)),
-            ]
-        return []
-
-    def _handle_content(
+    def _receive(
         self,
         sender: int,
         slot: BroadcastSlot,
@@ -390,42 +317,49 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         kind: MessageType,
         creator: int,
         wire_path: Tuple[int, ...],
-        groups: List[tuple],
-        deliveries: List[Command],
     ) -> None:
-        """Full content reception: suppression prefix plus delivery tail.
+        """Reception of the content ``(kind, creator)`` over ``wire_path``.
 
-        The single-content fast path of :meth:`_process` inlines the
-        prefix below and calls :meth:`_deliver_content` directly; this
-        method serves the decomposed (merged-kind) receptions.
+        The one reception path: validation, the suppression rules (which
+        stop the vast majority of received messages), path accounting,
+        Dolev relay and Bracha transitions.  Relay groups and deliveries
+        accumulate in the scratch lists :meth:`_process` finalizes.
         """
-        mods = self.mods
+        process_set = self._process_set
+        if creator not in process_set or (
+            wire_path
+            and (len(wire_path) > self._n or not process_set.issuperset(wire_path))
+        ):
+            # Forged creator, or a path of unknown processes or absurd length.
+            return
+        # MBD.9 bookkeeping: READYs received with an empty path.
+        if kind is _READY and not wire_path:
+            seen = record.neighbor_empty_readys.get(sender)
+            if seen is None:
+                seen = record.neighbor_empty_readys[sender] = set()
+            seen.add(creator)
+            if len(seen) >= self._delivery_quorum:
+                slot.neighbors_bd_delivered.add(sender)
         ckey = (kind, creator)
         content = record.contents.get(ckey)
         if content is None:
-            content = ContentRecord(
-                verifier=DisjointPathVerifier(self.config.disjoint_paths_required)
-            )
+            content = ContentRecord(verifier=DisjointPathVerifier(self._dpr))
             record.contents[ckey] = content
-
         if not wire_path:
-            # The sender created the content or relayed it after delivering
-            # (MD.2); either way it has the content.
+            # MD.2: the sender created the content or relayed it after
+            # delivering; either way it has the content.
             content.neighbors_delivered.add(sender)
-
-        if kind is _ECHO:
+        if kind is _ECHO and (
             # MBD.6: ignore ECHOs of a process whose READY has been delivered.
-            if mods.mbd6_ignore_echo_after_ready and self._ready_delivered(
-                record, creator
-            ):
-                return
+            (self._mbd6 and creator in record.delivered_ready_creators)
             # MBD.7: ignore ECHOs once the broadcast has been BRB-delivered.
-            if mods.mbd7_ignore_echo_after_delivery and slot.delivered:
-                return
+            or (self._mbd7 and slot.delivered)
+        ):
+            return
         # MD.4: ignore paths that contain a neighbor that already delivered.
         if (
             wire_path
-            and mods.md4_ignore_paths_with_delivered
+            and self._md4
             and not content.neighbors_delivered.isdisjoint(wire_path)
         ):
             return
@@ -433,31 +367,16 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         # right after delivery when MD.2's empty-path relay is disabled).
         if (
             content.delivered
-            and mods.md5_stop_after_delivery
-            and (content.relayed_empty or not mods.md2_empty_path_after_delivery)
+            and self._md5
+            and (content.relayed_empty or not self._md2)
         ):
             return
 
-        self._deliver_content(
-            sender, slot, record, kind, creator, wire_path, content, groups, deliveries
-        )
-
-    def _deliver_content(
-        self,
-        sender: int,
-        slot: BroadcastSlot,
-        record: PayloadRecord,
-        kind: MessageType,
-        creator: int,
-        wire_path: Tuple[int, ...],
-        content: ContentRecord,
-        groups: List[tuple],
-        deliveries: List[Command],
-    ) -> None:
-        """Path accounting, Dolev relay and Bracha transitions of a content."""
         mods = self.mods
+        groups = self._groups
+        deliveries = self._deliveries
         # Node mask of the intermediaries: sender and wire path, without
-        # the creator and this process (callers validated every id).
+        # the creator and this process (every id was validated above).
         direct = not wire_path and sender == creator
         intermediaries = 1 << sender
         for hop in wire_path:
@@ -467,12 +386,14 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         result = content.verifier.add_path(intermediaries)
         newly_delivered = False
         if not content.delivered:
+            # MD.1: a content received directly from its creator is delivered.
             if (direct and mods.md1_deliver_from_source) or result.newly_satisfied:
                 newly_delivered = True
                 content.delivered = True
                 if kind is _READY:
                     record.delivered_ready_creators.add(creator)
-                if mods.md2_empty_path_after_delivery:
+                # MD.2: a delivered content's paths are no longer needed.
+                if self._md2:
                     content.verifier.discard_paths()
 
         # MBD.2: any ECHO/READY also certifies a path for the SEND content,
@@ -499,12 +420,13 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             groups,
         )
 
-        # Bracha phase transitions.
+        # Bracha phase transitions: a delivered SEND is answered by this
+        # process's ECHO, ECHOs and READYs are counted towards the quorums.
         if send_newly_delivered:
-            self._bracha_on_send(slot, record, groups, deliveries)
+            self._create_own_echo(slot, record, groups, deliveries)
         if newly_delivered:
             if kind is _SEND:
-                self._bracha_on_send(slot, record, groups, deliveries)
+                self._create_own_echo(slot, record, groups, deliveries)
             elif kind is _ECHO:
                 self._bracha_on_echo(slot, record, creator, groups, deliveries)
             elif kind is _READY:
@@ -518,9 +440,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         direct: bool,
     ) -> bool:
         """MBD.2: feed an extracted SEND path and report new delivery."""
-        send_record = record.content(
-            MessageType.SEND, record.source, self.config.disjoint_paths_required
-        )
+        send_record = record.content(_SEND, record.source, self._dpr)
         if send_record.delivered:
             return False
         if creator == record.source:
@@ -565,7 +485,9 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             # original sender is *not* excluded from the announcement.
             relay_path: Tuple[int, ...] = ()
             content.relayed_empty = True
-            targets = self._relay_targets(slot, record, kind, creator, content, (), None)
+            targets = self._relay_targets(
+                slot, record, kind, creator, content.neighbors_delivered, (), None
+            )
         else:
             # MBD.10: a dominated path adds no information — do not relay it.
             if (
@@ -577,7 +499,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
                 return
             relay_path = wire_path + (sender,)
             targets = self._relay_targets(
-                slot, record, kind, creator, content, wire_path, sender
+                slot, record, kind, creator, content.neighbors_delivered, wire_path, sender
             )
         if targets:
             groups.append((targets, kind, creator, record, relay_path, None))
@@ -588,17 +510,23 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         record: PayloadRecord,
         kind: MessageType,
         creator: int,
-        content,
+        have_content: Iterable[int],
         wire_path: Tuple[int, ...],
         sender: Optional[int],
     ) -> List[int]:
-        # Allocation-free target selection: instead of building the union
-        # of the exclusion sets per relay, each candidate neighbor is
-        # checked against the (C-level) memberships directly.
+        """Neighbors a content goes to: everyone it could still be news to.
+
+        Allocation-free: instead of building the union of the exclusion
+        sets per relay, each candidate neighbor is checked against the
+        (C-level) memberships directly.
+        """
         mods = self.mods
         pid = self.process_id
-        nd = content.neighbors_delivered if mods.md3_skip_delivered_neighbors else ()
+        # MD.3: skip neighbors known to have the content (empty-path senders).
+        nd = have_content if mods.md3_skip_delivered_neighbors else ()
+        # MBD.9: skip neighbors known to have BRB-delivered the broadcast.
         bd = slot.neighbors_bd_delivered if mods.mbd9_skip_delivered_neighbors else ()
+        # MBD.8: skip ECHOs to neighbors whose READY has been delivered.
         rd = (
             record.delivered_ready_creators
             if kind is _ECHO and mods.mbd8_skip_echo_to_ready_neighbors
@@ -619,46 +547,22 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
     def _origination_targets(
         self, slot: BroadcastSlot, record: PayloadRecord, kind: MessageType
     ) -> List[int]:
-        excluded: Set[int] = set()
-        if self.mods.mbd9_skip_delivered_neighbors:
-            excluded |= slot.neighbors_bd_delivered
-        if kind is _ECHO and self.mods.mbd8_skip_echo_to_ready_neighbors:
-            excluded |= record.delivered_ready_creators
-        targets = [q for q in self.neighbors if q not in excluded]
-        if self.mods.mbd12_reduced_fanout:
-            limit = self.config.delivery_quorum  # 2f + 1
-            if len(targets) > limit:
-                targets = self._preferred_targets(record.source, targets, limit)
+        """Neighbors a message this process creates goes to (MBD.8/9, MBD.12)."""
+        targets = self._relay_targets(slot, record, kind, self.process_id, (), (), None)
+        # MBD.12: a created message goes to 2f + 1 neighbors only — with
+        # MBD.11 those that hold a role for this source first.
+        limit = self.config.delivery_quorum
+        if self.mods.mbd12_reduced_fanout and len(targets) > limit:
+            if self.mods.mbd11_role_restriction:
+                source = record.source
+                roles = self.config.echo_generators(source) | self.config.ready_generators(source)
+                targets.sort(key=lambda q: q not in roles)  # stable: neighbor order kept
+            del targets[limit:]
         return targets
-
-    def _preferred_targets(
-        self, source: int, targets: Sequence[int], limit: int
-    ) -> List[int]:
-        """MBD.12 target selection, preferring MBD.11 role holders if enabled."""
-        if not self.mods.mbd11_role_restriction:
-            return list(targets)[:limit]
-        roles = self.config.echo_generators(source) | self.config.ready_generators(source)
-        preferred = [q for q in targets if q in roles]
-        others = [q for q in targets if q not in roles]
-        return (preferred + others)[:limit]
 
     # ------------------------------------------------------------------
     # Bracha phase transitions
     # ------------------------------------------------------------------
-    def _ready_delivered(self, record: PayloadRecord, creator: int) -> bool:
-        return creator in record.delivered_ready_creators
-
-    def _bracha_on_send(
-        self,
-        slot: BroadcastSlot,
-        record: PayloadRecord,
-        groups: List[tuple],
-        deliveries: List[Command],
-    ) -> None:
-        if slot.sent_echo:
-            return
-        self._create_own_echo(slot, record, groups, deliveries)
-
     def _bracha_on_echo(
         self,
         slot: BroadcastSlot,
@@ -724,9 +628,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         ):
             return
         slot.sent_echo = True
-        content = record.content(
-            MessageType.ECHO, self.process_id, self.config.disjoint_paths_required
-        )
+        content = record.content(_ECHO, self.process_id, self._dpr)
         content.delivered = True
         content.relayed_empty = True
         targets = self._origination_targets(slot, record, MessageType.ECHO)
@@ -751,9 +653,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         # The READY subsumes this process's ECHO (Sec. 6.2): do not send a
         # separate ECHO afterwards.
         slot.sent_echo = True
-        content = record.content(
-            MessageType.READY, self.process_id, self.config.disjoint_paths_required
-        )
+        content = record.content(_READY, self.process_id, self._dpr)
         content.delivered = True
         content.relayed_empty = True
         record.delivered_ready_creators.add(self.process_id)
@@ -765,237 +665,137 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
     # Wire construction, MBD.3/4 merging and MBD.1/5 field selection
     # ------------------------------------------------------------------
     def _finalize(self, groups: List[tuple]) -> List[Command]:
-        if not groups:
-            return []
-        if self._can_merge:
-            planned = [
-                PlannedMessage(dest, kind, creator, record, path, embedded)
-                for dests, kind, creator, record, path, embedded in groups
-                for dest in dests
-            ]
-            if not planned:
-                return []
-            if len(planned) > 1:
-                planned = self._merge_planned(planned)
-            make_wire = self._make_wire
-            return [SendTo(p.dest, make_wire(p)) for p in planned]
+        """Turn fan-out groups into send commands — the one wire builder.
 
-        # Merging disabled (every named configuration but *all enabled*):
-        # emit wire messages group-wise.  ``embedded_creator`` is always
-        # None here — merged kinds only exist under MBD.3/4 — so the
-        # field-selection logic of _make_wire collapses to two wire
-        # variants per group (payload announcement vs. local-id only),
-        # each built or fetched from the record's cache at most once.
+        A group is ``(dests, kind, creator, record, path, embedded_creator)``
+        and yields at most two wire variants (payload announcement vs.
+        local id only), each built or fetched from the record's cache once
+        and shared by every destination it is byte-identical for.
+        """
+        if self._can_merge and len(groups) > 1:
+            groups = self._merge_groups(groups)
         commands: List[Command] = []
         mods = self.mods
         mbd1 = mods.mbd1_local_payload_ids
         mbd5 = mods.mbd5_optional_fields
         pid = self.process_id
-        for dests, kind, creator, record, path, _embedded in groups:
+        for dests, kind, creator, record, path, embedded in groups:
             if not dests:
                 continue
+            local_id = None
             if mbd1:
+                # MBD.1: this process's local id of the payload, allocated
+                # on first use.
                 local_id = record.my_local_id
                 if local_id is None:
-                    local_id = self._local_id_counter
-                    record.my_local_id = local_id
+                    local_id = record.my_local_id = self._local_id_counter
                     self._local_id_counter += 1
-            else:
-                local_id = None
-            if kind is _SEND or (mbd5 and creator == pid and path == ()):
-                # SENDs never carry a creator; a newly created message's
-                # creator is implied by the authenticated link (Sec. 6.3).
-                creator_field = None
-            else:
+            if embedded is not None:
+                mtype = _READY_ECHO if kind is _READY else _ECHO_ECHO
                 creator_field = creator
+            else:
+                mtype = kind
+                # MBD.5: SENDs never carry a creator; a newly created
+                # message's creator is implied by the authenticated link
+                # (Sec. 6.3).
+                if kind is _SEND or (mbd5 and creator == pid and path == ()):
+                    creator_field = None
+                else:
+                    creator_field = creator
             wire_cache = record.wire_cache
             announced = record.announced_to
-            wire_payload = wire_bare = None
+            variants = [None, None]  # payload-carrying, bare
             for dest in dests:
-                if mbd1 and dest in announced:
-                    wire = wire_bare
+                # MBD.1: the payload goes to each neighbor once, with the
+                # local id that stands for it afterwards.
+                bare = mbd1 and dest in announced
+                wire = variants[bare]
+                if wire is None:
+                    # The key omits what is constant per record (payload,
+                    # local id) or a function of the rest (source, bid).
+                    key = (mtype, creator_field, embedded, not bare, path)
+                    wire = wire_cache.get(key)
                     if wire is None:
-                        key = (kind, creator_field, None, False, path)
-                        wire = wire_cache.get(key)
-                        if wire is None:
-                            wire = CrossLayerMessage(
-                                mtype=kind,
-                                source=None if mbd5 else record.source,
-                                bid=None if mbd5 else record.bid,
-                                creator=creator_field,
-                                embedded_creator=None,
-                                payload=None,
-                                local_payload_id=local_id,
-                                path=path,
-                            )
-                            wire_cache[key] = wire
-                        wire_bare = wire
-                else:
-                    if mbd1:
-                        announced.add(dest)
-                    wire = wire_payload
-                    if wire is None:
-                        key = (kind, creator_field, None, True, path)
-                        wire = wire_cache.get(key)
-                        if wire is None:
-                            source_field = record.source
-                            if kind is _SEND and mods.mbd2_single_hop_send and mbd5:
-                                source_field = None
-                            wire = CrossLayerMessage(
-                                mtype=kind,
-                                source=source_field,
-                                bid=record.bid,
-                                creator=creator_field,
-                                embedded_creator=None,
-                                payload=record.payload,
-                                local_payload_id=local_id,
-                                path=path,
-                            )
-                            wire_cache[key] = wire
-                        wire_payload = wire
+                        # MBD.5: no source/bid next to a local id, and no
+                        # source on a single-hop SEND (the link names it).
+                        linked = kind is _SEND and mods.mbd2_single_hop_send
+                        wire = wire_cache[key] = CrossLayerMessage(
+                            mtype=mtype,
+                            source=None if mbd5 and (bare or linked) else record.source,
+                            bid=None if mbd5 and bare else record.bid,
+                            creator=creator_field,
+                            embedded_creator=embedded,
+                            payload=None if bare else record.payload,
+                            local_payload_id=local_id,
+                            path=path,
+                        )
+                    variants[bare] = wire
+                if mbd1 and not bare:
+                    announced.add(dest)
                 commands.append(SendTo(dest, wire))
         return commands
 
-    def _merge_planned(self, planned: List[PlannedMessage]) -> List[PlannedMessage]:
-        if len(planned) == 1 or not (
-            self.mods.mbd3_echo_echo or self.mods.mbd4_ready_echo
-        ):
-            return planned
-        result: List[PlannedMessage] = []
-        consumed = [False] * len(planned)
-        for i, first in enumerate(planned):
-            if consumed[i]:
-                continue
-            if first.embedded_creator is not None or first.kind is _SEND:
-                result.append(first)
-                continue
-            partner_index = None
-            for j in range(i + 1, len(planned)):
-                second = planned[j]
-                if consumed[j] or second.embedded_creator is not None:
-                    continue
-                if (
-                    second.dest != first.dest
-                    or second.record is not first.record
-                    or second.path != first.path
-                    or second.path is None
-                    or second.kind is _SEND
-                ):
-                    continue
-                kinds = {first.kind, second.kind}
-                if kinds == {_ECHO, _READY}:
-                    if not self.mods.mbd4_ready_echo:
-                        continue
-                elif kinds == {_ECHO}:
-                    if not self.mods.mbd3_echo_echo:
-                        continue
-                    if first.creator == second.creator:
-                        continue
-                else:
-                    continue
-                partner_index = j
-                break
-            if partner_index is None:
-                result.append(first)
-                continue
-            second = planned[partner_index]
-            consumed[partner_index] = True
-            if first.kind is _READY or second.kind is _READY:
-                outer, inner = (
-                    (first, second) if first.kind is _READY else (second, first)
-                )
-            else:
-                # Prefer this process's own (newly created) ECHO as the outer
-                # message, mirroring the ECHO_ECHO definition of MBD.3.
-                outer, inner = (
-                    (first, second)
-                    if first.creator == self.process_id
-                    else (second, first)
-                )
-            result.append(
-                PlannedMessage(
-                    dest=outer.dest,
-                    kind=outer.kind,
-                    creator=outer.creator,
-                    record=outer.record,
-                    path=outer.path,
-                    embedded_creator=inner.creator,
-                )
-            )
-        return result
+    def _merge_groups(self, groups: List[tuple]) -> List[tuple]:
+        """MBD.3/4: merge, per destination, two contents that go out together.
 
-    def _make_wire(self, planned: PlannedMessage) -> CrossLayerMessage:
-        record = planned.record
+        A destination of group *i* is paired with the first later group
+        that still targets it with the same payload record and path and a
+        compatible kind — READY + ECHO (MBD.4) or two ECHOs of different
+        creators (MBD.3); SENDs never merge.  The merged message goes out
+        in the earlier group's place and the later group loses that
+        destination, so group *i* splits into runs of consecutive
+        destinations that share one outcome.
+        """
         mods = self.mods
-        include_payload = True
-        local_id: Optional[int] = None
-        if mods.mbd1_local_payload_ids:
-            if record.my_local_id is None:
-                record.my_local_id = self._local_id_counter
-                self._local_id_counter += 1
-            local_id = record.my_local_id
-            if planned.dest in record.announced_to:
-                include_payload = False
-            else:
-                record.announced_to.add(planned.dest)
-
-        source_field: Optional[int] = record.source
-        bid_field: Optional[int] = record.bid
-        payload_field: Optional[bytes] = record.payload if include_payload else None
-        if not include_payload and mods.mbd5_optional_fields:
-            source_field = None
-            bid_field = None
-
-        creator_field: Optional[int] = planned.creator
-        if planned.kind is _SEND:
-            creator_field = None
-            if mods.mbd2_single_hop_send and mods.mbd5_optional_fields:
-                source_field = None
-        elif (
-            mods.mbd5_optional_fields
-            and planned.embedded_creator is None
-            and planned.creator == self.process_id
-            and planned.path == ()
-        ):
-            # A newly created message: the authenticated link identifies the
-            # creator, so the field can be omitted (Sec. 6.3).
-            creator_field = None
-
-        if planned.embedded_creator is None:
-            mtype = planned.kind
-        elif planned.kind is _READY:
-            mtype = _READY_ECHO
-        else:
-            mtype = _ECHO_ECHO
-
-        # Intern the wire message per payload record: the MBD.1 side
-        # effects above (local-id allocation, payload announcement) stay
-        # outside the cache, but the resulting frozen message is shared
-        # between every destination it is byte-identical for.
-        # The key omits fields that are constant per record — the payload,
-        # local id (allocated once above), and the source/bid pair, which
-        # is a pure function of ``include_payload`` and the message type.
-        key = (
-            mtype,
-            creator_field,
-            planned.embedded_creator,
-            include_payload,
-            planned.path,
-        )
-        cached = record.wire_cache.get(key)
-        if cached is None:
-            cached = CrossLayerMessage(
-                mtype=mtype,
-                source=source_field,
-                bid=bid_field,
-                creator=creator_field,
-                embedded_creator=planned.embedded_creator,
-                payload=payload_field,
-                local_payload_id=local_id,
-                path=planned.path,
-            )
-            record.wire_cache[key] = cached
-        return cached
+        mbd3 = mods.mbd3_echo_echo
+        mbd4 = mods.mbd4_ready_echo
+        pid = self.process_id
+        merged: List[tuple] = []
+        for index, group in enumerate(groups):
+            dests, kind, creator, record, path, _ = group
+            # Later groups this one can pair with, each with the
+            # (kind, creator, embedded creator) of the merged message.
+            partners = []
+            for later in groups[index + 1 :]:
+                later_dests, later_kind, later_creator, later_record, later_path, _ = later
+                if kind is _SEND or later_kind is _SEND:
+                    continue
+                if later_record is not record or later_path != path:
+                    continue
+                if kind is _READY or later_kind is _READY:
+                    if kind is later_kind or not mbd4:
+                        continue
+                    # READY_ECHO: the READY is the outer content.
+                    first_is_outer = kind is _READY
+                else:
+                    if not mbd3 or creator == later_creator:
+                        continue
+                    # ECHO_ECHO: this process's own (newly created) ECHO is
+                    # the outer content, as MBD.3 defines it; of two relayed
+                    # ECHOs (see the module docstring) the later one.
+                    first_is_outer = creator == pid
+                if first_is_outer:
+                    partners.append((later_dests, (kind, creator, later_creator)))
+                else:
+                    partners.append((later_dests, (later_kind, later_creator, creator)))
+            if not partners:
+                merged.append(group)
+                continue
+            plain = (kind, creator, None)
+            current = run = None
+            for dest in dests:
+                for later_dests, outcome in partners:
+                    if dest in later_dests:
+                        later_dests.remove(dest)
+                        break
+                else:
+                    outcome = plain
+                if outcome is not current:
+                    current = outcome
+                    run = []
+                    merged.append((run, outcome[0], outcome[1], record, path, outcome[2]))
+                run.append(dest)
+        return merged
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1010,7 +810,11 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
     def state_size_estimate(self) -> int:
         """Stored paths, combinations and quorum entries (memory proxy)."""
         slots = sum(slot.state_size_estimate() for slot in self._slots.values())
-        pending = sum(len(queue) for queue in self._pending_local.values())
+        pending = sum(
+            len(queue)
+            for queues in self._pending_local.values()
+            for queue in queues.values()
+        )
         mappings = sum(len(m) for m in self._neighbor_local_ids.values())
         return slots + pending + mappings
 

@@ -16,16 +16,13 @@ The protocol tracks three levels of state:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.messages import MessageType
 from repro.paths.disjoint import DisjointPathVerifier
 
 #: Identifies a Dolev content within a payload: (kind, creator).
 ContentKey = Tuple[MessageType, int]
-
-#: Identifies a payload: (source, bid, payload bytes).
-PayloadKey = Tuple[int, int, bytes]
 
 
 @dataclass(slots=True)
@@ -71,10 +68,6 @@ class PayloadRecord:
     #: same content to many neighbors reuses one frozen message object.
     wire_cache: Dict[Tuple, object] = field(default_factory=dict)
 
-    @property
-    def key(self) -> PayloadKey:
-        return (self.source, self.bid, self.payload)
-
     def content(self, kind: MessageType, creator: int, required_paths: int) -> ContentRecord:
         """Get or create the content record for ``(kind, creator)``."""
         record = self.contents.get((kind, creator))
@@ -82,15 +75,6 @@ class PayloadRecord:
             record = ContentRecord(verifier=DisjointPathVerifier(required_paths))
             self.contents[(kind, creator)] = record
         return record
-
-    def existing_content(self, kind: MessageType, creator: int) -> Optional[ContentRecord]:
-        """The content record for ``(kind, creator)`` if it exists."""
-        return self.contents.get((kind, creator))
-
-    def ready_delivered_neighbors(self, neighbors) -> Set[int]:
-        """Neighbors whose own READY content has been Dolev-delivered (MBD.8)."""
-        delivered = self.delivered_ready_creators
-        return {neighbor for neighbor in neighbors if neighbor in delivered}
 
     def state_size_estimate(self) -> int:
         contents = sum(record.state_size_estimate() for record in self.contents.values())
@@ -128,33 +112,9 @@ class BroadcastSlot:
         return sum(record.state_size_estimate() for record in self.payloads.values())
 
 
-@dataclass(slots=True)
-class PlannedMessage:
-    """An outgoing message decided while handling one stimulus.
-
-    The protocol accumulates fan-out *groups* — plain ``(dests, kind,
-    creator, record, path, embedded_creator)`` tuples — while handling a
-    stimulus; when MBD.3 / MBD.4 merging is enabled the groups are
-    expanded into per-destination planned messages, merged, and only then
-    turned into wire :class:`~repro.core.messages.CrossLayerMessage`
-    objects (which is when MBD.1 / MBD.5 decide which fields to include
-    for each destination).
-    """
-
-    dest: int
-    kind: MessageType  # SEND, ECHO or READY (base kind before merging)
-    creator: int
-    record: PayloadRecord
-    #: ``None`` means the wire message carries no path field (MBD.2 SENDs).
-    path: Optional[Tuple[int, ...]]
-    embedded_creator: Optional[int] = None
-
-
 __all__ = [
     "ContentKey",
-    "PayloadKey",
     "ContentRecord",
     "PayloadRecord",
     "BroadcastSlot",
-    "PlannedMessage",
 ]

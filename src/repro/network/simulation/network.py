@@ -681,10 +681,6 @@ class SimulatedNetwork:
                 )
             )
 
-    def _notify(self, observation: Observation) -> None:
-        if self.observer is not None:
-            self.observer(observation)
-
     def _collect_state_sizes(self) -> None:
         for pid, protocol in self.protocols.items():
             estimator = getattr(protocol, "state_size_estimate", None)

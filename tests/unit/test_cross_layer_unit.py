@@ -5,6 +5,7 @@ inspect the wire messages it produces, to check the field-level effects of
 MBD.1, MBD.2, MBD.3/4, MBD.5, MBD.11 and MBD.12.
 """
 
+from repro.brb.optimized import protocol as protocol_module
 from repro.core.config import SystemConfig
 from repro.core.events import sends
 from repro.core.messages import CrossLayerMessage, MessageType
@@ -42,6 +43,24 @@ def ready_from(creator, payload=b"m", source=0, bid=0, path=()):
         payload=payload,
         path=path,
     )
+
+
+MERGING = ModificationSet.dolev_optimized().with_enabled(
+    "mbd3_echo_echo", "mbd4_ready_echo"
+)
+
+
+def group(protocol, dests, kind, creator, path=()):
+    """A fan-out group as the protocol's handlers hand it to ``_finalize``."""
+    record = protocol._slot(0, 0).payload_record(b"m")
+    return (list(dests), kind, creator, record, path, None)
+
+
+def wire_summary(commands):
+    return [
+        (c.dest, c.message.mtype.name, c.message.creator, c.message.embedded_creator)
+        for c in sends(commands)
+    ]
 
 
 class TestBroadcastWireFormat:
@@ -131,6 +150,58 @@ class TestMBD1LocalIds:
         )
         commands = protocol.on_message(1, reveal)
         assert commands  # both the revealed echo and the queued echo are handled
+
+    def test_unknown_local_ids_are_capped_per_neighbor(self):
+        cap = protocol_module._MAX_PENDING_LOCAL_IDS_PER_NEIGHBOR
+        protocol = make_protocol(
+            pid=5, neighbors=(1, 2, 3), mods=ModificationSet.bdopt_with_mbd1()
+        )
+        for local_id in range(100_000):
+            orphan = CrossLayerMessage(
+                mtype=MessageType.ECHO, creator=1, local_payload_id=local_id, path=()
+            )
+            assert protocol.on_message(1, orphan) == []
+        assert protocol.state_size_estimate() == cap
+        # The cap is per sender: neighbor 1 only starved its own link.
+        orphan = CrossLayerMessage(
+            mtype=MessageType.ECHO, creator=2, local_payload_id=7, path=()
+        )
+        protocol.on_message(2, orphan)
+        assert protocol.state_size_estimate() == cap + 1
+
+    def test_announcement_unblocks_its_queue_after_the_cap_was_hit(self):
+        cap = protocol_module._MAX_PENDING_LOCAL_IDS_PER_NEIGHBOR
+        protocol = make_protocol(
+            pid=5, neighbors=(1, 2, 3), mods=ModificationSet.bdopt_with_mbd1()
+        )
+        for local_id in range(2 * cap):
+            orphan = CrossLayerMessage(
+                mtype=MessageType.ECHO, creator=1, local_payload_id=local_id, path=()
+            )
+            protocol.on_message(1, orphan)
+        reveal = CrossLayerMessage(
+            mtype=MessageType.ECHO,
+            source=0,
+            bid=0,
+            creator=2,
+            payload=b"m",
+            local_payload_id=9,
+            path=(2,),
+        )
+        assert protocol.on_message(1, reveal)
+        record = protocol._slots[(0, 0)].payloads[b"m"]
+        # Both the revealed ECHO and the one queued on id 9 were handled ...
+        assert (MessageType.ECHO, 2) in record.contents
+        assert record.contents[(MessageType.ECHO, 1)].delivered
+        # ... and the freed slot takes a new unknown id, a dropped one stays dropped.
+        assert len(protocol._pending_local[1]) == cap - 1
+        fresh = CrossLayerMessage(
+            mtype=MessageType.ECHO, creator=1, local_payload_id=10 * cap, path=()
+        )
+        protocol.on_message(1, fresh)
+        protocol.on_message(1, fresh)
+        assert protocol._pending_local[1][10 * cap] == [fresh, fresh]
+        assert 2 * cap - 1 not in protocol._pending_local[1]
 
     def test_without_mbd1_every_message_carries_payload(self):
         protocol = make_protocol(mods=ModificationSet.dolev_optimized())
@@ -246,6 +317,121 @@ class TestMergedMessages:
         )
 
 
+    def test_only_the_common_destinations_merge(self):
+        # MBD.8/9/12 give two groups different destination lists: the
+        # intersection merges in the first group's place, the rest goes
+        # out plain — first group in neighbor order, then what is left of
+        # the second.
+        protocol = make_protocol(pid=3, neighbors=(0, 1, 2, 4, 5), mods=MERGING)
+        commands = protocol._finalize(
+            [
+                group(protocol, (0, 2, 4, 5), MessageType.ECHO, 1),
+                group(protocol, (2, 5, 1), MessageType.READY, 3),
+            ]
+        )
+        assert wire_summary(commands) == [
+            (0, "ECHO", 1, None),
+            (2, "READY_ECHO", 3, 1),
+            (4, "ECHO", 1, None),
+            (5, "READY_ECHO", 3, 1),
+            (1, "READY", 3, None),
+        ]
+
+    def test_three_groups_consume_each_destination_at_most_once(self):
+        protocol = make_protocol(pid=3, neighbors=(0, 1, 2, 4, 5), mods=MERGING)
+        commands = protocol._finalize(
+            [
+                group(protocol, (0, 4), MessageType.ECHO, 1),
+                group(protocol, (0, 4), MessageType.READY, 3),
+                group(protocol, (0, 4), MessageType.ECHO, 2),
+            ]
+        )
+        assert wire_summary(commands) == [
+            (0, "READY_ECHO", 3, 1),
+            (4, "READY_ECHO", 3, 1),
+            (0, "ECHO", 2, None),
+            (4, "ECHO", 2, None),
+        ]
+        # Where the own READY does not go, the two relayed announcements
+        # pair up instead (the later one outside); a destination the
+        # first group took from a later one is not offered again.
+        commands = protocol._finalize(
+            [
+                group(protocol, (0, 4), MessageType.ECHO, 1),
+                group(protocol, (0,), MessageType.READY, 3),
+                group(protocol, (0, 4), MessageType.ECHO, 2),
+            ]
+        )
+        assert wire_summary(commands) == [
+            (0, "READY_ECHO", 3, 1),
+            (4, "ECHO_ECHO", 2, 1),
+            (0, "ECHO", 2, None),
+        ]
+
+    def test_own_echo_is_the_outer_content_of_an_echo_echo(self):
+        protocol = make_protocol(pid=3, neighbors=(0, 1, 2), mods=MERGING)
+        for groups in (
+            [group(protocol, (0,), MessageType.ECHO, 3), group(protocol, (0,), MessageType.ECHO, 1)],
+            [group(protocol, (0,), MessageType.ECHO, 1), group(protocol, (0,), MessageType.ECHO, 3)],
+        ):
+            assert wire_summary(protocol._finalize(groups)) == [(0, "ECHO_ECHO", 3, 1)]
+
+    def test_what_never_merges(self):
+        bdopt = ModificationSet.dolev_optimized()
+        echo_1, echo_2, ready_3, ready_4 = (
+            ((0,), MessageType.ECHO, 1),
+            ((0,), MessageType.ECHO, 2),
+            ((0,), MessageType.READY, 3),
+            ((0,), MessageType.READY, 4),
+        )
+
+        def kinds(mods, *specs):
+            protocol = make_protocol(pid=3, neighbors=(0, 1, 2), mods=mods)
+            commands = protocol._finalize([group(protocol, *spec) for spec in specs])
+            return [c.message.mtype.name for c in sends(commands)]
+
+        # MBD.3 alone never builds READY_ECHO, MBD.4 alone never ECHO_ECHO.
+        mbd3 = bdopt.with_enabled("mbd3_echo_echo")
+        mbd4 = bdopt.with_enabled("mbd4_ready_echo")
+        assert kinds(mbd3, echo_1, ready_3) == ["ECHO", "READY"]
+        assert kinds(mbd3, echo_1, echo_2) == ["ECHO_ECHO"]
+        assert kinds(mbd4, echo_1, echo_2) == ["ECHO", "ECHO"]
+        assert kinds(mbd4, echo_1, ready_3) == ["READY_ECHO"]
+        # Two ECHOs of one creator, two READYs, a SEND, different paths.
+        assert kinds(MERGING, echo_1, echo_1) == ["ECHO", "ECHO"]
+        assert kinds(MERGING, ready_3, ready_4) == ["READY", "READY"]
+        assert kinds(MERGING, ((0,), MessageType.SEND, 0), echo_1) == ["SEND", "ECHO"]
+        assert kinds(MERGING, ((0,), MessageType.ECHO, 1, (5,)), ready_3) == [
+            "ECHO",
+            "READY",
+        ]
+
+    def test_merged_message_has_a_bare_and_a_payload_variant_under_mbd1(self):
+        protocol = make_protocol(
+            pid=3,
+            neighbors=(0, 1, 2, 4, 5),
+            mods=MERGING.with_enabled("mbd1_local_payload_ids"),
+        )
+        record = protocol._slot(0, 0).payload_record(b"m")
+        record.announced_to.update((0, 4))
+        commands = protocol._finalize(
+            [
+                group(protocol, (0, 2, 4, 5), MessageType.ECHO, 1),
+                group(protocol, (0, 2, 4, 5), MessageType.READY, 3),
+            ]
+        )
+        to_0, to_2, to_4, to_5 = (c.message for c in sends(commands))
+        assert [c.dest for c in sends(commands)] == [0, 2, 4, 5]
+        assert to_0 is to_4 and to_2 is to_5
+        assert to_0.payload is None and to_2.payload == b"m"
+        assert to_0.local_payload_id == to_2.local_payload_id == record.my_local_id
+        for message in (to_0, to_2):
+            assert message.mtype is MessageType.READY_ECHO
+            assert (message.creator, message.embedded_creator) == (3, 1)
+        assert len(record.wire_cache) == 2
+        assert record.announced_to == {0, 2, 4, 5}
+
+
 class TestRobustness:
     def test_garbage_message_ignored(self):
         protocol = make_protocol()
@@ -263,6 +449,34 @@ class TestRobustness:
         protocol = make_protocol(pid=2, n=7, f=1, neighbors=(0, 1, 3))
         message = echo_from(4, path=(77,))
         assert sends(protocol.on_message(1, message)) == ()
+
+    def test_untyped_and_incomplete_merged_messages_ignored(self):
+        protocol = make_protocol(pid=3, neighbors=(0, 1, 2))
+        fields = dict(source=0, bid=0, creator=4, payload=b"m", path=())
+        for message in (
+            CrossLayerMessage(mtype=2, **fields),  # a plain int, not the enum
+            CrossLayerMessage(mtype=5, embedded_creator=5, **fields),
+            CrossLayerMessage(mtype=MessageType.ECHO_ECHO, **fields),
+            CrossLayerMessage(mtype=MessageType.READY_ECHO, **fields),
+        ):
+            assert protocol.on_message(1, message) == []
+        assert protocol._slots[(0, 0)].payloads[b"m"].contents == {}
+
+    def test_forged_outer_creator_also_drops_the_embedded_content(self):
+        # The embedded ECHO travelled through the outer creator, so its
+        # path contains the forged id.
+        protocol = make_protocol(pid=3, neighbors=(0, 1, 2))
+        merged = CrossLayerMessage(
+            mtype=MessageType.READY_ECHO,
+            source=0,
+            bid=0,
+            creator=99,
+            embedded_creator=5,
+            payload=b"m",
+            path=(),
+        )
+        assert protocol.on_message(1, merged) == []
+        assert protocol._slots[(0, 0)].payloads[b"m"].contents == {}
 
     def test_duplicate_broadcast_is_idempotent(self):
         protocol = make_protocol()
