@@ -172,6 +172,31 @@ class MetricsCollector:
             self.end_time = time
         return size
 
+    def record_flight(self, time: float, sender: int, dests, message) -> int:
+        """Record one message object put on ``sender → dest`` for each of ``dests``.
+
+        Equal to one :meth:`record_send` per destination, in order, and
+        that is literally what a subclass overriding :meth:`record_send`
+        gets.  The stock collector charges the flight once instead:
+        :meth:`record_send` for the first destination, which leaves both
+        memo slots on this message and sender, and counter arithmetic on
+        the memoized cells for the rest.
+        """
+        size = self.record_send(time, sender, dests[0], message)
+        rest = len(dests) - 1
+        if rest:
+            if type(self).record_send is not MetricsCollector.record_send:
+                for dest in dests[1:]:
+                    self.record_send(time, sender, dest, message)
+            else:
+                cell = self._memo_tcell
+                cell[0] += rest
+                cell[1] += rest * size
+                cell = self._memo_pcell
+                cell[0] += rest
+                cell[1] += rest * size
+        return size
+
     def record_delivery(
         self, time: float, pid: int, source: int, bid: int, payload: bytes
     ) -> None:

@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
+from repro.core.errors import ConfigurationError
+
 
 class _DropSentinel:
     """Singleton marker a lossy delay model returns instead of a delay."""
@@ -90,6 +92,14 @@ class FixedDelay(DelayModel):
     """Constant per-message delay — the paper's synchronous setting."""
 
     delay_ms: float = 50.0
+
+    def __post_init__(self) -> None:
+        # ``not >=`` also catches NaN.  Checked here, once: the runtime
+        # schedules a whole fan-out from this constant.
+        if not self.delay_ms >= 0:
+            raise ConfigurationError(
+                f"a fixed delay must be a non-negative number, got {self.delay_ms}"
+            )
 
     def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
         return self.delay_ms

@@ -27,6 +27,24 @@ as an :class:`~repro.core.events.Observation`, which is how the scenario
 engine's adaptive adversaries watch a run and react to it (crash a
 process mid-run, cut a link, swap a protocol for a Byzantine behaviour
 via :meth:`SimulatedNetwork.replace_protocol`).
+
+Flights
+-------
+A protocol reacting to one stimulus hands the *same* message object to
+many neighbours back to back.  The consecutive ``SendTo`` commands of
+one batch that carry the same message object form a **flight**
+``(sender, message, dests)``; :meth:`SimulatedNetwork._launch` charges
+it to the metrics once and, when every destination is bound to share
+the arrival time (:class:`FixedDelay`, no shared medium, no link-drop
+window), schedules it as one
+:meth:`~repro.network.simulation.scheduler.EventScheduler.schedule_flight`
+entry.  The contract is **equal to one-by-one**: metrics, delivery order
+and times, RNG draws, event counts and abort points are those of
+executing every send on its own — a flight only exists between two
+points where nothing else could have happened.  Whatever does depend on
+the destination or on the moment of delivery (crash, dormancy,
+membership, the protocol instance) is still decided per destination in
+:meth:`SimulatedNetwork._deliver`, at delivery time.
 """
 
 from __future__ import annotations
@@ -109,17 +127,14 @@ class SimulatedNetwork:
             raise ConfigurationError("shared_bandwidth_bps must be positive")
         self.shared_bandwidth_bps = shared_bandwidth_bps
         self._medium_free_at = 0.0
-        # Per-send bound methods and scheduler internals, bypassing the
-        # attribute chain (and, for the event queue, the call) in the
-        # hottest loop of a run.  The scheduler instance is created above
-        # and never replaced, so the aliases cannot go stale.
-        self._record_send = self.collector.record_send
-        # The plain (class-level) function, not a bound method: a bound
-        # method stored on the instance is a reference cycle network →
-        # method → network that keeps the whole finished network graph
-        # alive until a cyclic-GC pass.  Scheduled entries carry ``self``
-        # in the args tuple instead.
-        self._deliver_cb = SimulatedNetwork._deliver
+        # Scheduler internals, bypassing the attribute chain and the call
+        # on the per-destination scheduling path.  The scheduler instance
+        # is created above and never replaced, so the aliases cannot go
+        # stale.  (``self._deliver`` is deliberately *not* cached here: a
+        # bound method stored on the instance is a reference cycle
+        # network → method → network that keeps the whole finished
+        # network graph alive until a cyclic-GC pass; scheduled entries
+        # hold a fresh one instead, and are gone once they ran.)
         self._sched_times = self.scheduler._times
         self._sched_buckets = self.scheduler._buckets
         # Fixed-delay fast path: the delay model is set once at
@@ -459,44 +474,41 @@ class SimulatedNetwork:
     # Command execution
     # ------------------------------------------------------------------
     def _execute_commands(self, pid: int, commands: Iterable[Command]) -> None:
-        """Execute one protocol batch, with the send path inlined.
+        """Execute one protocol batch, gathering its sends into flights.
 
-        A protocol reacting to one stimulus emits a burst of sends that
-        share the sender, the timestamp and the network configuration, so
-        everything the per-send path needs is hoisted to locals once per
-        batch instead of re-read through ``self`` for every message.
-        ``_medium_free_at`` stays an attribute: it mutates across the
-        burst (shared-medium serialization).
+        A protocol reacting to one stimulus fans the same interned
+        message object out to many neighbours back to back.  Consecutive
+        ``SendTo`` commands carrying the same message *object* are
+        gathered into one flight ``(pid, message, dests)`` and handed to
+        :meth:`_launch` when the flight closes: at a different message
+        object, at any other command (a delivery hook may broadcast
+        re-entrantly), at a send without a channel, at the end of the
+        batch — and after every single send while an observer is
+        installed, because an observer may crash the sender between two
+        sends.  Everything else happens in command order, as if each
+        send had been executed on its own.
         """
         crashed = self._crashed
         if pid in crashed:
             return
         neighbors = self._adjacency[pid]
-        record_send = self._record_send
-        # The memo fast path below reaches into the collector's internals,
-        # so it is only valid for the stock class — a subclass overriding
-        # record_send must see every send.
-        collector = self.collector
-        plain_collector = type(collector) is MetricsCollector
-        fixed = self._fixed_delay_ms
-        bandwidth = self.shared_bandwidth_bps
-        link_drops = self._link_drops
-        deliver_cb = self._deliver_cb
-        buckets = self._sched_buckets
-        times = self._sched_times
         observer = self.observer
-        # The clock only advances inside EventScheduler.run, which cannot
-        # re-enter while a batch is executing: one read serves the burst.
-        now = self.scheduler.now
+        launch = self._launch
+        # The open flight: ``dests`` is empty while none is open, and
+        # ``message`` may then be stale — reopening on the same object is
+        # simply a new flight of it.
+        message = None
+        dests: List[int] = []
         for command in commands:
             if pid in crashed:
                 # An adaptive trigger crashed the process while this
                 # command batch was executing: the remaining commands
                 # are suppressed, exactly like the asyncio runtime.
-                return
+                break
             if type(command) is SendTo or isinstance(command, SendTo):
                 dest = command.dest
                 if dest not in neighbors:
+                    launch(pid, message, dests)
                     if self._churn:
                         # A live graph edit severed the channel mid-run:
                         # the transmission is lost, not a protocol bug.
@@ -505,107 +517,20 @@ class SimulatedNetwork:
                     raise RuntimeAbort(
                         f"process {pid} tried to send to {dest} without a channel"
                     )
-                message = command.message
-                # Inlined MetricsCollector.record_send memo-hit path: a
-                # fan-out burst re-sends the same interned message object
-                # from the same sender, so both memo slots hit and the
-                # method call is skipped.  Any miss (new message, new
-                # sender, first send) falls back to the real method,
-                # which also refreshes the memos.
-                if (
-                    plain_collector
-                    and message is collector._memo_message
-                    and pid == collector._memo_sender
-                ):
-                    size = collector._memo_size
-                    cell = collector._memo_tcell
-                    cell[0] += 1
-                    cell[1] += size
-                    cell = collector._memo_pcell
-                    cell[0] += 1
-                    cell[1] += size
-                    if now > collector.end_time:
-                        collector.end_time = now
-                else:
-                    size = record_send(now, pid, dest, message)
-                if fixed is not None:
-                    # The dominant configuration (the paper's synchronous
-                    # 50 ms links) consumes no RNG and never drops, so the
-                    # virtual dispatch is skipped entirely.
-                    outcome = fixed
-                    dropped = False
-                else:
-                    outcome = self.delay_model.sample_event(
-                        self.rng, pid, dest, size, now
-                    )
-                    dropped = outcome is DROP
-                if link_drops and self._link_dropped(pid, dest, now):
-                    dropped = True
-                delay = 0.0 if outcome is DROP else outcome
-
-                if bandwidth is not None:
-                    # Serialize the message through the shared medium
-                    # before the propagation delay starts.  A message lost
-                    # to a link-drop window or the lossy delay model still
-                    # left the NIC, so it occupies the medium too.
-                    start = now if now > self._medium_free_at else self._medium_free_at
-                    transmission_ms = (size * 8.0 / bandwidth) * 1000.0
-                    self._medium_free_at = start + transmission_ms
-                    if dropped:
-                        self.dropped_messages += 1
-                    else:
-                        # Inlined EventScheduler.schedule_at (validation
-                        # included): the hottest scheduling site of a
-                        # bandwidth run.
-                        time = self._medium_free_at + delay
-                        if time != time:
-                            raise ValueError(
-                                "cannot schedule an event at a NaN time"
-                            )
-                        if time < now:
-                            raise ValueError(
-                                f"cannot schedule at {time}, current time is {now}"
-                            )
-                        entry = (deliver_cb, (self, dest, pid, message))
-                        bucket = buckets.get(time)
-                        if bucket is None:
-                            buckets[time] = entry
-                            heappush(times, time)
-                        elif type(bucket) is list:
-                            bucket.append(entry)
-                        else:
-                            buckets[time] = [bucket, entry]
-                elif dropped:
-                    self.dropped_messages += 1
-                else:
-                    # Inlined EventScheduler.schedule (validation included).
-                    if delay != delay:
-                        raise ValueError(
-                            "cannot schedule an event with a NaN delay"
-                        )
-                    if delay < 0:
-                        raise ValueError(
-                            f"cannot schedule an event in the past (delay={delay})"
-                        )
-                    time = now + delay
-                    entry = (deliver_cb, (self, dest, pid, message))
-                    bucket = buckets.get(time)
-                    if bucket is None:
-                        buckets[time] = entry
-                        heappush(times, time)
-                    elif type(bucket) is list:
-                        bucket.append(entry)
-                    else:
-                        buckets[time] = [bucket, entry]
+                if command.message is not message:
+                    launch(pid, message, dests)
+                    message = command.message
+                dests.append(dest)
                 # Observed last: the message is on the wire (or provably
                 # lost) before an adaptive adversary may react to it, so a
                 # triggered crash of the sender cannot retract this
                 # transmission.
                 if observer is not None:
+                    launch(pid, message, dests)
                     observer(
                         Observation(
                             kind="send",
-                            time_ms=now,
+                            time_ms=self.scheduler.now,
                             pid=pid,
                             dest=dest,
                             mtype=message_type_name(message),
@@ -613,12 +538,83 @@ class SimulatedNetwork:
                             bid=getattr(message, "bid", None),
                         )
                     )
-            elif isinstance(command, BRBDeliver):
-                self._execute_delivery(pid, command)
-            elif isinstance(command, RCDeliver):
-                self._execute_rc_delivery(pid, command)
-            else:  # pragma: no cover - defensive
-                raise RuntimeAbort(f"unknown command {command!r} from process {pid}")
+            else:
+                launch(pid, message, dests)
+                if isinstance(command, BRBDeliver):
+                    self._execute_delivery(pid, command)
+                elif isinstance(command, RCDeliver):
+                    self._execute_rc_delivery(pid, command)
+                else:  # pragma: no cover - defensive
+                    raise RuntimeAbort(f"unknown command {command!r} from process {pid}")
+        launch(pid, message, dests)
+
+    def _launch(self, pid: int, message: object, dests: List[int]) -> None:
+        """Put the open flight on the wire and empty ``dests``.
+
+        The one place a send is charged and scheduled.  The flight is
+        charged to the metrics once; then, when the arrival time cannot
+        depend on the destination (fixed delay, no shared medium, no
+        link-drop window), the scheduler gets one entry for the whole
+        flight, which by its contract equals one entry per destination.
+        Every other configuration schedules destination by destination,
+        drawing from the RNG in command order.
+        """
+        if not dests:
+            return
+        # The clock only advances inside EventScheduler.run, which cannot
+        # re-enter while a batch is executing.
+        now = self.scheduler.now
+        size = self.collector.record_flight(now, pid, dests, message)
+        fixed = self._fixed_delay_ms
+        bandwidth = self.shared_bandwidth_bps
+        link_drops = self._link_drops
+        deliver = self._deliver
+        if fixed is not None and bandwidth is None and not link_drops:
+            # The dominant configuration (the paper's synchronous 50 ms
+            # links) consumes no RNG and never drops.
+            self.scheduler.schedule_flight(fixed, deliver, tuple(dests), pid, message)
+            dests.clear()
+            return
+        buckets = self._sched_buckets
+        times = self._sched_times
+        for dest in dests:
+            if fixed is not None:
+                outcome = fixed
+            else:
+                outcome = self.delay_model.sample_event(self.rng, pid, dest, size, now)
+            dropped = outcome is DROP or (
+                link_drops and self._link_dropped(pid, dest, now)
+            )
+            time = now
+            if bandwidth is not None:
+                # Serialize the message through the shared medium before
+                # the propagation delay starts.  A message lost to a
+                # link-drop window or the lossy delay model still left
+                # the NIC, so it occupies the medium too.
+                if self._medium_free_at > now:
+                    time = self._medium_free_at
+                time += (size * 8.0 / bandwidth) * 1000.0
+                self._medium_free_at = time
+            if dropped:
+                self.dropped_messages += 1
+                continue
+            # Inlined EventScheduler.schedule_at (validation included):
+            # the hottest scheduling site of a sampled-delay run.
+            time += outcome
+            if time != time:
+                raise ValueError("cannot schedule an event at a NaN time")
+            if time < now:
+                raise ValueError(f"cannot schedule at {time}, current time is {now}")
+            entry = (deliver, (dest, pid, message))
+            bucket = buckets.get(time)
+            if bucket is None:
+                buckets[time] = entry
+                heappush(times, time)
+            elif type(bucket) is list:
+                bucket.append(entry)
+            else:
+                buckets[time] = [bucket, entry]
+        dests.clear()
 
     def _link_dropped(self, u: int, v: int, time: float) -> bool:
         windows = self._link_drops.get((min(u, v), max(u, v)))

@@ -25,6 +25,37 @@ class TestCollector:
         assert collector.total_bytes == 2 * message.wire_size()
         assert collector.messages_by_process[0] == 2
 
+    def test_record_flight_equals_one_record_send_per_destination(self):
+        echo = BrachaMessage(MessageType.ECHO, 0, 0, b"abcd", creator=1)
+        ready = BrachaMessage(MessageType.READY, 0, 0, b"abcd", creator=1)
+        flights = [(10.0, 0, [1, 2, 3], echo), (10.0, 0, [4], ready), (20.0, 2, [0, 1], echo)]
+
+        one_by_one = MetricsCollector()
+        for time, sender, dests, message in flights:
+            for dest in dests:
+                one_by_one.record_send(time, sender, dest, message)
+        charged_once = MetricsCollector()
+        sizes = [charged_once.record_flight(*flight) for flight in flights]
+        assert sizes == [echo.wire_size(), ready.wire_size(), echo.wire_size()]
+        assert charged_once.snapshot() == one_by_one.snapshot()
+        assert charged_once.message_count == 6
+
+    def test_record_flight_shows_a_subclass_every_send(self):
+        class Logging(MetricsCollector):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def record_send(self, time, sender, dest, message):
+                self.seen.append((time, sender, dest))
+                return super().record_send(time, sender, dest, message)
+
+        collector = Logging()
+        message = BrachaMessage(MessageType.SEND, 0, 0, b"abcd")
+        collector.record_flight(5.0, 0, [3, 1, 2], message)
+        assert collector.seen == [(5.0, 0, 3), (5.0, 0, 1), (5.0, 0, 2)]
+        assert collector.message_count == 3
+
     def test_type_breakdown_for_bracha_and_dolev(self):
         collector = MetricsCollector()
         echo = BrachaMessage(MessageType.ECHO, 0, 0, b"x", creator=1)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError, RuntimeAbort
-from repro.core.events import SendTo
+from repro.core.events import BRBDeliver, SendTo
 from repro.core.messages import BrachaMessage, MessageType
 from repro.brb.bracha import BrachaBroadcast
 from repro.network.simulation.delays import (
@@ -146,6 +146,31 @@ class TestDelayModels:
         rng = random.Random(0)
         assert model.sample(rng, 0, 1, 100) == 50.0
         assert "50" in model.describe()
+
+    def test_fixed_delay_rejects_nan_and_negative_at_construction(self):
+        # Used to surface as a ValueError from inside the first send.
+        from repro.scenarios.spec import DelaySpec
+
+        for bad in (float("nan"), -1.0, float("-inf")):
+            with pytest.raises(ConfigurationError, match="fixed delay"):
+                FixedDelay(bad)
+            with pytest.raises(ConfigurationError, match="fixed delay"):
+                DelaySpec("fixed", mean_ms=bad).build()
+        assert FixedDelay(0.0).sample(random.Random(0), 0, 1, 8) == 0.0
+
+    def test_sampled_delays_are_still_checked_per_send(self):
+        class Broken(UniformDelay):
+            def sample(self, rng, sender, dest, size_bytes):
+                return float("nan") if dest == 2 else -1.0
+
+        for dest in (2, 3):
+            topo = complete_topology(4)
+            protocols = {pid: _Scripted(pid, []) for pid in topo.nodes}
+            protocols[0].on_broadcast = lambda payload, dest=dest: [SendTo(dest, "m")]
+            network = SimulatedNetwork(topo, protocols, delay_model=Broken())
+            with pytest.raises(ValueError):
+                network.broadcast(0, b"", 0)
+            assert network.scheduler.pending == 0
 
     def test_asynchronous_delay_positive_and_varied(self):
         model = AsynchronousDelay(50.0, 50.0)
@@ -454,3 +479,362 @@ class TestNetworkObserver:
         network = self._network()
         with pytest.raises(ConfigurationError):
             network.replace_protocol(9, object())
+
+
+class TestSchedulerFlights:
+    """``schedule_flight`` equals scheduling the destinations one by one."""
+
+    @staticmethod
+    def _one_by_one(scheduler, delay, deliver, dests, sender, message):
+        for dest in dests:
+            scheduler.schedule(delay, deliver, dest, sender, message)
+
+    @staticmethod
+    def _as_flight(scheduler, delay, deliver, dests, sender, message):
+        scheduler.schedule_flight(delay, deliver, tuple(dests), sender, message)
+
+    def _both(self, scenario):
+        """Run ``scenario(scheduler, launch, seen)`` both ways; same story."""
+        stories = []
+        for launch in (self._one_by_one, self._as_flight):
+            scheduler = EventScheduler()
+            seen = []
+            story = scenario(scheduler, lambda *flight: launch(scheduler, *flight), seen)
+            stories.append((story, seen, scheduler.executed_events, scheduler.pending))
+        assert stories[0] == stories[1]
+        return stories[1]
+
+    def test_flight_runs_in_order_between_its_neighbours(self):
+        def scenario(scheduler, launch, seen):
+            deliver = lambda dest, sender, message: seen.append((scheduler.now, dest, sender, message))
+            scheduler.schedule(5, seen.append, "before")
+            launch(5, deliver, [3, 1, 2], 0, "m")
+            scheduler.schedule(5, seen.append, "after")
+            launch(5, deliver, [], 0, "nobody")
+            pending = scheduler.pending
+            scheduler.run()
+            return pending
+
+        pending, seen, executed, left = self._both(scenario)
+        assert pending == 5
+        assert seen == ["before", (5, 3, 0, "m"), (5, 1, 0, "m"), (5, 2, 0, "m"), "after"]
+        assert (executed, left) == (5, 0)
+
+    def test_flight_delay_is_validated_like_any_other(self):
+        scheduler = EventScheduler()
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                scheduler.schedule_flight(bad, lambda *args: None, (1, 2), 0, "m")
+        assert scheduler.pending == 0
+
+    def test_max_events_mid_flight_aborts_at_the_per_send_count(self):
+        def scenario(scheduler, launch, seen):
+            deliver = lambda dest, sender, message: seen.append(dest)
+            scheduler.schedule(1, seen.append, "first")
+            launch(1, deliver, [10, 11, 12, 13, 14], 0, "m")
+            scheduler.schedule(1, seen.append, "last")
+            with pytest.raises(RuntimeAbort):
+                scheduler.run(max_events=3)
+            story = [list(seen), scheduler.executed_events, scheduler.pending]
+            # A resumed run drains the rest; one delivery was consumed.
+            scheduler.run(max_events=3)
+            return story
+
+        story, seen, executed, left = self._both(scenario)
+        # "first", 10 and 11 ran; 12 tripped the budget and was consumed.
+        assert story == [["first", 10, 11], 4, 3]
+        assert seen == ["first", 10, 11, 13, 14, "last"]
+        assert (executed, left) == (7, 0)
+
+    def test_raising_receiver_leaves_the_rest_pending_ahead_of_reentered(self):
+        def scenario(scheduler, launch, seen):
+            def deliver(dest, sender, message):
+                seen.append(dest)
+                if dest == 20:
+                    # Same timestamp, scheduled during the drain: runs
+                    # after everything that was already queued.
+                    scheduler.schedule(0, seen.append, "reentered")
+                if dest == 21 and "boom" not in seen:
+                    seen.append("boom")
+                    raise KeyError("receiver bug")
+
+            launch(1, deliver, [20, 21, 22, 23], 0, "m")
+            scheduler.schedule(1, seen.append, "queued")
+            with pytest.raises(KeyError):
+                scheduler.run()
+            story = [list(seen), scheduler.executed_events, scheduler.pending]
+            scheduler.run()
+            return story
+
+        story, seen, executed, left = self._both(scenario)
+        assert story == [[20, 21, "boom"], 2, 4]
+        assert seen == [20, 21, "boom", 22, 23, "queued", "reentered"]
+        assert (executed, left) == (6, 0)
+
+    def test_abort_on_the_last_destination_leaves_no_empty_flight(self):
+        def scenario(scheduler, launch, seen):
+            def deliver(dest, sender, message):
+                seen.append(dest)
+                if dest == 31:
+                    raise KeyError("receiver bug")
+
+            launch(1, deliver, [30, 31], 0, "m")
+            with pytest.raises(KeyError):
+                scheduler.run()
+            story = scheduler.pending
+            scheduler.run()
+            return story
+
+        story, seen, executed, left = self._both(scenario)
+        assert story == 0
+        assert seen == [30, 31]
+        assert (executed, left) == (2, 0)
+
+    def test_resumed_run_finishes_with_the_totals_of_an_uninterrupted_one(self):
+        def totals(interrupt):
+            def scenario(scheduler, launch, seen):
+                deliver = lambda dest, sender, message: seen.append((scheduler.now, dest))
+                launch(1, deliver, [0, 1, 2], 9, "m")
+                launch(2, deliver, [3, 4], 9, "m")
+                launch(2, deliver, [5], 9, "n")
+                interrupt(scheduler)
+                scheduler.run()
+
+            return self._both(scenario)[1:]
+
+        def abort_mid_flight(scheduler):
+            with pytest.raises(RuntimeAbort):
+                scheduler.run(max_events=4)
+
+        seen, executed, left = totals(lambda scheduler: None)
+        assert seen == [(1, 0), (1, 1), (1, 2), (2, 3), (2, 4), (2, 5)]
+        assert (executed, left) == (6, 0)
+        # ``max_time`` stops between timestamps, never inside a flight.
+        assert totals(lambda scheduler: scheduler.run(max_time=1)) == (seen, 6, 0)
+        # The abort consumes the fifth event, (2, 4); the counts stand.
+        assert totals(abort_mid_flight) == (seen[:4] + seen[5:], 6, 0)
+
+
+class _Scripted:
+    """Protocol stub: logs every reception and answers from a script."""
+
+    def __init__(self, pid, log, *, on_broadcast=None, replies=None):
+        self.pid = pid
+        self.log = log
+        self.on_broadcast = on_broadcast or (lambda payload: [])
+        self.replies = replies or {}
+        self.network = None
+
+    def on_start(self):
+        return []
+
+    def broadcast(self, payload, bid=0):
+        return self.on_broadcast(payload)
+
+    def on_message(self, sender, message):
+        self.log.append((self.network.now, self.pid, sender, message))
+        reply = self.replies.get(message)
+        return reply(self.network) if reply else []
+
+
+class TestNetworkFlights:
+    """Fan-outs travel as flights; every outcome equals the per-send schedule.
+
+    A no-op observer forces flights of one — the per-send schedule — so
+    each case is run both ways and must tell the same story.
+    """
+
+    @staticmethod
+    def _fan_out(message, dests):
+        return lambda payload: [SendTo(dest, message) for dest in dests]
+
+    @staticmethod
+    def _entries(network):
+        """Scheduler entries (not events) queued: a flight is one."""
+        return sum(
+            len(bucket) if type(bucket) is list else 1
+            for bucket in network.scheduler._buckets.values()
+        )
+
+    def _both(self, build, drive):
+        """``build(log)`` → network of :class:`_Scripted`; ``drive(network)``."""
+        stories = []
+        for observed in (True, False):
+            log = []
+            network = build(log)
+            for protocol in network.protocols.values():
+                protocol.network = network
+            if observed:
+                network.observer = lambda observation: None
+            error = None
+            try:
+                drive(network)
+                network.run()
+            except RuntimeAbort as abort:
+                error = str(abort)
+            stories.append(
+                (
+                    log,
+                    error,
+                    network.collector.snapshot(),
+                    network.dropped_messages,
+                    network.scheduler.executed_events,
+                    network.scheduler.pending,
+                )
+            )
+        assert stories[0] == stories[1]
+        return network, stories[1]
+
+    def _star(self, log, **scripts):
+        """Complete graph on 0..3; ``p<pid>=dict(...)`` scripts a process."""
+        topo = complete_topology(4)
+        protocols = {
+            pid: _Scripted(pid, log, **scripts.get(f"p{pid}", {})) for pid in topo.nodes
+        }
+        return SimulatedNetwork(topo, protocols, **scripts.get("network", {}))
+
+    def test_a_fan_out_is_one_scheduler_entry(self):
+        network = self._star([], p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
+        network.broadcast(0, b"", 0)
+        assert network.scheduler.pending == 3
+        assert self._entries(network) == 1
+        assert network.collector.message_count == 3
+
+    def test_destination_dependent_arrivals_keep_one_entry_per_send(self):
+        for kwargs in (
+            dict(delay_model=UniformDelay(10.0, 20.0)),
+            dict(shared_bandwidth_bps=1e6),
+        ):
+            network = self._star(
+                [], p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])), network=kwargs
+            )
+            network.broadcast(0, b"", 0)
+            assert self._entries(network) == network.scheduler.pending == 3
+        # A drop window anywhere also rules a shared entry out.
+        network = self._star([], p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
+        network.add_link_drop_window(0, 2, 0.0, 10.0)
+        network.broadcast(0, b"", 0)
+        assert self._entries(network) == network.scheduler.pending == 2
+        assert network.dropped_messages == 1
+
+    def test_destination_crashed_in_flight_is_skipped_at_delivery(self):
+        def build(log):
+            network = self._star(log, p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
+            network.crash_at(2, 25.0)
+            return network
+
+        _, (log, _, metrics, dropped, executed, _) = self._both(
+            build, lambda network: network.broadcast(0, b"", 0)
+        )
+        assert log == [(50.0, 1, 0, "m"), (50.0, 3, 0, "m")]
+        assert metrics.message_count == 3 and dropped == 0
+        # The crash plus all three deliveries are events, the skipped one too.
+        assert executed == 4
+
+    def test_replace_protocol_between_two_deliveries_reaches_the_new_instance(self):
+        def build(log):
+            def convert(network):
+                replacement = _Scripted("replacement", log)
+                replacement.network = network
+                network.replace_protocol(2, replacement)
+                return []
+
+            return self._star(
+                log,
+                p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])),
+                p1=dict(replies={"m": convert}),
+            )
+
+        _, (log, *_) = self._both(build, lambda network: network.broadcast(0, b"", 0))
+        assert log == [(50.0, 1, 0, "m"), (50.0, "replacement", 0, "m"), (50.0, 3, 0, "m")]
+
+    def test_dormancy_and_membership_are_decided_per_destination(self):
+        def build(log):
+            network = self._star(log, p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
+            network.delay_start(1, 80.0)
+            network.join_at(3, 80.0)
+            return network
+
+        _, (log, _, metrics, dropped, _, _) = self._both(
+            build, lambda network: network.broadcast(0, b"", 0)
+        )
+        # 1 is dormant (buffered, replayed on wake-up), 3 has not joined
+        # (dropped), 2 receives on arrival.
+        assert log == [(50.0, 2, 0, "m"), (80.0, 1, 0, "m")]
+        assert metrics.message_count == 3 and dropped == 1
+
+    def _interrupted(self, log, **network_kwargs):
+        def commands(payload):
+            return [SendTo(1, "m"), BRBDeliver(0, 0, b"x"), SendTo(2, "m"), SendTo(3, "m")]
+
+        return self._star(
+            log,
+            p0=dict(on_broadcast=commands),
+            p3=dict(on_broadcast=self._fan_out("n", [1, 2])),
+            network=network_kwargs,
+        )
+
+    def test_a_delivery_between_two_sends_closes_the_flight(self):
+        network = self._interrupted([])
+        network.broadcast(0, b"", 0)
+        # Same message object on both sides of the BRBDeliver: two flights.
+        assert self._entries(network) == 2
+        assert network.scheduler.pending == 3
+
+        _, (log, _, metrics, *_) = self._both(
+            self._interrupted, lambda network: network.broadcast(0, b"", 0)
+        )
+        assert [entry[1] for entry in log] == [1, 2, 3]
+        assert metrics.delivery_times == {(0, (0, 0)): 0.0}
+
+    def test_a_reentrant_broadcast_from_the_delivery_hook_keeps_its_place(self):
+        def build(log):
+            network = self._interrupted(log)
+            network.on_deliver = lambda pid, event, time: network.broadcast(3, b"", 0)
+            return network
+
+        _, (log, *_) = self._both(build, lambda network: network.broadcast(0, b"", 0))
+        # 3's fan-out went on the wire between 0's first and second send.
+        assert log == [
+            (50.0, 1, 0, "m"),
+            (50.0, 1, 3, "n"),
+            (50.0, 2, 3, "n"),
+            (50.0, 2, 0, "m"),
+            (50.0, 3, 0, "m"),
+        ]
+
+    def test_a_send_without_a_channel_aborts_after_the_flight_before_it(self):
+        def build(log):
+            topo = line_topology(4)
+            protocols = {pid: _Scripted(pid, log) for pid in topo.nodes}
+            protocols[1].on_broadcast = self._fan_out("m", [0, 2, 3, 0])
+            return SimulatedNetwork(topo, protocols)
+
+        def drive(network):
+            network.broadcast(1, b"", 0)
+
+        network, (log, error, metrics, dropped, _, pending) = self._both(build, drive)
+        assert "tried to send to 3 without a channel" in error
+        # What was gathered before the bad send is charged and in flight;
+        # the send after it never happened.
+        assert log == [] and dropped == 0
+        assert metrics.message_count == 2 and pending == 2
+        network.run()
+        assert [entry[1] for entry in network.protocols[0].log] == [0, 2]
+
+    def test_a_severed_channel_under_churn_drops_inside_the_fan_out(self):
+        def build(log):
+            topo = line_topology(4)
+            protocols = {pid: _Scripted(pid, log) for pid in topo.nodes}
+            protocols[1].on_broadcast = self._fan_out("m", [0, 2, 3, 0])
+            network = SimulatedNetwork(topo, protocols)
+            network.leave_at(3, 0.0)
+            return network
+
+        _, (log, error, metrics, dropped, executed, pending) = self._both(
+            build, lambda network: network.broadcast(1, b"", 0)
+        )
+        assert error is None
+        assert [entry[1] for entry in log] == [0, 2, 0]
+        assert metrics.message_count == 3 and dropped == 1
+        assert (executed, pending) == (3, 0)
