@@ -20,7 +20,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["networkx", "numpy"],
+    install_requires=["networkx"],
     entry_points={
         "console_scripts": [
             "repro-sweep-worker=repro.runner.distributed:worker_main",

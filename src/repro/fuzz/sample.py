@@ -18,7 +18,7 @@ import random
 from dataclasses import replace
 from typing import Iterator, Sequence
 
-from repro.scenarios.faults import JoinAt, LeaveAt, RewireLinkAt, TurnByzantineWhen
+from repro.scenarios.faults import JoinAt, LeaveAt, RewireLinkAt
 from repro.scenarios.oracle import sample_lossy_adaptive_specs
 from repro.scenarios.spec import AdversarySpec, ScenarioSpec, WorkloadSpec
 
@@ -78,11 +78,7 @@ def _with_extended_behaviour(spec: ScenarioSpec, rng: random.Random) -> Scenario
     with no room and no swappable placement is returned unchanged.
     """
     behaviour = rng.choice(_EXTENDED_BEHAVIOURS)
-    converted = {
-        fault.pid for fault in spec.adaptive if isinstance(fault, TurnByzantineWhen)
-    }
-    used = sum(adversary.count for adversary in spec.adversaries) + len(converted)
-    if spec.f - used >= 1:
+    if spec.f - spec.byzantine_requested >= 1:
         return replace(
             spec,
             adversaries=spec.adversaries

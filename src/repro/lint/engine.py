@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.lint.config import ConfigError, LintConfig
 from repro.lint.pragmas import pragma_for, scan_pragmas

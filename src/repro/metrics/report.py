@@ -9,10 +9,9 @@ aggregations on lists of per-run measurements.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 
 def relative_variation_percent(
@@ -54,19 +53,33 @@ class BoxPlotStats:
         return f"[{values}]"
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of an ascending list, linearly interpolated.
+
+    The definition (and the rounding) of ``numpy.percentile``'s default
+    method: position ``q / 100 * (n - 1)``, interpolated between the two
+    neighbouring order statistics from whichever is nearer.
+    """
+    position = q / 100.0 * (len(ordered) - 1)
+    index = int(position)
+    below = ordered[index]
+    above = ordered[min(index + 1, len(ordered) - 1)]
+    weight = position - index
+    if weight >= 0.5:
+        return above - (above - below) * (1.0 - weight)
+    return below + (above - below) * weight
+
+
 def boxplot_stats(values: Sequence[float]) -> BoxPlotStats:
     """Compute the box-plot summary used by Figs. 7–10."""
     if not values:
         raise ValueError("cannot summarize an empty list of values")
-    array = np.asarray(list(values), dtype=float)
-    low, q1, median, q3, high = np.percentile(array, [2.5, 25.0, 50.0, 75.0, 97.5])
+    ordered = sorted(float(value) for value in values)
+    low, q1, median, q3, high = (
+        _percentile(ordered, q) for q in (2.5, 25.0, 50.0, 75.0, 97.5)
+    )
     return BoxPlotStats(
-        low=float(low),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        high=float(high),
-        count=len(array),
+        low=low, q1=q1, median=median, q3=q3, high=high, count=len(ordered)
     )
 
 
@@ -106,7 +119,7 @@ def mean(values: Iterable[float]) -> float:
     data = list(values)
     if not data:
         raise ValueError("cannot average an empty list")
-    return float(np.mean(data))
+    return statistics.fmean(data)
 
 
 def median(values: Iterable[float]) -> float:
@@ -114,7 +127,7 @@ def median(values: Iterable[float]) -> float:
     data = list(values)
     if not data:
         raise ValueError("cannot take the median of an empty list")
-    return float(np.median(data))
+    return float(statistics.median(data))
 
 
 __all__ = [

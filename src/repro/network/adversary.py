@@ -107,38 +107,73 @@ class CrashingProcess(ByzantineBehavior):
         return commands
 
 
-class MessageDroppingRelay(ByzantineBehavior):
+class _Relay(ByzantineBehavior):
+    """Runs a correct protocol and tampers with what it puts on the wire.
+
+    The base owns the three delegating hooks and the walk over the inner
+    protocol's commands; a subclass only decides, send by send and in
+    command order, what becomes of one outgoing message
+    (:meth:`_outgoing`).  Deliveries pass through untouched.
+    """
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner.process_id, inner.neighbors)
+        self.inner = inner
+
+    def _outgoing(self, dest: int, message: Any) -> Any:
+        """The message actually sent to ``dest``, or ``None`` to drop the send."""
+        raise NotImplementedError
+
+    def _relay(self, commands: List[Command]) -> List[Command]:
+        relayed: List[Command] = []
+        for command in commands:
+            if isinstance(command, SendTo):
+                message = self._outgoing(command.dest, command.message)
+                if message is None:
+                    continue
+                if message is not command.message:
+                    command = SendTo(dest=command.dest, message=message)
+            relayed.append(command)
+        return relayed
+
+    def on_start(self) -> List[Command]:
+        return self._relay(self.inner.on_start())
+
+    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
+        return self._relay(self.inner.broadcast(payload, bid))
+
+    def on_message(self, sender: int, message: Any) -> List[Command]:
+        return self._relay(self.inner.on_message(sender, message))
+
+
+def _with_path(message: Any, rewrite) -> Any:
+    """``message`` with its path field put through ``rewrite`` (if it has one)."""
+    if isinstance(message, DolevMessage):
+        return DolevMessage(content=message.content, path=rewrite(message.path))
+    if isinstance(message, CrossLayerMessage) and message.path is not None:
+        return message.with_fields(path=rewrite(message.path))
+    return message
+
+
+class MessageDroppingRelay(_Relay):
     """Runs a correct protocol but drops outgoing messages probabilistically."""
 
     def __init__(self, inner, drop_probability: float, seed: int = 0) -> None:
-        super().__init__(inner.process_id, inner.neighbors)
+        super().__init__(inner)
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError("drop_probability must be within [0, 1]")
-        self.inner = inner
         self.drop_probability = drop_probability
         self._rng = random.Random(seed)
         self.dropped = 0
 
-    def _filter(self, commands: List[Command]) -> List[Command]:
-        kept: List[Command] = []
-        for command in commands:
-            if isinstance(command, SendTo) and self._rng.random() < self.drop_probability:
-                self.dropped += 1
-                continue
-            kept.append(command)
-        return kept
-
-    def on_start(self) -> List[Command]:
-        return self._filter(self.inner.on_start())
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        return self._filter(self.inner.broadcast(payload, bid))
-
-    def on_message(self, sender: int, message: Any) -> List[Command]:
-        return self._filter(self.inner.on_message(sender, message))
+    def _outgoing(self, dest: int, message: Any) -> Any:
+        if self._rng.random() < self.drop_probability:
+            self.dropped += 1
+            return None
+        return message
 
 
-class PathForgingRelay(ByzantineBehavior):
+class PathForgingRelay(_Relay):
     """Relays messages but rewrites their path field with forged identifiers.
 
     The forged paths try to make the receiving processes believe the
@@ -148,8 +183,7 @@ class PathForgingRelay(ByzantineBehavior):
     """
 
     def __init__(self, inner, config: SystemConfig, seed: int = 0) -> None:
-        super().__init__(inner.process_id, inner.neighbors)
-        self.inner = inner
+        super().__init__(inner)
         self.config = config
         self._rng = random.Random(seed)
         self.forged = 0
@@ -160,33 +194,11 @@ class PathForgingRelay(ByzantineBehavior):
         self.forged += 1
         return tuple(self._rng.sample(candidates, length))
 
-    def _mutate(self, commands: List[Command]) -> List[Command]:
-        mutated: List[Command] = []
-        for command in commands:
-            if isinstance(command, SendTo):
-                message = command.message
-                if isinstance(message, DolevMessage):
-                    message = DolevMessage(
-                        content=message.content, path=self._forge_path(message.path)
-                    )
-                elif isinstance(message, CrossLayerMessage) and message.path is not None:
-                    message = message.with_fields(path=self._forge_path(message.path))
-                mutated.append(SendTo(dest=command.dest, message=message))
-            else:
-                mutated.append(command)
-        return mutated
-
-    def on_start(self) -> List[Command]:
-        return self._mutate(self.inner.on_start())
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        return self._mutate(self.inner.broadcast(payload, bid))
-
-    def on_message(self, sender: int, message: Any) -> List[Command]:
-        return self._mutate(self.inner.on_message(sender, message))
+    def _outgoing(self, dest: int, message: Any) -> Any:
+        return _with_path(message, self._forge_path)
 
 
-class PathTruncatingRelay(ByzantineBehavior):
+class PathTruncatingRelay(_Relay):
     """Relays messages but *truncates* their path field to a shorter prefix.
 
     Where :class:`PathForgingRelay` fabricates identifiers, this variant
@@ -197,8 +209,7 @@ class PathTruncatingRelay(ByzantineBehavior):
     """
 
     def __init__(self, inner, seed: int = 0) -> None:
-        super().__init__(inner.process_id, inner.neighbors)
-        self.inner = inner
+        super().__init__(inner)
         self._rng = random.Random(seed)
         self.truncated = 0
 
@@ -209,33 +220,11 @@ class PathTruncatingRelay(ByzantineBehavior):
         self.truncated += 1
         return path[:keep]
 
-    def _mutate(self, commands: List[Command]) -> List[Command]:
-        mutated: List[Command] = []
-        for command in commands:
-            if isinstance(command, SendTo):
-                message = command.message
-                if isinstance(message, DolevMessage):
-                    message = DolevMessage(
-                        content=message.content, path=self._truncate(message.path)
-                    )
-                elif isinstance(message, CrossLayerMessage) and message.path is not None:
-                    message = message.with_fields(path=self._truncate(message.path))
-                mutated.append(SendTo(dest=command.dest, message=message))
-            else:
-                mutated.append(command)
-        return mutated
-
-    def on_start(self) -> List[Command]:
-        return self._mutate(self.inner.on_start())
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        return self._mutate(self.inner.broadcast(payload, bid))
-
-    def on_message(self, sender: int, message: Any) -> List[Command]:
-        return self._mutate(self.inner.on_message(sender, message))
+    def _outgoing(self, dest: int, message: Any) -> Any:
+        return _with_path(message, self._truncate)
 
 
-class SenderRewritingRelay(ByzantineBehavior):
+class SenderRewritingRelay(_Relay):
     """Relays messages but rewrites their ``source`` identity.
 
     Every relayed message that names a broadcast originator is rewritten
@@ -246,8 +235,7 @@ class SenderRewritingRelay(ByzantineBehavior):
     """
 
     def __init__(self, inner, config: SystemConfig, seed: int = 0) -> None:
-        super().__init__(inner.process_id, inner.neighbors)
-        self.inner = inner
+        super().__init__(inner)
         self.config = config
         self._rng = random.Random(seed)
         self.rewritten = 0
@@ -257,7 +245,7 @@ class SenderRewritingRelay(ByzantineBehavior):
         self.rewritten += 1
         return self._rng.choice(candidates)
 
-    def _rewrite(self, message: Any) -> Any:
+    def _outgoing(self, dest: int, message: Any) -> Any:
         if isinstance(message, BrachaMessage):
             return replace(message, source=self._fake_source(message.source))
         if isinstance(message, DolevMessage) and isinstance(message.content, BrachaMessage):
@@ -269,26 +257,8 @@ class SenderRewritingRelay(ByzantineBehavior):
             return message.with_fields(source=self._fake_source(message.source))
         return message
 
-    def _mutate(self, commands: List[Command]) -> List[Command]:
-        mutated: List[Command] = []
-        for command in commands:
-            if isinstance(command, SendTo):
-                mutated.append(SendTo(dest=command.dest, message=self._rewrite(command.message)))
-            else:
-                mutated.append(command)
-        return mutated
 
-    def on_start(self) -> List[Command]:
-        return self._mutate(self.inner.on_start())
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        return self._mutate(self.inner.broadcast(payload, bid))
-
-    def on_message(self, sender: int, message: Any) -> List[Command]:
-        return self._mutate(self.inner.on_message(sender, message))
-
-
-class EmptyPayloadRelay(ByzantineBehavior):
+class EmptyPayloadRelay(_Relay):
     """Relays envelopes but empties the payloads they carry.
 
     Correct processes must not deliver the emptied payload for the
@@ -297,11 +267,10 @@ class EmptyPayloadRelay(ByzantineBehavior):
     """
 
     def __init__(self, inner) -> None:
-        super().__init__(inner.process_id, inner.neighbors)
-        self.inner = inner
+        super().__init__(inner)
         self.emptied = 0
 
-    def _strip(self, message: Any) -> Any:
+    def _outgoing(self, dest: int, message: Any) -> Any:
         if isinstance(message, BrachaMessage):
             if message.payload:
                 self.emptied += 1
@@ -325,26 +294,8 @@ class EmptyPayloadRelay(ByzantineBehavior):
             return message.with_fields(payload=b"")
         return message
 
-    def _mutate(self, commands: List[Command]) -> List[Command]:
-        mutated: List[Command] = []
-        for command in commands:
-            if isinstance(command, SendTo):
-                mutated.append(SendTo(dest=command.dest, message=self._strip(command.message)))
-            else:
-                mutated.append(command)
-        return mutated
 
-    def on_start(self) -> List[Command]:
-        return self._mutate(self.inner.on_start())
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        return self._mutate(self.inner.broadcast(payload, bid))
-
-    def on_message(self, sender: int, message: Any) -> List[Command]:
-        return self._mutate(self.inner.on_message(sender, message))
-
-
-class LimitedBroadcastRelay(ByzantineBehavior):
+class LimitedBroadcastRelay(_Relay):
     """Relays only to a seed-deterministic strict subset of its neighbors.
 
     At construction a non-empty strict subset of the neighbor set is
@@ -356,8 +307,7 @@ class LimitedBroadcastRelay(ByzantineBehavior):
     """
 
     def __init__(self, inner, seed: int = 0) -> None:
-        super().__init__(inner.process_id, inner.neighbors)
-        self.inner = inner
+        super().__init__(inner)
         rng = random.Random(seed)
         if len(self.neighbors) > 1:
             keep = rng.randint(1, len(self.neighbors) - 1)
@@ -366,23 +316,11 @@ class LimitedBroadcastRelay(ByzantineBehavior):
             self.targets = frozenset(self.neighbors)
         self.suppressed = 0
 
-    def _filter(self, commands: List[Command]) -> List[Command]:
-        kept: List[Command] = []
-        for command in commands:
-            if isinstance(command, SendTo) and command.dest not in self.targets:
-                self.suppressed += 1
-                continue
-            kept.append(command)
-        return kept
-
-    def on_start(self) -> List[Command]:
-        return self._filter(self.inner.on_start())
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        return self._filter(self.inner.broadcast(payload, bid))
-
-    def on_message(self, sender: int, message: Any) -> List[Command]:
-        return self._filter(self.inner.on_message(sender, message))
+    def _outgoing(self, dest: int, message: Any) -> Any:
+        if dest not in self.targets:
+            self.suppressed += 1
+            return None
+        return message
 
 
 class EquivocatingSource(ByzantineBehavior):

@@ -12,16 +12,20 @@ returns only once the readiness barrier saw every node hold a channel to
 every declared neighbor — there is no fixed settle sleep, so slow CI
 machines simply take marginally longer instead of flaking.
 
-Scenario fault events translate into cluster-level runtime actions:
-:meth:`crash`/:meth:`schedule_crash`, :meth:`add_link_drop_window` and
-:meth:`delay_start`.  Timed actions are armed relative to the *epoch*
-(:meth:`open_epoch`), the instant the broadcast workload begins.
+Faults are not known here by name.  The cluster implements the six
+runtime primitives of :mod:`repro.scenarios.faults` —
+:meth:`~AsyncioCluster.at`, :meth:`~AsyncioCluster.crash`,
+:meth:`~AsyncioCluster.hold_until`, :meth:`~AsyncioCluster.drop_link`,
+:meth:`~AsyncioCluster.cut_edge`, :meth:`~AsyncioCluster.add_edge` — in
+the same spec milliseconds as the simulator; ``time_scale`` maps them to
+wall-clock seconds after the *epoch* (:meth:`open_epoch`), the instant
+the broadcast workload begins.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
@@ -47,6 +51,8 @@ class AsyncioCluster:
         layout.
     collector:
         Optional metrics collector shared by every node.
+    time_scale:
+        Wall-clock seconds per spec millisecond of the primitives' times.
     """
 
     def __init__(
@@ -58,10 +64,12 @@ class AsyncioCluster:
         port_base: Optional[int] = None,
         host: str = "127.0.0.1",
         collector: Optional[MetricsCollector] = None,
+        time_scale: float = 1e-3,
     ) -> None:
         self.topology = topology
         self.config = config
         self.collector = collector
+        self.time_scale = time_scale
         self.nodes: Dict[int, AsyncioNode] = {}
         for pid in topology.nodes:
             if isinstance(builder, Mapping):
@@ -72,12 +80,16 @@ class AsyncioCluster:
                 protocol, host=host, port_base=port_base, collector=collector
             )
         self.epoch: Optional[float] = None
-        # (delay_s, thunk) actions armed when the epoch opens.
-        self._pending_actions: List[Tuple[float, Callable[[], None]]] = []
+        # (time_ms, action, args) armed when the epoch opens.
+        self._pending_actions: List[Tuple[float, Callable, tuple]] = []
         self._timers: List[asyncio.TimerHandle] = []
         self._action_tasks: List[asyncio.Task] = []
-        # pid -> actual listening port, filled by start(); churn rewires
-        # need it to dial new links mid-run.
+        # The live graph: cut_edge / add_edge edit it, start() connects it.
+        self._adjacency: Dict[int, Set[int]] = {
+            pid: set(topology.neighbors(pid)) for pid in topology.nodes
+        }
+        # pid -> actual listening port, filled by start(); an edge added
+        # mid-run is dialed through it.
         self._port_map: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -100,7 +112,7 @@ class AsyncioCluster:
         await asyncio.gather(
             *(
                 node.wait_until_connected(
-                    set(self.topology.neighbors(pid)), timeout=connect_timeout
+                    set(self._adjacency[pid]), timeout=connect_timeout
                 )
                 for pid, node in self.nodes.items()
             )
@@ -119,104 +131,104 @@ class AsyncioCluster:
         await asyncio.gather(*(node.stop() for node in self.nodes.values()))
 
     # ------------------------------------------------------------------
-    # Runtime actions (scenario fault events)
+    # Runtime primitives (see repro.scenarios.faults), times in spec ms
     # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Spec milliseconds since the epoch opened (0.0 before it did)."""
+        if self.epoch is None:
+            return 0.0
+        return (asyncio.get_running_loop().time() - self.epoch) / self.time_scale
+
+    def at(self, time_ms: float, action: Callable, *args) -> None:
+        """Run ``action(*args)`` at ``time_ms`` after the epoch.
+
+        A time already reached runs the action inside the call — before
+        the epoch that is ``time_ms <= 0``, which is how a crash at time
+        0 precedes ``on_start``; later times wait for the epoch.
+        """
+        delay_s = (time_ms - self.now) * self.time_scale
+        if delay_s <= 0:
+            action(*args)
+        elif self.epoch is None:
+            self._pending_actions.append((time_ms, action, args))
+        else:
+            self._timers.append(
+                asyncio.get_running_loop().call_later(delay_s, action, *args)
+            )
+
     def crash(self, pid: int) -> None:
         """Crash ``pid`` immediately (fail-silent from now on)."""
         self._node(pid).crash()
 
-    def schedule_crash(self, pid: int, at_s: float) -> None:
-        """Crash ``pid`` at ``at_s`` seconds after the epoch opens.
+    def hold_until(self, pid: int, time_ms: float, keep_inbound: bool) -> None:
+        """Process ``pid`` starts ``time_ms`` after the epoch, not at startup.
 
-        ``at_s <= 0`` crashes right away — before the workload starts —
-        matching the simulator's crash-at-time-0 semantics.
+        Until then the node is dormant: ``on_start`` waits, a broadcast
+        asked of it waits, and inbound messages are buffered for replay
+        (``keep_inbound``) or dropped and counted.  The release is armed
+        for the epoch even at ``time_ms == 0`` — a process never starts
+        before its channels exist.  A process has one start time.
         """
         node = self._node(pid)
-        if at_s <= 0:
-            node.crash()
-        else:
-            self._pending_actions.append((at_s, node.crash))
+        if self._port_map:
+            raise ConfigurationError("hold_until must be called before the run starts")
+        if time_ms < 0:
+            raise ConfigurationError(f"start time must be non-negative, got {time_ms}")
+        if node.dormant:
+            raise ConfigurationError(f"process {pid} already has a start time")
+        node.hold(keep_inbound)
+        self._pending_actions.append((time_ms, self._spawn, (node.wake,)))
 
-    def add_link_drop_window(
-        self, u: int, v: int, start_s: float, end_s: Optional[float] = None
+    def drop_link(
+        self, u: int, v: int, start_ms: float, end_ms: Optional[float] = None
     ) -> None:
         """Drop every message on the ``{u, v}`` link during the window.
 
         Installed symmetrically as outgoing drop filters on both
-        endpoints; times are seconds relative to the epoch.
+        endpoints.
         """
         if not self.topology.has_edge(u, v):
             raise ConfigurationError(f"no link between {u} and {v} to drop")
-        if end_s is not None and end_s < start_s:
+        if end_ms is not None and end_ms < start_ms:
             raise ConfigurationError(
-                f"link-drop window ends before it starts ({start_s}, {end_s})"
+                f"link-drop window ends before it starts ({start_ms}, {end_ms})"
             )
+        start_s = start_ms * self.time_scale
+        end_s = None if end_ms is None else end_ms * self.time_scale
         self._node(u).add_drop_window(v, start_s, end_s)
         self._node(v).add_drop_window(u, start_s, end_s)
 
-    def delay_start(self, pid: int, wake_s: float) -> None:
-        """Keep ``pid`` dormant until ``wake_s`` seconds after the epoch."""
-        node = self._node(pid)
-        node.delay_start()
-        self._pending_actions.append(
-            (wake_s, lambda: self._spawn(node.wake()))
-        )
+    def cut_edge(self, u: int, v: int) -> None:
+        """Remove the ``{u, v}`` edge from the live graph (no-op if absent).
 
-    def join_at(self, pid: int, wake_s: float) -> None:
-        """Process ``pid`` joins ``wake_s`` seconds after the epoch.
-
-        Until then the node is a drop-dormant non-member: inbound
-        messages are lost (the simulator's JoinAt semantics), and the
-        ``on_start`` hook runs at the join instead of cluster start.
+        The channel is severed on both endpoints, so later sends onto it
+        are lost on a missing channel rather than reaching an inbox.
         """
-        node = self._node(pid)
-        node.join_late()
-        self._pending_actions.append((wake_s, lambda: self._spawn(node.wake())))
+        node_u, node_v = self._node(u), self._node(v)
+        if v not in self._adjacency[u]:
+            return
+        self._adjacency[u].discard(v)
+        self._adjacency[v].discard(u)
+        node_u.disconnect_peer(v)
+        node_v.disconnect_peer(u)
 
-    def leave(self, pid: int) -> None:
-        """Process ``pid`` leaves now: fail-silent plus link teardown.
+    def add_edge(self, u: int, v: int) -> None:
+        """Bring the ``{u, v}`` edge up in the live graph.
 
-        Every ``{pid, peer}`` channel is severed on both endpoints, so
-        later sends toward the departed process are lost on a missing
-        channel rather than reaching a dead inbox.
+        Both endpoints accept each other; a running cluster dials the
+        new channel now (``u`` dials ``v`` through the port map), one
+        that has not started yet connects it with the rest.
         """
-        node = self._node(pid)
-        node.crash()
-        for peer in self.topology.neighbors(pid):
-            node.disconnect_peer(peer)
-            self.nodes[peer].disconnect_peer(pid)
-
-    def schedule_leave(self, pid: int, at_s: float) -> None:
-        """Have ``pid`` leave ``at_s`` seconds after the epoch opens."""
-        self._node(pid)
-        self._pending_actions.append((at_s, lambda: self.leave(pid)))
-
-    async def rewire_link(self, pid: int, old_peer: int, new_peer: int) -> None:
-        """Replace the ``{pid, old_peer}`` channel with ``{pid, new_peer}``.
-
-        The old channel is severed on both endpoints; both ends of the
-        new link accept each other and ``pid`` dials ``new_peer`` using
-        the port map exchanged at startup.
-        """
-        self._node(pid).disconnect_peer(old_peer)
-        self._node(old_peer).disconnect_peer(pid)
-        self._node(pid).allow_peer(new_peer)
-        self._node(new_peer).allow_peer(pid)
-        await self._node(pid).dial_peer(new_peer, self._port_map[new_peer])
-
-    def schedule_rewire(
-        self, pid: int, old_peer: int, new_peer: int, at_s: float
-    ) -> None:
-        """Arm a :meth:`rewire_link` ``at_s`` seconds after the epoch."""
-        if not self.topology.has_edge(pid, old_peer):
-            raise ConfigurationError(
-                f"no link between {pid} and {old_peer} to rewire"
-            )
-        for node in (pid, old_peer, new_peer):
-            self._node(node)
-        self._pending_actions.append(
-            (at_s, lambda: self._spawn(self.rewire_link(pid, old_peer, new_peer)))
-        )
+        node_u, node_v = self._node(u), self._node(v)
+        if v in self._adjacency[u]:
+            return
+        self._adjacency[u].add(v)
+        self._adjacency[v].add(u)
+        node_u.allow_peer(v)
+        node_v.allow_peer(u)
+        if self._port_map:
+            self._spawn(node_u.dial_peer, v, self._port_map[v])
 
     def add_loss_filter(self, u: int, v: int, probability: float, seed: int) -> None:
         """Lose messages on the ``{u, v}`` link with ``probability``.
@@ -239,41 +251,38 @@ class AsyncioCluster:
         self._node(u).add_periodic_drop_window(v, period_s, burst_s, offset_s)
         self._node(v).add_periodic_drop_window(u, period_s, burst_s, offset_s)
 
-    def set_observer(self, observer) -> None:
-        """Feed every node's send/delivery observations to ``observer``."""
+    def _set_observer(self, observer) -> None:
         for node in self.nodes.values():
             node.observer = observer
+
+    #: Assign to feed every node's send/delivery observations to one
+    #: observer (the counterpart of ``SimulatedNetwork.observer``).
+    observer = property(fset=_set_observer)
+
+    @property
+    def protocols(self) -> Dict[int, object]:
+        """The live protocol instance of every process."""
+        return {pid: node.protocol for pid, node in self.nodes.items()}
 
     def replace_protocol(self, pid: int, protocol: object) -> None:
         """Swap process ``pid``'s protocol instance mid-run."""
         self._node(pid).replace_protocol(protocol)
 
-    def elapsed_s(self) -> float:
-        """Seconds since the epoch opened (0.0 before :meth:`open_epoch`)."""
-        if self.epoch is None:
-            return 0.0
-        return asyncio.get_running_loop().time() - self.epoch
-
     def open_epoch(self) -> None:
         """Anchor the time base and arm the pending timed actions.
 
-        Call right before initiating the workload; immediate actions
-        (``delay <= 0``) fire synchronously so a crash at time 0 is
-        already effective when the first broadcast happens.
+        Call right before initiating the workload; actions due at the
+        epoch itself (a release at time 0) run synchronously.
         """
-        loop = asyncio.get_running_loop()
-        self.epoch = loop.time()
+        self.epoch = asyncio.get_running_loop().time()
         for node in self.nodes.values():
             node.set_epoch(self.epoch)
-        for delay_s, thunk in self._pending_actions:
-            if delay_s <= 0:
-                thunk()
-            else:
-                self._timers.append(loop.call_later(delay_s, thunk))
-        self._pending_actions.clear()
+        pending, self._pending_actions = self._pending_actions, []
+        for time_ms, action, args in pending:
+            self.at(time_ms, action, *args)
 
-    def _spawn(self, coroutine) -> None:
-        self._action_tasks.append(asyncio.ensure_future(coroutine))
+    def _spawn(self, coroutine_function, *args) -> None:
+        self._action_tasks.append(asyncio.ensure_future(coroutine_function(*args)))
 
     def _node(self, pid: int) -> AsyncioNode:
         if pid not in self.nodes:

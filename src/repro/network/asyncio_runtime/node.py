@@ -37,19 +37,22 @@ concurrent clusters (pytest-xdist workers, parallel CI jobs) never race
 for a fixed port range.  Passing ``port_base`` restores the legacy fixed
 ``port_base + process_id`` layout.
 
-Beyond plain hosting, a node understands the runtime actions the
-:class:`~repro.scenarios.backends.AsyncioBackend` translates scenario
-fault events into:
+Beyond plain hosting, a node carries the per-process half of the
+runtime primitives :class:`~repro.network.asyncio_runtime.cluster.AsyncioCluster`
+implements for :mod:`repro.scenarios.faults`:
 
 * :meth:`crash` — the process goes fail-silent: it stops sending and
   ignores every future message (sockets stay open; TCP liveness is not
   process correctness);
-* :meth:`delay_start` / :meth:`wake` — a dormant process buffers inbound
-  messages and replays them in arrival order when it wakes, matching the
-  simulator's delayed-start semantics;
+* :meth:`hold` / :meth:`wake` — a held process runs no hook and
+  initiates nothing until it is woken; meanwhile its inbound messages
+  are buffered and replayed in arrival order at the wake, or dropped and
+  counted, matching the simulator's ``hold_until``;
 * :meth:`add_drop_window` — outgoing messages to one peer are dropped
   while the wall clock (relative to the cluster epoch) falls inside a
   window, matching the simulator's link-drop windows;
+* :meth:`disconnect_peer` / :meth:`allow_peer` / :meth:`dial_peer` — one
+  endpoint's share of cutting or adding an edge of the live graph;
 * :meth:`add_loss_filter` / :meth:`add_periodic_drop_window` — the
   connection-level mirrors of the scenario engine's lossy delay models:
   outgoing messages to one peer are lost with a seeded probability, or
@@ -133,7 +136,7 @@ class AsyncioNode:
         # Runtime-action state (see the module docstring).
         self._crashed = False
         self._dormant = False
-        # A join-late (churn) dormancy *drops* inbound messages instead
+        # A hold that does not keep inbound *drops* the messages instead
         # of buffering them: a late joiner missed the early traffic.
         self._drop_dormant = False
         self._dormant_buffer: Deque[Tuple[int, object]] = deque()
@@ -141,8 +144,8 @@ class AsyncioNode:
         # Peers whose channel a churn event tore down: outgoing messages
         # to them are lost, and their redials are rejected.
         self._severed: Set[int] = set()
-        # Peers granted a channel beyond the declared neighbor set
-        # (RewireLinkAt brings a new link up mid-run).
+        # Peers granted a channel beyond the declared neighbor set (an
+        # edge added to the live graph).
         self._extra_peers: Set[int] = set()
         # peer -> [(start_s, end_s)] drop windows, relative to the epoch;
         # end_s is None for a window that never closes.
@@ -200,7 +203,7 @@ class AsyncioNode:
         started).  Without a map the legacy ``port_base + id`` layout is
         assumed.
         """
-        for neighbor in self.protocol.neighbors:
+        for neighbor in sorted(self._channel_peers()):
             if neighbor <= self.process_id:
                 continue
             if port_map is not None:
@@ -236,15 +239,15 @@ class AsyncioNode:
             writer.close()
             return
         (peer_id,) = _HELLO.unpack(hello)
-        if (
-            peer_id not in self.protocol.neighbors
-            and peer_id not in self._extra_peers
-        ) or peer_id in self._severed:
-            # Only declared neighbors (or rewired-in peers) own an
-            # authenticated channel; severed peers stay disconnected.
+        if peer_id not in self._channel_peers():
             writer.close()
             return
         self._register(peer_id, reader, writer)
+
+    def _channel_peers(self) -> Set[int]:
+        """The peers this node owns an authenticated channel to: declared
+        neighbors and added-in peers; severed peers stay disconnected."""
+        return (set(self.protocol.neighbors) | self._extra_peers) - self._severed
 
     def _register(
         self, peer_id: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -324,20 +327,17 @@ class AsyncioNode:
         self._pending_broadcasts.clear()
         self.delivery_event.set()
 
-    def delay_start(self) -> None:
-        """Become dormant: buffer inbound messages until :meth:`wake`."""
-        self._dormant = True
+    def hold(self, keep_inbound: bool) -> None:
+        """Become dormant until :meth:`wake`: no hook runs, broadcasts wait.
 
-    def join_late(self) -> None:
-        """Become dormant like a pending joiner: inbound messages are
-        *dropped* (and counted) until :meth:`wake`, not buffered —
-        matching the simulator's JoinAt semantics where a late joiner
-        missed the early traffic."""
+        Inbound messages are buffered for replay (``keep_inbound``) or
+        dropped and counted — a late joiner missed the early traffic.
+        """
         self._dormant = True
-        self._drop_dormant = True
+        self._drop_dormant = not keep_inbound
 
     def disconnect_peer(self, peer: int) -> None:
-        """Tear the channel to ``peer`` down (churn link removal).
+        """Tear the channel to ``peer`` down (this endpoint of a cut edge).
 
         Outgoing messages to a severed peer are lost (counted in
         :attr:`dropped_messages`) and its redials are rejected, mirroring
@@ -353,12 +353,12 @@ class AsyncioNode:
 
     def allow_peer(self, peer: int) -> None:
         """Accept a channel to ``peer`` beyond the declared neighbor set
-        (a rewired-in link)."""
+        (this endpoint of an added edge)."""
         self._severed.discard(peer)
         self._extra_peers.add(peer)
 
     async def dial_peer(self, peer: int, port: int) -> None:
-        """Dial ``peer`` on ``port`` mid-run (bringing a rewired link up)."""
+        """Dial ``peer`` on ``port`` mid-run (bringing an added edge up)."""
         self._severed.discard(peer)
         await self._dial(peer, port)
 
@@ -485,7 +485,7 @@ class AsyncioNode:
         """Initiate a broadcast from this node.
 
         A crashed node does nothing; a dormant node broadcasts right
-        after it wakes (the simulator's delayed-start semantics).
+        after it wakes (the simulator's ``hold_until`` semantics).
         """
         if self._crashed:
             return

@@ -21,9 +21,14 @@ The simulation enforces the system model of Sec. 3:
   message, which is then lost in transit (its bytes are still charged to
   the sender).
 
-The network also supports an *observer* hook
-(:attr:`SimulatedNetwork.observer`): every send and delivery is reported
-as an :class:`~repro.core.events.Observation`, which is how the scenario
+Faults are not known here by name.  The network implements the six
+runtime primitives of :mod:`repro.scenarios.faults` — :meth:`~SimulatedNetwork.at`,
+:meth:`~SimulatedNetwork.crash`, :meth:`~SimulatedNetwork.hold_until`,
+:meth:`~SimulatedNetwork.drop_link`, :meth:`~SimulatedNetwork.cut_edge`,
+:meth:`~SimulatedNetwork.add_edge` — and that module says which fault is
+which combination of them.  The *observer* hook
+(:attr:`SimulatedNetwork.observer`) reports every send and delivery as an
+:class:`~repro.core.events.Observation`, which is how the scenario
 engine's adaptive adversaries watch a run and react to it (crash a
 process mid-run, cut a link, swap a protocol for a Byzantine behaviour
 via :meth:`SimulatedNetwork.replace_protocol`).
@@ -42,8 +47,8 @@ entry.  The contract is **equal to one-by-one**: metrics, delivery order
 and times, RNG draws, event counts and abort points are those of
 executing every send on its own — a flight only exists between two
 points where nothing else could have happened.  Whatever does depend on
-the destination or on the moment of delivery (crash, dormancy,
-membership, the protocol instance) is still decided per destination in
+the destination or on the moment of delivery (crashed, held, the
+protocol instance) is still decided per destination in
 :meth:`SimulatedNetwork._deliver`, at delivery time.
 """
 
@@ -155,17 +160,16 @@ class SimulatedNetwork:
         # Undirected link -> list of (start_ms, end_ms) drop windows;
         # ``end_ms`` is None for a window that never reopens.
         self._link_drops: Dict[Tuple[int, int], List[Tuple[float, Optional[float]]]] = {}
-        # Delayed-start processes: pid -> wake-up time, plus the messages
-        # buffered for them while they are dormant.
-        self._start_times: Dict[int, float] = {}
-        self._dormant_buffers: Dict[int, List[Tuple[int, object]]] = {}
-        # Membership churn state.  ``_churn`` flips once a live graph
-        # edit (leave/rewire) happens: sends onto a severed channel are
-        # then counted as losses instead of raising, while the
-        # no-channel RuntimeAbort stays a bug detector for static runs.
-        self._unjoined: set = set()
-        self._join_times: Dict[int, float] = {}
-        self._departed: set = set()
+        # Held processes (hold_until): pid -> (inbound, broadcasts).
+        # ``inbound`` buffers the (sender, message) pairs that arrive
+        # while inbound traffic is kept, and is None while it is
+        # dropped; ``broadcasts`` are the (payload, bid) initiations
+        # asked of the process meanwhile.  Both replay at the release.
+        self._held: Dict[int, Tuple[Optional[list], list]] = {}
+        # Flips at the first live graph edit: sends onto a missing
+        # channel are then counted as losses instead of raising, while
+        # the no-channel RuntimeAbort stays a bug detector for static
+        # runs.
         self._churn = False
 
     # ------------------------------------------------------------------
@@ -176,29 +180,75 @@ class SimulatedNetwork:
         """Current simulated time in milliseconds."""
         return self.scheduler.now
 
+    def _require_process(self, *pids: int) -> None:
+        for pid in pids:
+            if pid not in self.protocols:
+                raise ConfigurationError(f"unknown process {pid}")
+
+    def at(self, time_ms: float, action: Callable, *args) -> None:
+        """Run ``action(*args)`` at absolute simulated time ``time_ms``.
+
+        A time already reached runs the action inside the call — which
+        is how a crash at time 0 takes effect before the process runs
+        its ``on_start`` hook or initiates any broadcast.
+        """
+        if time_ms <= self.scheduler.now:
+            action(*args)
+        else:
+            self.scheduler.schedule_at(time_ms, action, *args)
+
     def crash(self, pid: int) -> None:
         """Crash a process: it stops sending and ignores future messages."""
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot crash unknown process {pid}")
+        self._require_process(pid)
         self._crashed.add(pid)
-        self._dormant_buffers.pop(pid, None)
+        self._held.pop(pid, None)
 
-    def crash_at(self, pid: int, time_ms: float) -> None:
-        """Schedule a crash of ``pid`` at absolute simulated time ``time_ms``.
+    def hold_until(self, pid: int, time_ms: float, keep_inbound: bool) -> None:
+        """Process ``pid`` starts at ``time_ms`` instead of at time 0.
 
-        A crash at time 0 takes effect before the process runs its
-        ``on_start`` hook or initiates any broadcast, so the process never
-        participates at all (it behaves like a :class:`MuteProcess` that
-        also ignores incoming messages).
+        Until the release event fires the process neither runs
+        ``on_start`` nor handles messages, and a broadcast asked of it
+        waits.  Its inbound traffic is buffered and replayed in arrival
+        order at the release (``keep_inbound`` — a node that boots late
+        but misses nothing the network queued for it) or lost and
+        counted in :attr:`dropped_messages` (a late joiner that never
+        saw the early traffic).  A process has one start time.
         """
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot crash unknown process {pid}")
-        if time_ms <= self.scheduler.now:
-            self.crash(pid)
-        else:
-            self.scheduler.schedule_at(time_ms, self.crash, pid)
+        self._require_process(pid)
+        if self._started:
+            raise ConfigurationError("hold_until must be called before the run starts")
+        if time_ms < 0:
+            raise ConfigurationError(f"start time must be non-negative, got {time_ms}")
+        if pid in self._held:
+            raise ConfigurationError(f"process {pid} already has a start time")
+        self._held[pid] = ([] if keep_inbound else None, [])
+        self.scheduler.schedule_at(time_ms, self._release, pid)
 
-    def add_link_drop_window(
+    def _release(self, pid: int) -> None:
+        """Start a held process: hooks, kept inbound, pending broadcasts."""
+        held = self._held.pop(pid, None)
+        if held is None or pid in self._crashed:
+            return
+        inbound, broadcasts = held
+        protocol = self.protocols[pid]
+        if hasattr(protocol, "on_start"):
+            self._execute_commands(pid, protocol.on_start())
+        # The instance is re-resolved per step: an adaptive trigger
+        # firing during the replay (e.g. on an observation one of these
+        # commands produced) swaps it, and the rest must reach the
+        # replacement, not the pre-conversion one.  A crash mid-replay
+        # ends it.
+        crashed = self._crashed
+        for sender, message in inbound or ():
+            if pid in crashed:
+                return
+            self._execute_commands(pid, self.protocols[pid].on_message(sender, message))
+        for payload, bid in broadcasts:
+            if pid in crashed:
+                return
+            self._execute_commands(pid, self.protocols[pid].broadcast(payload, bid))
+
+    def drop_link(
         self, u: int, v: int, start_ms: float, end_ms: Optional[float] = None
     ) -> None:
         """Drop every message put on the ``{u, v}`` link during a time window.
@@ -217,128 +267,38 @@ class SimulatedNetwork:
         key = (min(u, v), max(u, v))
         self._link_drops.setdefault(key, []).append((start_ms, end_ms))
 
-    def delay_start(self, pid: int, time_ms: float) -> None:
-        """Delay ``pid``'s participation until absolute time ``time_ms``.
+    def _live_adjacency(self, u: int, v: int) -> Dict[int, set]:
+        """The mutable per-run adjacency a live graph edit operates on.
 
-        Until then the process neither runs ``on_start`` nor handles
-        messages; incoming messages are buffered and replayed in arrival
-        order when the process wakes up, modelling a node that boots late
-        but misses nothing the network queued for it.
-        """
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot delay unknown process {pid}")
-        if self._started:
-            raise ConfigurationError("delay_start must be called before the run starts")
-        if time_ms < 0:
-            raise ConfigurationError(f"start time must be non-negative, got {time_ms}")
-        self._start_times[pid] = time_ms
-
-    # -- membership churn ----------------------------------------------
-    def _materialize_adjacency(self) -> None:
-        """Swap the zero-copy topology alias for a mutable per-run copy.
-
-        The shared (lru-cached) :class:`Topology` must never be mutated;
-        live graph edits operate on this network's private adjacency.
+        The shared (lru-cached) :class:`Topology` must never be mutated:
+        the first edit swaps the zero-copy alias for a private copy.
         ``_execute_commands`` re-reads ``self._adjacency`` per batch, so
         the swap is visible to every later send.  Non-churn runs never
         pay for the copy.
         """
+        self._require_process(u, v)
         if self._adjacency is self.topology.adjacency:
             self._adjacency = {
                 pid: set(peers) for pid, peers in self.topology.adjacency.items()
             }
         self._churn = True
+        return self._adjacency
 
-    def join_at(self, pid: int, time_ms: float) -> None:
-        """Process ``pid`` joins the run at absolute time ``time_ms``.
+    def cut_edge(self, u: int, v: int) -> None:
+        """Remove the ``{u, v}`` edge from the live graph (no-op if absent).
 
-        Until then it is absent: ``on_start`` does not run and messages
-        addressed to it are *dropped* (a late joiner missed the early
-        traffic — contrast :meth:`delay_start`, which buffers).  Its
-        topology links are unaffected.
+        Later sends onto it are lost on a missing channel and counted in
+        :attr:`dropped_messages`; copies already in flight still arrive.
         """
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot join unknown process {pid}")
-        if self._started:
-            raise ConfigurationError("join_at must be called before the run starts")
-        if time_ms < 0:
-            raise ConfigurationError(f"join time must be non-negative, got {time_ms}")
-        self._unjoined.add(pid)
-        self._join_times[pid] = time_ms
-        self.scheduler.schedule_at(time_ms, self._join, pid)
+        adjacency = self._live_adjacency(u, v)
+        adjacency[u].discard(v)
+        adjacency[v].discard(u)
 
-    def _join(self, pid: int) -> None:
-        self._join_times.pop(pid, None)
-        if pid not in self._unjoined:
-            return
-        self._unjoined.discard(pid)
-        if pid in self._crashed:
-            return
-        protocol = self.protocols[pid]
-        if hasattr(protocol, "on_start"):
-            self._execute_commands(pid, protocol.on_start())
-
-    def leave_at(self, pid: int, time_ms: float) -> None:
-        """Process ``pid`` leaves the run at absolute time ``time_ms``.
-
-        Leaving combines a fail-silent crash with a graph edit: every
-        ``{pid, peer}`` link is severed, so subsequent sends toward the
-        departed process are lost on a missing channel (and counted in
-        :attr:`dropped_messages`) rather than reaching a dead inbox.
-        """
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot remove unknown process {pid}")
-        if time_ms <= self.scheduler.now:
-            self._leave(pid)
-        else:
-            self.scheduler.schedule_at(time_ms, self._leave, pid)
-
-    def _leave(self, pid: int) -> None:
-        self._materialize_adjacency()
-        self._departed.add(pid)
-        self.crash(pid)
-        self._unjoined.discard(pid)
-        self._join_times.pop(pid, None)
-        for peer in tuple(self._adjacency[pid]):
-            self._adjacency[peer].discard(pid)
-        self._adjacency[pid] = set()
-
-    def rewire_link_at(
-        self, pid: int, old_peer: int, new_peer: int, time_ms: float
-    ) -> None:
-        """At ``time_ms``, replace the ``{pid, old_peer}`` link with
-        ``{pid, new_peer}``.
-
-        Validated against the *initial* topology (the edge to sever must
-        exist there); at fire time the edit applies to the live adjacency,
-        where earlier churn may already have removed either endpoint's
-        links — missing edges are then simply skipped.
-        """
-        for node in (pid, old_peer, new_peer):
-            if node not in self.protocols:
-                raise ConfigurationError(f"cannot rewire unknown process {node}")
-        if not self.topology.has_edge(pid, old_peer):
-            raise ConfigurationError(f"no link between {pid} and {old_peer} to rewire")
-        if time_ms <= self.scheduler.now:
-            self._rewire(pid, old_peer, new_peer)
-        else:
-            self.scheduler.schedule_at(time_ms, self._rewire, pid, old_peer, new_peer)
-
-    def _rewire(self, pid: int, old_peer: int, new_peer: int) -> None:
-        self._materialize_adjacency()
-        adjacency = self._adjacency
-        adjacency[pid].discard(old_peer)
-        adjacency[old_peer].discard(pid)
-        adjacency[pid].add(new_peer)
-        adjacency[new_peer].add(pid)
-
-    def is_joined(self, pid: int) -> bool:
-        """Whether ``pid`` has joined the run (true unless a pending JoinAt)."""
-        return pid not in self._unjoined
-
-    def has_departed(self, pid: int) -> bool:
-        """Whether ``pid`` left the run via :meth:`leave_at`."""
-        return pid in self._departed
+    def add_edge(self, u: int, v: int) -> None:
+        """Bring the ``{u, v}`` edge up in the live graph."""
+        adjacency = self._live_adjacency(u, v)
+        adjacency[u].add(v)
+        adjacency[v].add(u)
 
     def replace_protocol(self, pid: int, protocol: object) -> None:
         """Swap process ``pid``'s protocol instance mid-run.
@@ -349,78 +309,28 @@ class SimulatedNetwork:
         instance still deliver — a conversion cannot retract messages
         that are on the wire.
         """
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot replace unknown process {pid}")
+        self._require_process(pid)
         self.protocols[pid] = protocol
 
-    def is_crashed(self, pid: int) -> bool:
-        """Whether ``pid`` has been crashed."""
-        return pid in self._crashed
-
-    def is_dormant(self, pid: int) -> bool:
-        """Whether ``pid`` is a delayed-start process that has not woken yet."""
-        return pid in self._start_times and self.scheduler.now < self._start_times[pid]
-
     def start(self) -> None:
-        """Run every protocol's ``on_start`` hook once."""
+        """Run the ``on_start`` hook of every process that is not held."""
         if self._started:
             return
         self._started = True
         for pid, protocol in self.protocols.items():
-            if pid in self._unjoined:
-                # Joins later: _join runs on_start at the join time.
-                continue
-            if self.is_dormant(pid):
-                self._dormant_buffers.setdefault(pid, [])
-                self.scheduler.schedule_at(self._start_times[pid], self._wake, pid)
-            elif hasattr(protocol, "on_start"):
+            if pid not in self._held and hasattr(protocol, "on_start"):
                 self._execute_commands(pid, protocol.on_start())
-
-    def _wake(self, pid: int) -> None:
-        """Run a delayed-start process's hooks and replay its buffer."""
-        if pid in self._crashed:
-            return
-        protocol = self.protocols[pid]
-        if hasattr(protocol, "on_start"):
-            self._execute_commands(pid, protocol.on_start())
-        for sender, message in self._dormant_buffers.pop(pid, []):
-            if pid in self._crashed:
-                break
-            # Re-resolved per message: an adaptive trigger firing during
-            # the replay (e.g. on an observation one of these commands
-            # produced) swaps the instance, and the rest of the buffer
-            # must reach the replacement, not the pre-conversion one.
-            self._execute_commands(pid, self.protocols[pid].on_message(sender, message))
 
     def broadcast(self, pid: int, payload: bytes, bid: int = 0) -> None:
         """Have process ``pid`` initiate a broadcast at the current time.
 
-        A delayed-start process broadcasts right after it wakes up instead.
+        A held process broadcasts right after it starts instead.
         """
         self.start()
         if pid in self._crashed:
             return
-        if pid in self._unjoined:
-            # The join event is already queued at the same timestamp with
-            # a smaller sequence number, so on_start runs first.
-            self.scheduler.schedule_at(
-                self._join_times[pid], self._broadcast_after_wake, pid, payload, bid
-            )
-            return
-        if self.is_dormant(pid):
-            # The wake-up event is already queued at the same timestamp with
-            # a smaller sequence number, so on_start runs first.
-            self.scheduler.schedule_at(
-                self._start_times[pid], self._broadcast_after_wake, pid, payload, bid
-            )
-            return
-        self._execute_commands(pid, self.protocols[pid].broadcast(payload, bid))
-
-    def _broadcast_after_wake(self, pid: int, payload: bytes, bid: int) -> None:
-        # The protocol instance is resolved at fire time, not at schedule
-        # time: an adaptive conversion between the broadcast call and the
-        # wake-up must see the replacement instance broadcast.
-        if pid in self._crashed:
+        if pid in self._held:
+            self._held[pid][1].append((payload, bid))
             return
         self._execute_commands(pid, self.protocols[pid].broadcast(payload, bid))
 
@@ -430,17 +340,13 @@ class SimulatedNetwork:
         A past (or current) timestamp broadcasts immediately; otherwise
         the initiation is queued on the scheduler, so sensor-style
         workloads interleave with in-flight traffic of earlier
-        broadcasts.  Crash and dormancy semantics are those of
-        :meth:`broadcast` evaluated at initiation time — a source that
-        crashed before ``time_ms`` never broadcasts.
+        broadcasts.  Crashed and held are those of :meth:`broadcast`
+        evaluated at initiation time — a source that crashed before
+        ``time_ms`` never broadcasts.
         """
         self.start()
-        if pid not in self.protocols:
-            raise ConfigurationError(f"cannot broadcast from unknown process {pid}")
-        if time_ms <= self.scheduler.now:
-            self.broadcast(pid, payload, bid)
-        else:
-            self.scheduler.schedule_at(time_ms, self.broadcast, pid, payload, bid)
+        self._require_process(pid)
+        self.at(time_ms, self.broadcast, pid, payload, bid)
 
     def run(
         self,
@@ -628,18 +534,19 @@ class SimulatedNetwork:
         """Deliver one in-flight message to its destination process.
 
         The reusable delivery path: scheduled with explicit arguments
-        instead of a fresh closure per send.  Crash and dormancy are
+        instead of a fresh closure per send.  Crashed and held are
         evaluated at delivery time, and the protocol instance is resolved
         here so mid-flight adaptive conversions receive the message.
         """
         if dest in self._crashed:
             return
-        if self._unjoined and dest in self._unjoined:
-            # Not a member yet: a late joiner misses the early traffic.
-            self.dropped_messages += 1
-            return
-        if self._start_times and self.is_dormant(dest):
-            self._dormant_buffers.setdefault(dest, []).append((sender, message))
+        if self._held and dest in self._held:
+            inbound = self._held[dest][0]
+            if inbound is None:
+                # Not started and inbound is not kept: the copy is lost.
+                self.dropped_messages += 1
+            else:
+                inbound.append((sender, message))
             return
         commands = self.protocols[dest].on_message(sender, message)
         if commands:

@@ -41,41 +41,41 @@ def _cross_layer_builder(mods: ModificationSet) -> ProtocolBuilder:
     return build
 
 
-def modification_set_for(name: str) -> ModificationSet:
-    """The :class:`ModificationSet` of a named configuration."""
-    normalized = name.lower().replace(" ", "").replace("-", "_").replace(".", "")
-    if normalized in ("bd", "none"):
-        return ModificationSet.none()
-    if normalized == "bdopt":
-        return ModificationSet.dolev_optimized()
-    if normalized in ("bdopt+mbd1", "bdoptmbd1", "mbd1"):
-        return ModificationSet.bdopt_with_mbd1()
-    if normalized.startswith("mbd"):
-        index = int(normalized[3:])
-        return ModificationSet.single_mbd(index)
-    if normalized in ("lat", "latency"):
-        return ModificationSet.latency_optimized()
-    if normalized in ("bdw", "bandwidth"):
-        return ModificationSet.bandwidth_optimized()
-    if normalized in ("lat_bdw", "latbdw", "lat&bdw"):
-        return ModificationSet.latency_and_bandwidth_optimized()
-    if normalized == "all":
-        return ModificationSet.all_enabled()
-    raise ValueError(f"unknown configuration name: {name}")
-
-
-#: Named configurations of the cross-layer protocol used by the benchmarks.
+#: The one table of named configurations: canonical name → modifications.
 PROTOCOL_CONFIGURATIONS: Dict[str, ModificationSet] = {
+    "bd": ModificationSet.none(),
     "bdopt": ModificationSet.dolev_optimized(),
     "mbd1": ModificationSet.bdopt_with_mbd1(),
+    **{f"mbd{i}": ModificationSet.single_mbd(i) for i in range(2, 13)},
     "lat": ModificationSet.latency_optimized(),
     "bdw": ModificationSet.bandwidth_optimized(),
     "lat_bdw": ModificationSet.latency_and_bandwidth_optimized(),
     "all": ModificationSet.all_enabled(),
 }
-PROTOCOL_CONFIGURATIONS.update(
-    {f"mbd{i}": ModificationSet.single_mbd(i) for i in range(2, 13)}
-)
+
+#: Other spellings (after normalisation) of a canonical name.
+_ALIASES = {
+    "none": "bd",
+    "bdopt+mbd1": "mbd1",
+    "bdoptmbd1": "mbd1",
+    "latency": "lat",
+    "bandwidth": "bdw",
+    "latbdw": "lat_bdw",
+    "lat&bdw": "lat_bdw",
+}
+
+
+def modification_set_for(name: str) -> ModificationSet:
+    """The :class:`ModificationSet` of a named configuration.
+
+    Case, spaces, dots and ``-`` for ``_`` do not matter (``"MBD.7"``,
+    ``"lat & bdw"``).
+    """
+    normalized = name.lower().replace(" ", "").replace("-", "_").replace(".", "")
+    try:
+        return PROTOCOL_CONFIGURATIONS[_ALIASES.get(normalized, normalized)]
+    except KeyError:
+        raise ValueError(f"unknown configuration name: {name}") from None
 
 
 def protocol_family(protocol: str) -> str:

@@ -64,7 +64,6 @@ from repro.scenarios.engine import (
     simulate_scenario,
 )
 from repro.scenarios.faults import (
-    CHURN_FAULT_TYPES,
     AdaptiveController,
     AdaptiveFault,
     CrashAt,
@@ -135,7 +134,6 @@ __all__ = [
     "JoinAt",
     "LeaveAt",
     "RewireLinkAt",
-    "CHURN_FAULT_TYPES",
     "FaultEvent",
     # adaptive faults
     "ObservationFilter",

@@ -11,32 +11,13 @@ ship:
   sockets on localhost (:mod:`repro.network.asyncio_runtime`).  The
   deterministic parts of the expansion — topology generation, adversary
   placement, protocol wiring — are byte-for-byte the ones the simulator
-  uses; the spec's fault events are dispatched straight onto the
-  cluster's runtime actions:
-
-  ========================  =====================================
-  fault event               runtime action
-  ========================  =====================================
-  ``CrashAt(pid, t)``       node goes fail-silent at wall-clock
-                            ``t`` (``t<=0``: before the workload)
-  ``LinkDropWindow(u,v,…)`` connection-level drop filters on both
-                            endpoints of the link
-  ``DelayedStart(pid, t)``  node buffers inbound traffic and joins
-                            at wall-clock ``t``
-  ``JoinAt(pid, t)``        node is drop-dormant (inbound traffic is
-                            lost) until it joins at wall-clock ``t``
-  ``LeaveAt(pid, t)``       node goes fail-silent and every channel
-                            to it is torn down at wall-clock ``t``
-  ``RewireLinkAt(...)``     old channel severed on both endpoints,
-                            new link accepted and dialed mid-run
-  lossy ``DelaySpec``       probabilistic / periodic connection
-                            drop filters seeded from the scenario
-                            hash (``arm_loss``)
-  adaptive faults           node observations feed an
-                            ``AdaptiveController``; fired triggers
-                            crash nodes, cut links or swap live
-                            protocols for Byzantine behaviours
-  ========================  =====================================
+  uses, and so are the faults: the cluster implements the same runtime
+  primitives as the simulator, so ``fault.apply(cluster)`` and
+  :func:`~repro.scenarios.engine.arm_adaptive` mean here what
+  :mod:`repro.scenarios.faults` says they mean.  Only the lossy
+  ``DelaySpec`` regimes are translated in this module (``arm_loss``:
+  probabilistic / periodic connection drop filters seeded from the
+  scenario hash).
 
   Simulated milliseconds — fault timestamps and workload
   ``start_time_ms`` values alike — map to wall-clock seconds through
@@ -56,29 +37,19 @@ from __future__ import annotations
 import abc
 import asyncio
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List
 
 from repro.core.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
 from repro.network.asyncio_runtime.cluster import AsyncioCluster
 from repro.scenarios.engine import (
-    AdaptiveRunState,
     ScenarioResult,
+    arm_adaptive,
     build_protocols,
     freeze_result,
-    make_adaptive_observer,
     place_byzantine,
     simulate_scenario,
     validate_topology,
-)
-from repro.scenarios.faults import (
-    CrashAt,
-    DelayedStart,
-    FaultEvent,
-    JoinAt,
-    LeaveAt,
-    LinkDropWindow,
-    RewireLinkAt,
 )
 from repro.scenarios.spec import BACKEND_NAMES, BroadcastSpec, ScenarioSpec
 
@@ -160,41 +131,6 @@ class AsyncioBackend(ScenarioBackend):
     def _scale(self, time_ms: float) -> float:
         return time_ms * self.time_scale
 
-    def arm(self, cluster: AsyncioCluster, faults: Tuple[FaultEvent, ...]) -> None:
-        """Install the spec's fault events on a built (not yet started) cluster.
-
-        Timestamps scale through ``time_scale``.  Immediate crashes and
-        dormancy are effective right away; timed actions are armed when
-        the cluster's epoch opens.
-        """
-        for fault in faults:
-            if isinstance(fault, CrashAt):
-                cluster.schedule_crash(fault.pid, self._scale(fault.time_ms))
-            elif isinstance(fault, LinkDropWindow):
-                cluster.add_link_drop_window(
-                    fault.u,
-                    fault.v,
-                    self._scale(fault.start_ms),
-                    None if fault.end_ms is None else self._scale(fault.end_ms),
-                )
-            elif isinstance(fault, DelayedStart):
-                cluster.delay_start(fault.pid, self._scale(fault.time_ms))
-            elif isinstance(fault, JoinAt):
-                cluster.join_at(fault.pid, self._scale(fault.time_ms))
-            elif isinstance(fault, LeaveAt):
-                cluster.schedule_leave(fault.pid, self._scale(fault.time_ms))
-            elif isinstance(fault, RewireLinkAt):
-                cluster.schedule_rewire(
-                    fault.pid,
-                    fault.old_peer,
-                    fault.new_peer,
-                    self._scale(fault.time_ms),
-                )
-            else:  # pragma: no cover - defensive
-                raise ConfigurationError(
-                    f"the asyncio backend does not support fault {fault!r}"
-                )
-
     def plan_workload(self, spec: ScenarioSpec) -> List[ScheduledBroadcast]:
         """Translate the spec's workload into a wall-clock broadcast schedule.
 
@@ -243,46 +179,6 @@ class AsyncioBackend(ScenarioBackend):
                         self._scale(delay.burst_len_ms),
                     )
 
-    def arm_adaptive(
-        self,
-        cluster: AsyncioCluster,
-        spec: ScenarioSpec,
-        byzantine: Optional[Dict[int, object]] = None,
-    ) -> AdaptiveRunState:
-        """Install the spec's adaptive faults on a built cluster.
-
-        The asyncio twin of :func:`repro.scenarios.engine.arm_adaptive`,
-        built on the same
-        :func:`~repro.scenarios.engine.make_adaptive_observer` core so
-        the trigger semantics cannot drift between backends: crashes go
-        fail-silent, link cuts open drop windows at the current
-        epoch-relative time (durations scale through ``time_scale``),
-        Byzantine conversions swap the live protocol instance.  Returns
-        the mutable state the run folds into result accounting.
-        """
-        state = AdaptiveRunState()
-
-        def cut_link(u: int, v: int, duration_ms) -> None:
-            now_s = cluster.elapsed_s()
-            end_s = (
-                None if duration_ms is None else now_s + self._scale(duration_ms)
-            )
-            cluster.add_link_drop_window(u, v, now_s, end_s)
-
-        observer = make_adaptive_observer(
-            spec,
-            state,
-            topology=cluster.topology,
-            byzantine=dict(byzantine or {}),
-            crash=cluster.crash,
-            cut_link=cut_link,
-            live_protocol=lambda pid: cluster.nodes[pid].protocol,
-            install_protocol=cluster.replace_protocol,
-        )
-        if observer is not None:
-            cluster.set_observer(observer)
-        return state
-
     # -- execution -----------------------------------------------------
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         return asyncio.run(self.run_async(spec))
@@ -301,26 +197,25 @@ class AsyncioBackend(ScenarioBackend):
             protocols,
             host=self.host,
             collector=collector,
+            time_scale=self.time_scale,
         )
-        self.arm(cluster, spec.faults)
+        for fault in spec.faults:
+            fault.apply(cluster)
         self.arm_loss(cluster, spec)
-        adaptive = self.arm_adaptive(cluster, spec, byzantine)
+        adaptive = arm_adaptive(cluster, spec, byzantine)
 
         schedule = self.plan_workload(spec)
-        crashed = {
-            fault.pid
-            for fault in spec.faults
-            if isinstance(fault, (CrashAt, LeaveAt))
-        }
         # Late joiners are excluded from the delivery *wait* only (they
         # missed the early traffic, so blocking on them would run every
         # churn cell to the timeout); freeze_result still accounts them
         # as correct, and totality is suppressed under churn anyway.
-        late = {fault.pid for fault in spec.faults if isinstance(fault, JoinAt)}
+        not_awaited = {
+            fault.pid for fault in spec.faults if fault.silences or fault.joins_late
+        }
         correct = [
             pid
             for pid in topology.nodes
-            if pid not in byzantine and pid not in crashed and pid not in late
+            if pid not in byzantine and pid not in not_awaited
         ]
         try:
             await cluster.start(connect_timeout=self.connect_timeout_s)

@@ -32,15 +32,7 @@ from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.network.adversary import build_behaviour
 from repro.network.simulation.network import SimulatedNetwork
 from repro.runner.configs import protocol_factory, protocol_family
-from repro.scenarios.faults import (
-    AdaptiveController,
-    ByzantineAction,
-    CrashAction,
-    CrashAt,
-    CutLinkWhen,
-    LeaveAt,
-    LinkDownAction,
-)
+from repro.scenarios.faults import AdaptiveController
 from repro.scenarios.placement import place_adversaries
 from repro.scenarios.spec import BroadcastSpec, ScenarioSpec
 from repro.topology.generators import Topology
@@ -295,20 +287,19 @@ def validate_topology(spec: ScenarioSpec, topology: Topology) -> None:
             raise ConfigurationError(
                 f"source {broadcast.source} is not a process of the topology"
             )
-    for fault in spec.adaptive:
+    for fault in (*spec.faults, *spec.adaptive):
         # Validated before the run starts so both backends reject an
-        # invalid target identically — a trigger firing mid-run must
-        # never be the first place a bad pid or missing link surfaces.
-        pid = getattr(fault, "pid", None)
-        if pid is not None and pid not in topology.adjacency:
+        # invalid target identically — a timer or a trigger firing
+        # mid-run must never be the first place a bad pid or missing
+        # link surfaces.
+        for pid in fault.processes:
+            if pid not in topology.adjacency:
+                raise ConfigurationError(
+                    f"fault {type(fault).__name__} targets unknown process {pid}"
+                )
+        if fault.link is not None and not topology.has_edge(*fault.link):
             raise ConfigurationError(
-                f"adaptive fault {type(fault).__name__} targets unknown "
-                f"process {pid}"
-            )
-        if isinstance(fault, CutLinkWhen) and not topology.has_edge(fault.u, fault.v):
-            raise ConfigurationError(
-                f"adaptive fault CutLinkWhen targets missing link "
-                f"({fault.u}, {fault.v})"
+                f"fault {type(fault).__name__} targets missing link {fault.link}"
             )
     if spec.protocol in ("bracha", "rco_bracha") and not topology.is_fully_connected():
         # Bracha's protocol assumes every pair of processes shares a
@@ -412,27 +403,18 @@ def freeze_result(
     the broadcast epoch — the delivery/safety predicates read the same
     either way.  ``byzantine`` already includes any adaptive mid-run
     conversions (the caller merges them); ``extra_crashed`` carries the
-    pids adaptive triggers crashed, on top of the spec's static
-    :class:`CrashAt` events and the departed pids of :class:`LeaveAt`
-    churn (a process that left the run is non-correct for safety
-    accounting, exactly like a crashed one).
+    pids adaptive triggers crashed, on top of the pids of the spec's
+    timed faults that declare ``silences`` (a process that crashed or
+    left the run is non-correct for safety accounting).
 
-    Fault precedence: a process that is both Byzantine and targeted by a
-    :class:`CrashAt` fault (or an adaptive crash) is reported as
-    Byzantine only — the Byzantine behaviour subsumes fail-silence, and
-    one process must never appear in both the ``byzantine`` and
-    ``crashed`` sets.
+    Fault precedence: a process that is both Byzantine and silenced by a
+    fault (timed or adaptive) is reported as Byzantine only — the
+    Byzantine behaviour subsumes fail-silence, and one process must
+    never appear in both the ``byzantine`` and ``crashed`` sets.
     """
     crashed = tuple(
         sorted(
-            (
-                {
-                    fault.pid
-                    for fault in spec.faults
-                    if isinstance(fault, (CrashAt, LeaveAt))
-                }
-                | set(extra_crashed)
-            )
+            ({fault.pid for fault in spec.faults if fault.silences} | set(extra_crashed))
             - set(byzantine)
         )
     )
@@ -496,105 +478,63 @@ class AdaptiveRunState:
     trigger turned Byzantine; ``crashed`` holds the pids adaptive
     triggers crashed.  Both feed result accounting: converted processes
     join the ``byzantine`` set, adaptively crashed ones the ``crashed``
-    set.
+    set.  ``spec`` and ``placed`` (the statically placed Byzantine pids)
+    are what :meth:`convert` needs to build a behaviour.
     """
 
     converted: Dict[int, str] = field(default_factory=dict)
     crashed: set = field(default_factory=set)
+    spec: Optional[ScenarioSpec] = None
+    placed: frozenset = frozenset()
 
+    def convert(self, host, pid: int, behaviour: str, drop_probability: float) -> None:
+        """Swap ``pid``'s live protocol on ``host`` for ``behaviour``.
 
-def make_adaptive_observer(
-    spec: ScenarioSpec,
-    state: AdaptiveRunState,
-    *,
-    topology: Topology,
-    byzantine: Dict[int, str],
-    crash,
-    cut_link,
-    live_protocol,
-    install_protocol,
-):
-    """The shared observer applying adaptive actions on either backend.
-
-    Backends differ only in their primitives — ``crash(pid)``,
-    ``cut_link(u, v, duration_ms)``, ``live_protocol(pid)`` and
-    ``install_protocol(pid, behaviour)`` — while the trigger bookkeeping,
-    the first-behaviour-wins guard, the behaviour construction (wrapping
-    the *live* instance so ``"drop"``/``"forge"`` conversions keep their
-    accumulated state) and the seed derivation live here, once.  Targets
-    are validated up front by :func:`validate_topology`.  Returns
-    ``None`` when the spec carries no adaptive faults.
-    """
-    if not spec.adaptive:
-        return None
-    controller = AdaptiveController(spec.adaptive)
-    system = spec.system()
-    family = protocol_family(spec.protocol)
-
-    def apply(action) -> None:
-        if isinstance(action, CrashAction):
-            crash(action.pid)
-            state.crashed.add(action.pid)
-        elif isinstance(action, LinkDownAction):
-            cut_link(action.u, action.v, action.duration_ms)
-        elif isinstance(action, ByzantineAction):
-            pid = action.pid
-            if pid in byzantine or pid in state.converted:
-                return  # already Byzantine: the first behaviour wins
-            inner = live_protocol(pid)
-            behaviour = build_behaviour(
-                action.behaviour,
+        The behaviour wraps the *live* instance, so ``"drop"``/``"forge"``
+        conversions keep their accumulated protocol state.
+        """
+        if pid in self.placed or pid in self.converted:
+            return  # already Byzantine: the first behaviour wins
+        spec = self.spec
+        inner = host.protocols[pid]
+        host.replace_protocol(
+            pid,
+            build_behaviour(
+                behaviour,
                 pid,
-                sorted(topology.neighbors(pid)),
-                system=system,
-                inner_factory=lambda inner=inner: inner,
-                family=family,
+                sorted(host.topology.neighbors(pid)),
+                system=spec.system(),
+                inner_factory=lambda: inner,
+                family=protocol_family(spec.protocol),
                 seed=spec.seed + _ADAPTIVE_SEED_OFFSET + pid,
-                drop_probability=action.drop_probability,
-            )
-            install_protocol(pid, behaviour)
-            state.converted[pid] = action.behaviour
-
-    def observe(observation) -> None:
-        for action in controller.observe(observation):
-            apply(action)
-
-    return observe
+                drop_probability=drop_probability,
+            ),
+        )
+        self.converted[pid] = behaviour
 
 
 def arm_adaptive(
-    network: SimulatedNetwork, spec: ScenarioSpec, byzantine: Dict[int, str]
+    host, spec: ScenarioSpec, byzantine: Dict[int, object]
 ) -> AdaptiveRunState:
-    """Install the spec's adaptive faults on a simulated network.
+    """Install the spec's adaptive faults on ``host`` — either runtime.
 
-    Feeds every network observation through an
-    :class:`~repro.scenarios.faults.AdaptiveController` and applies the
-    emitted actions in place: crashes call
-    :meth:`SimulatedNetwork.crash`, link cuts open a drop window at the
-    current time, Byzantine conversions swap the live protocol instance
-    via :meth:`SimulatedNetwork.replace_protocol`.  Returns the mutable
-    state the caller folds into result accounting.
+    Every observation of the run goes through an
+    :class:`~repro.scenarios.faults.AdaptiveController`; a fault whose
+    trigger completes is applied in place (``fault.apply(host, run)``,
+    see :mod:`repro.scenarios.faults` for what each does).  Targets are
+    validated up front by :func:`validate_topology`.  Returns the
+    mutable state the caller folds into result accounting.
     """
-    state = AdaptiveRunState()
+    run = AdaptiveRunState(spec=spec, placed=frozenset(byzantine))
+    if spec.adaptive:
+        controller = AdaptiveController(spec.adaptive)
 
-    def cut_link(u: int, v: int, duration_ms) -> None:
-        now = network.now
-        end = None if duration_ms is None else now + duration_ms
-        network.add_link_drop_window(u, v, now, end)
+        def observe(observation) -> None:
+            for fault in controller.observe(observation):
+                fault.apply(host, run)
 
-    observer = make_adaptive_observer(
-        spec,
-        state,
-        topology=network.topology,
-        byzantine=byzantine,
-        crash=network.crash,
-        cut_link=cut_link,
-        live_protocol=lambda pid: network.protocols[pid],
-        install_protocol=network.replace_protocol,
-    )
-    if observer is not None:
-        network.observer = observer
-    return state
+        host.observer = observe
+    return run
 
 
 def simulate_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -656,7 +596,6 @@ __all__ = [
     "build_protocols",
     "build_network",
     "validate_topology",
-    "make_adaptive_observer",
     "arm_adaptive",
     "freeze_broadcast_outcome",
     "freeze_result",

@@ -1,30 +1,80 @@
-"""Timed and adaptive fault events injected into a scenario run.
+"""Timed and adaptive fault events: the one table of what a fault is.
 
-Two fault families extend the static Byzantine placement of
-:class:`~repro.scenarios.spec.AdversarySpec`:
+A fault is a small frozen dataclass (validated at construction,
+:class:`~repro.core.errors.SpecError`) whose ``apply`` says what it does
+in terms of six runtime primitives.  Both runtimes —
+:class:`~repro.network.simulation.network.SimulatedNetwork` and
+:class:`~repro.network.asyncio_runtime.cluster.AsyncioCluster`, a *host*
+below — implement the same six, every time in spec milliseconds, so a
+fault is written here once and means the same thing on either:
 
-* **Timed faults** (:class:`CrashAt`, :class:`LinkDropWindow`,
-  :class:`DelayedStart`) fire at fixed scenario times.  Each is a small
-  frozen dataclass with an ``apply`` hook the scenario engine calls on
-  the simulated network before the run starts; the asyncio backend
-  translates them into runtime actions instead.
+========================  =============================================
+primitive                 meaning on a host
+========================  =============================================
+``at(t, action, *args)``  run ``action(*args)`` at time ``t``; a time
+                          already reached runs it inside the call
+``crash(pid)``            fail-silent from now on: sends nothing,
+                          ignores every message, never starts
+``hold_until(pid, t,      ``pid`` starts at ``t`` instead of at time 0:
+keep_inbound)``           until then it runs no hook, initiates nothing
+                          (broadcasts asked of it wait, in order) and
+                          its inbound traffic is buffered for replay
+                          (kept) or lost and counted (dropped)
+``drop_link(u, v, start,  every message put on the ``{u, v}`` edge in
+end)``                    ``[start, end)`` is lost (``end=None``: never
+                          reopens); its bytes are still charged
+``cut_edge(u, v)``        remove the edge from the live graph (no-op if
+                          absent): later sends onto it are lost
+``add_edge(u, v)``        bring an edge up in the live graph
+========================  =============================================
 
-* **Adaptive faults** (:class:`CrashWhen`, :class:`TurnByzantineWhen`,
-  :class:`CutLinkWhen`) fire when a *trigger* condition over the run's
-  observed protocol events is met — "crash the source once f+1 ECHOs are
-  in flight", "turn a node Byzantine after its first delivery".  Each
-  adaptive fault declares an :class:`ObservationFilter` (what to watch),
-  a match ``count`` (how many matches arm the trigger) and, through
-  ``trigger(observation) -> actions``, the :data:`AdaptiveAction` list to
-  apply when it fires.  The engine feeds every
-  :class:`~repro.core.events.Observation` of a run through an
-  :class:`AdaptiveController`, which tracks per-fault match counts and
-  emits the actions exactly once — identically on both execution
-  backends.
+plus ``now`` (spec ms), ``topology`` (the initial graph), ``protocols``,
+``replace_protocol(pid, protocol)`` and the ``observer`` hook the
+adaptive faults are fed through.
 
-All spec-level dataclasses validate at construction
-(:class:`~repro.core.errors.SpecError`), so a malformed fault fails
-where it is written, not deep inside a sweep worker.
+========================  =============================================
+fault                     primitives
+========================  =============================================
+``CrashAt(pid, t)``       ``at(t, crash, pid)``
+``LeaveAt(pid, t)``       ``at(t, …)``: ``crash(pid)`` + ``cut_edge`` on
+                          every live edge of ``pid``
+``RewireLinkAt(…, t)``    ``at(t, …)``: ``cut_edge(pid, old_peer)`` +
+                          ``add_edge(pid, new_peer)``
+``DelayedStart(pid, t)``  ``hold_until(pid, t, keep_inbound=True)``
+``JoinAt(pid, t)``        ``hold_until(pid, t, keep_inbound=False)``
+``LinkDropWindow(…)``     ``drop_link(u, v, start, end)``
+``CrashWhen``             when fired: ``crash(pid)``
+``CutLinkWhen``           when fired: ``drop_link(u, v, now, now + d)``
+``TurnByzantineWhen``     when fired: ``replace_protocol`` with the
+                          behaviour wrapped around the live instance
+========================  =============================================
+
+*Timed* faults are applied once, before the run (``fault.apply(host)``).
+*Adaptive* faults fire when a trigger over the run's observed protocol
+events is met — "crash the source once f+1 ECHOs are in flight": each
+declares an :class:`ObservationFilter` (``after``) and a match
+``count``; an :class:`AdaptiveController` fed every
+:class:`~repro.core.events.Observation` of the run hands back the
+faults whose trigger just completed, each exactly once, and the engine
+calls ``fault.apply(host, run)``.
+
+Accounting.  Every fault class also declares, as five class-level
+booleans (:data:`ACCOUNTING_FLAGS`), what the rest of the system has to
+know about it without looking at its type:
+
+* ``silences`` — ``pid`` is not a correct process (the result's
+  ``crashed`` set; an adaptive fault is accounted when it fires);
+* ``joins_late`` — ``pid`` missed the traffic before its start, so a
+  runtime must not wait for its deliveries;
+* ``edits_graph`` — membership or edges change mid-run (churn): which
+  in-flight copies are caught is a timing property;
+* ``postpones_only`` — nothing is lost, only later: totality is still
+  owed;
+* ``corrupts`` — ``pid`` turns Byzantine, so it counts against the
+  spec's ``f`` budget.
+
+A new fault is one class in this file — fields, flags, ``apply`` — and
+nothing in the runtimes, the backends or the engine.
 """
 
 from __future__ import annotations
@@ -35,9 +85,31 @@ from typing import List, Optional, Tuple, Union
 from repro.core.errors import SpecError
 from repro.core.events import Observation
 
+#: The accounting every fault class declares (see the module docstring).
+ACCOUNTING_FLAGS = ("silences", "joins_late", "edits_graph", "postpones_only", "corrupts")
+
+
+class _Fault:
+    """What the engine reads off any fault, timed or adaptive."""
+
+    #: The edge the fault needs in the *initial* topology, if any.
+    link = None
+
+    @property
+    def processes(self) -> Tuple[int, ...]:
+        """Every pid the fault names (checked against the topology up front)."""
+        return (self.pid,)
+
+    def _require_non_negative(self, **times: Optional[float]) -> None:
+        for name, value in times.items():
+            if value is not None and value < 0:
+                raise SpecError(
+                    f"{type(self).__name__} {name} must be non-negative, got {value}"
+                )
+
 
 @dataclass(frozen=True)
-class CrashAt:
+class CrashAt(_Fault):
     """Crash process ``pid`` at absolute simulated time ``time_ms``.
 
     A crash at time 0 takes effect before the process runs ``on_start``,
@@ -48,18 +120,18 @@ class CrashAt:
     pid: int
     time_ms: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.time_ms < 0:
-            raise SpecError(
-                f"CrashAt time must be non-negative, got {self.time_ms}"
-            )
+    silences = True
+    joins_late = edits_graph = postpones_only = corrupts = False
 
-    def apply(self, network) -> None:
-        network.crash_at(self.pid, self.time_ms)
+    def __post_init__(self) -> None:
+        self._require_non_negative(time=self.time_ms)
+
+    def apply(self, host) -> None:
+        host.at(self.time_ms, host.crash, self.pid)
 
 
 @dataclass(frozen=True)
-class LinkDropWindow:
+class LinkDropWindow(_Fault):
     """Lose every message put on the ``{u, v}`` link in ``[start_ms, end_ms)``.
 
     ``end_ms=None`` models a link that goes down and never reopens — the
@@ -72,28 +144,30 @@ class LinkDropWindow:
     start_ms: float = 0.0
     end_ms: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.start_ms < 0:
-            raise SpecError(
-                f"LinkDropWindow start must be non-negative, got {self.start_ms}"
-            )
-        if self.end_ms is not None:
-            if self.end_ms < 0:
-                raise SpecError(
-                    f"LinkDropWindow end must be non-negative, got {self.end_ms}"
-                )
-            if self.end_ms < self.start_ms:
-                raise SpecError(
-                    f"LinkDropWindow ends before it starts: "
-                    f"[{self.start_ms}, {self.end_ms})"
-                )
+    silences = joins_late = edits_graph = postpones_only = corrupts = False
 
-    def apply(self, network) -> None:
-        network.add_link_drop_window(self.u, self.v, self.start_ms, self.end_ms)
+    def __post_init__(self) -> None:
+        self._require_non_negative(start=self.start_ms, end=self.end_ms)
+        if self.end_ms is not None and self.end_ms < self.start_ms:
+            raise SpecError(
+                f"LinkDropWindow ends before it starts: "
+                f"[{self.start_ms}, {self.end_ms})"
+            )
+
+    @property
+    def processes(self) -> Tuple[int, ...]:
+        return (self.u, self.v)
+
+    @property
+    def link(self) -> Tuple[int, int]:
+        return (self.u, self.v)
+
+    def apply(self, host) -> None:
+        host.drop_link(self.u, self.v, self.start_ms, self.end_ms)
 
 
 @dataclass(frozen=True)
-class DelayedStart:
+class DelayedStart(_Fault):
     """Keep process ``pid`` dormant until absolute time ``time_ms``.
 
     Messages arriving earlier are buffered and replayed in arrival order
@@ -103,21 +177,21 @@ class DelayedStart:
     pid: int
     time_ms: float
 
-    def __post_init__(self) -> None:
-        if self.time_ms < 0:
-            raise SpecError(
-                f"DelayedStart time must be non-negative, got {self.time_ms}"
-            )
+    postpones_only = True
+    silences = joins_late = edits_graph = corrupts = False
 
-    def apply(self, network) -> None:
-        network.delay_start(self.pid, self.time_ms)
+    def __post_init__(self) -> None:
+        self._require_non_negative(time=self.time_ms)
+
+    def apply(self, host) -> None:
+        host.hold_until(self.pid, self.time_ms, keep_inbound=True)
 
 
 # ----------------------------------------------------------------------
 # Membership churn
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class JoinAt:
+class JoinAt(_Fault):
     """Process ``pid`` joins the run at absolute time ``time_ms``.
 
     Until the join fires the process is *absent*: it does not run
@@ -130,18 +204,18 @@ class JoinAt:
     pid: int
     time_ms: float
 
-    def __post_init__(self) -> None:
-        if self.time_ms < 0:
-            raise SpecError(
-                f"JoinAt time must be non-negative, got {self.time_ms}"
-            )
+    joins_late = edits_graph = True
+    silences = postpones_only = corrupts = False
 
-    def apply(self, network) -> None:
-        network.join_at(self.pid, self.time_ms)
+    def __post_init__(self) -> None:
+        self._require_non_negative(time=self.time_ms)
+
+    def apply(self, host) -> None:
+        host.hold_until(self.pid, self.time_ms, keep_inbound=False)
 
 
 @dataclass(frozen=True)
-class LeaveAt:
+class LeaveAt(_Fault):
     """Process ``pid`` leaves the run at absolute time ``time_ms``.
 
     Leaving is a graph edit, not just a crash: the process goes
@@ -154,25 +228,34 @@ class LeaveAt:
     pid: int
     time_ms: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.time_ms < 0:
-            raise SpecError(
-                f"LeaveAt time must be non-negative, got {self.time_ms}"
-            )
+    silences = edits_graph = True
+    joins_late = postpones_only = corrupts = False
 
-    def apply(self, network) -> None:
-        network.leave_at(self.pid, self.time_ms)
+    def __post_init__(self) -> None:
+        self._require_non_negative(time=self.time_ms)
+
+    def apply(self, host) -> None:
+        host.at(self.time_ms, self._leave, host)
+
+    def _leave(self, host) -> None:
+        host.crash(self.pid)
+        # Every *live* edge, rewired-in ones included: cutting an edge
+        # that is not there is a no-op on either host.
+        for peer in host.topology.nodes:
+            host.cut_edge(self.pid, peer)
 
 
 @dataclass(frozen=True)
-class RewireLinkAt:
+class RewireLinkAt(_Fault):
     """At ``time_ms``, replace ``pid``'s link to ``old_peer`` with ``new_peer``.
 
     The ``{pid, old_peer}`` edge is severed and ``{pid, new_peer}`` comes
     up, mid-run.  Degree is preserved but the disjoint-path structure the
     2f+1 bound rests on can change under the protocols' feet — the
     connectivity-under-churn helper in ``repro.topology.analysis``
-    reports whether the bound survived every edit.
+    reports whether the bound survived every edit.  The edge to sever
+    must exist in the *initial* topology; if earlier churn already
+    removed it by ``time_ms``, only the new edge comes up.
     """
 
     pid: int
@@ -180,11 +263,11 @@ class RewireLinkAt:
     new_peer: int
     time_ms: float = 0.0
 
+    edits_graph = True
+    silences = joins_late = postpones_only = corrupts = False
+
     def __post_init__(self) -> None:
-        if self.time_ms < 0:
-            raise SpecError(
-                f"RewireLinkAt time must be non-negative, got {self.time_ms}"
-            )
+        self._require_non_negative(time=self.time_ms)
         if self.old_peer == self.pid or self.new_peer == self.pid:
             raise SpecError(
                 f"RewireLinkAt peers must differ from pid {self.pid}"
@@ -195,15 +278,23 @@ class RewireLinkAt:
                 f"both are {self.old_peer}"
             )
 
-    def apply(self, network) -> None:
-        network.rewire_link_at(self.pid, self.old_peer, self.new_peer, self.time_ms)
+    @property
+    def processes(self) -> Tuple[int, ...]:
+        return (self.pid, self.old_peer, self.new_peer)
+
+    @property
+    def link(self) -> Tuple[int, int]:
+        return (self.pid, self.old_peer)
+
+    def apply(self, host) -> None:
+        host.at(self.time_ms, self._rewire, host)
+
+    def _rewire(self, host) -> None:
+        host.cut_edge(self.pid, self.old_peer)
+        host.add_edge(self.pid, self.new_peer)
 
 
 FaultEvent = Union[CrashAt, LinkDropWindow, DelayedStart, JoinAt, LeaveAt, RewireLinkAt]
-
-#: The churn subset of the timed fault taxonomy — events that edit the
-#: live topology (or membership) instead of only silencing traffic.
-CHURN_FAULT_TYPES = (JoinAt, LeaveAt, RewireLinkAt)
 
 
 # ----------------------------------------------------------------------
@@ -257,59 +348,21 @@ class ObservationFilter:
         return True
 
 
-# -- actions an adaptive fault applies when it fires -------------------
-@dataclass(frozen=True)
-class CrashAction:
-    """Crash process ``pid`` immediately (fail-silent from now on)."""
-
-    pid: int
-
-
-@dataclass(frozen=True)
-class ByzantineAction:
-    """Swap process ``pid``'s protocol for Byzantine ``behaviour``."""
-
-    pid: int
-    behaviour: str
-    drop_probability: float = 0.5
-
-
-@dataclass(frozen=True)
-class LinkDownAction:
-    """Cut the ``{u, v}`` link now, for ``duration_ms`` (``None``: forever)."""
-
-    u: int
-    v: int
-    duration_ms: Optional[float] = None
-
-
-AdaptiveAction = Union[CrashAction, ByzantineAction, LinkDownAction]
-
-
-class _TriggeredFault:
-    """Shared trigger surface of the adaptive fault dataclasses.
+class _TriggeredFault(_Fault):
+    """Shared shape of the adaptive fault dataclasses.
 
     Subclasses are frozen dataclasses declaring ``after`` (the
     observation filter) and ``count`` (matches required to fire) and
-    implement :meth:`actions`.  ``trigger`` is the stateless hook of the
-    AdaptiveFault protocol: per-run match counting lives in the
-    :class:`AdaptiveController`, so the spec object stays immutable and
-    reusable across runs.
+    implement ``apply(host, run)`` — what happens on the host when the
+    trigger fires, and what of it the run's
+    :class:`~repro.scenarios.engine.AdaptiveRunState` has to account.
+    Per-run match counting lives in the :class:`AdaptiveController`, so
+    the spec object stays immutable and reusable across runs.
     """
 
-    def actions(self) -> Tuple[AdaptiveAction, ...]:
-        raise NotImplementedError
-
-    def trigger(self, observation: Observation) -> Tuple[AdaptiveAction, ...]:
-        """Actions to apply if ``observation`` completes the trigger.
-
-        Stateless: assumes the previous ``count - 1`` matches already
-        happened (the controller guarantees it).  Returns ``()`` when the
-        observation does not match the fault's filter.
-        """
-        if not self.after.matches(observation):
-            return ()
-        return self.actions()
+    def _require_count(self) -> None:
+        if self.count < 1:
+            raise SpecError(f"trigger count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -325,12 +378,15 @@ class CrashWhen(_TriggeredFault):
     after: ObservationFilter = ObservationFilter()
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise SpecError(f"trigger count must be >= 1, got {self.count}")
+    silences = True
+    joins_late = edits_graph = postpones_only = corrupts = False
 
-    def actions(self) -> Tuple[AdaptiveAction, ...]:
-        return (CrashAction(pid=self.pid),)
+    def __post_init__(self) -> None:
+        self._require_count()
+
+    def apply(self, host, run) -> None:
+        host.crash(self.pid)
+        run.crashed.add(self.pid)
 
 
 @dataclass(frozen=True)
@@ -353,6 +409,9 @@ class TurnByzantineWhen(_TriggeredFault):
     behaviour: str = "mute"
     drop_probability: float = 0.5
 
+    corrupts = True
+    silences = joins_late = edits_graph = postpones_only = False
+
     _BEHAVIOURS = (
         "mute",
         "drop",
@@ -364,8 +423,7 @@ class TurnByzantineWhen(_TriggeredFault):
     )
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise SpecError(f"trigger count must be >= 1, got {self.count}")
+        self._require_count()
         if self.behaviour not in self._BEHAVIOURS:
             raise SpecError(
                 f"adaptive behaviour {self.behaviour!r} not supported; "
@@ -378,14 +436,8 @@ class TurnByzantineWhen(_TriggeredFault):
                 f"got {self.drop_probability}"
             )
 
-    def actions(self) -> Tuple[AdaptiveAction, ...]:
-        return (
-            ByzantineAction(
-                pid=self.pid,
-                behaviour=self.behaviour,
-                drop_probability=self.drop_probability,
-            ),
-        )
+    def apply(self, host, run) -> None:
+        run.convert(host, self.pid, self.behaviour, self.drop_probability)
 
 
 @dataclass(frozen=True)
@@ -405,22 +457,33 @@ class CutLinkWhen(_TriggeredFault):
     count: int = 1
     duration_ms: Optional[float] = None
 
+    silences = joins_late = edits_graph = postpones_only = corrupts = False
+
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise SpecError(f"trigger count must be >= 1, got {self.count}")
+        self._require_count()
         if self.duration_ms is not None and self.duration_ms <= 0:
             raise SpecError(
                 f"cut duration must be positive (or None), got {self.duration_ms}"
             )
 
-    def actions(self) -> Tuple[AdaptiveAction, ...]:
-        return (
-            LinkDownAction(u=self.u, v=self.v, duration_ms=self.duration_ms),
+    @property
+    def processes(self) -> Tuple[int, ...]:
+        return (self.u, self.v)
+
+    @property
+    def link(self) -> Tuple[int, int]:
+        return (self.u, self.v)
+
+    def apply(self, host, run) -> None:
+        now = host.now
+        host.drop_link(
+            self.u,
+            self.v,
+            now,
+            None if self.duration_ms is None else now + self.duration_ms,
         )
 
 
-#: The AdaptiveFault protocol: anything with ``after``, ``count``,
-#: ``actions()`` and the ``trigger(observation) -> actions`` hook.
 AdaptiveFault = Union[CrashWhen, TurnByzantineWhen, CutLinkWhen]
 
 #: Concrete adaptive fault types accepted by ``ScenarioSpec.adaptive``.
@@ -432,9 +495,8 @@ class AdaptiveController:
 
     Both execution backends feed every run observation through
     :meth:`observe`; each fault fires exactly once, after its filter
-    matched ``count`` times.  The controller is deliberately
-    backend-agnostic — *applying* the returned actions (crashing a node,
-    cutting a link, swapping a protocol) is the backend's job.
+    matched ``count`` times.  The controller only decides *when*: what a
+    fired fault does is its own ``apply(host, run)``.
     """
 
     def __init__(self, faults: Tuple[AdaptiveFault, ...]) -> None:
@@ -442,9 +504,9 @@ class AdaptiveController:
         self._matched = [0] * len(self.faults)
         self._fired = [False] * len(self.faults)
 
-    def observe(self, observation: Observation) -> List[AdaptiveAction]:
-        """Actions of every fault whose trigger ``observation`` completes."""
-        actions: List[AdaptiveAction] = []
+    def observe(self, observation: Observation) -> List[AdaptiveFault]:
+        """The faults whose trigger ``observation`` completes, in spec order."""
+        fired: List[AdaptiveFault] = []
         for index, fault in enumerate(self.faults):
             if self._fired[index]:
                 continue
@@ -453,34 +515,21 @@ class AdaptiveController:
             self._matched[index] += 1
             if self._matched[index] >= fault.count:
                 self._fired[index] = True
-                actions.extend(fault.actions())
-        return actions
-
-    @property
-    def fired(self) -> Tuple[AdaptiveFault, ...]:
-        """The faults whose triggers have fired so far."""
-        return tuple(
-            fault
-            for index, fault in enumerate(self.faults)
-            if self._fired[index]
-        )
+                fired.append(fault)
+        return fired
 
 
 __all__ = [
+    "ACCOUNTING_FLAGS",
     "CrashAt",
     "LinkDropWindow",
     "DelayedStart",
     "JoinAt",
     "LeaveAt",
     "RewireLinkAt",
-    "CHURN_FAULT_TYPES",
     "FaultEvent",
     "OBSERVATION_KINDS",
     "ObservationFilter",
-    "CrashAction",
-    "ByzantineAction",
-    "LinkDownAction",
-    "AdaptiveAction",
     "CrashWhen",
     "TurnByzantineWhen",
     "CutLinkWhen",

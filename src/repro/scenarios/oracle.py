@@ -38,7 +38,6 @@ from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.faults import (
     CrashWhen,
     CutLinkWhen,
-    DelayedStart,
     ObservationFilter,
     TurnByzantineWhen,
 )
@@ -153,22 +152,22 @@ def totality_expected(spec: ScenarioSpec) -> bool:
     correct process: reliable links (no lossy delay regime), no adaptive
     triggers (a fired trigger may crash or partition mid-run) and no
     *delivery-breaking* static fault events — a crash silences a process
-    for good and a link-drop window loses messages, but a
-    :class:`~repro.scenarios.faults.DelayedStart` only postpones them: a
+    for good and a link-drop window loses messages, but a fault that
+    declares ``postpones_only`` (a delayed start) only postpones them: a
     dormant node buffers everything that arrives early and replays it in
     arrival order at wake-up, so every correct process still delivers.
     Membership churn (``JoinAt``/``LeaveAt``/``RewireLinkAt``) is
     delivery-breaking by construction — a late joiner misses early
     traffic and graph edits lose in-flight messages — so churn specs
-    fail the ``DelayedStart``-only test and totality stays conservative.
-    The fault *types* decide, not mere presence.  Connectivity
+    fail the test and totality stays conservative.  What each fault
+    declares decides, not mere presence.  Connectivity
     (``>= 2f + 1``) is the spec author's obligation, as in the property
     suite; the randomized oracle grids only emit compliant topologies.
     """
     return (
         not spec.is_lossy
         and not spec.is_adaptive
-        and all(isinstance(fault, DelayedStart) for fault in spec.faults)
+        and all(fault.postpones_only for fault in spec.faults)
     )
 
 

@@ -37,11 +37,6 @@ from dataclasses import replace
 from typing import Callable, Iterator, List, Tuple
 
 from repro.rco.protocol import RCO_PROTOCOLS
-from repro.scenarios.faults import (
-    CrashWhen,
-    CutLinkWhen,
-    TurnByzantineWhen,
-)
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 
 
@@ -178,16 +173,9 @@ def _referenced_pids(spec: ScenarioSpec) -> List[int]:
         pids.append(broadcast.source)
         if broadcast.successor is not None:
             pids.append(broadcast.successor)
-    for fault in spec.faults:
-        for attr in ("pid", "u", "v", "old_peer", "new_peer"):
-            value = getattr(fault, attr, None)
-            if value is not None:
-                pids.append(value)
+    for fault in (*spec.faults, *spec.adaptive):
+        pids.extend(fault.processes)
     for fault in spec.adaptive:
-        if isinstance(fault, (CrashWhen, TurnByzantineWhen)):
-            pids.append(fault.pid)
-        elif isinstance(fault, CutLinkWhen):
-            pids.extend((fault.u, fault.v))
         for attr in ("pid", "dest", "source"):
             value = getattr(fault.after, attr, None)
             if value is not None:
@@ -237,11 +225,7 @@ def reduce_f(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """Lower the fault bound when the placed/converted budget allows it."""
     if spec.f <= 0:
         return
-    converted = {
-        fault.pid for fault in spec.adaptive if isinstance(fault, TurnByzantineWhen)
-    }
-    requested = sum(adv.count for adv in spec.adversaries) + len(converted)
-    if requested <= spec.f - 1:
+    if spec.byzantine_requested <= spec.f - 1:
         yield replace(spec, f=spec.f - 1)
 
 

@@ -40,7 +40,6 @@ from repro.scenarios.faults import (
     ADAPTIVE_FAULT_TYPES,
     AdaptiveFault,
     FaultEvent,
-    TurnByzantineWhen,
 )
 from repro.scenarios.placement import PLACEMENT_STRATEGIES
 from repro.topology.generators import (
@@ -543,23 +542,28 @@ class ScenarioSpec:
     }
 
     def __post_init__(self) -> None:
-        converted = {
-            fault.pid
-            for fault in self.adaptive
-            if isinstance(fault, TurnByzantineWhen)
-        }
-        requested = sum(spec.count for spec in self.adversaries) + len(converted)
-        if requested > self.f:
-            raise ConfigurationError(
-                f"{requested} Byzantine processes requested (static placements "
-                f"plus adaptive conversions) but f={self.f}"
-            )
         for fault in self.adaptive:
             if not isinstance(fault, ADAPTIVE_FAULT_TYPES):
                 raise ConfigurationError(
                     f"unknown adaptive fault {fault!r}; expected one of "
                     f"{tuple(t.__name__ for t in ADAPTIVE_FAULT_TYPES)}"
                 )
+        if self.byzantine_requested > self.f:
+            raise ConfigurationError(
+                f"{self.byzantine_requested} Byzantine processes requested (static "
+                f"placements plus adaptive conversions) but f={self.f}"
+            )
+        # A process has one start time, whichever way each fault treats
+        # the traffic that arrives before it.
+        deferred = set()
+        for fault in self.faults:
+            if fault.postpones_only or fault.joins_late:
+                if fault.pid in deferred:
+                    raise ConfigurationError(
+                        f"process {fault.pid} has more than one start-deferring "
+                        "fault (DelayedStart / JoinAt): a process starts once"
+                    )
+                deferred.add(fault.pid)
         if self.backend not in BACKEND_NAMES:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
@@ -647,9 +651,14 @@ class ScenarioSpec:
     @property
     def has_churn(self) -> bool:
         """Whether the scenario carries membership-churn faults."""
-        from repro.scenarios.faults import CHURN_FAULT_TYPES
+        return any(fault.edits_graph for fault in self.faults)
 
-        return any(isinstance(fault, CHURN_FAULT_TYPES) for fault in self.faults)
+    @property
+    def byzantine_requested(self) -> int:
+        """Processes counted against ``f``: static placements plus the
+        distinct pids adaptive faults may corrupt."""
+        corrupted = {fault.pid for fault in self.adaptive if fault.corrupts}
+        return sum(adversary.count for adversary in self.adversaries) + len(corrupted)
 
     def scenario_hash(self) -> str:
         """Stable hex digest identifying this scenario.

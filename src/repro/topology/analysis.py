@@ -134,16 +134,16 @@ def connectivity_under_churn(
 ) -> ChurnConnectivityReport:
     """Replay a spec's churn events on a graph copy and check the bound.
 
-    ``faults`` may be any spec fault list; only the churn events
-    (``JoinAt``/``LeaveAt``/``RewireLinkAt``) edit the graph — the rest
-    are ignored.  Events apply in ``time_ms`` order (spec order breaks
+    ``faults`` may be any spec fault list; only the churn events (the
+    ones that declare ``edits_graph``) edit the graph — the rest are
+    ignored.  Events apply in ``time_ms`` order (spec order breaks
     ties), mirroring the simulator's scheduler.  The paper's bound asks
     for ``2f + 1`` vertex connectivity among the *member* processes; a
     report with ``held=False`` means reliable communication was not
     guaranteed for some portion of the run, so delivery gaps there are
     a topology property, not a protocol bug.
     """
-    from repro.scenarios.faults import JoinAt, LeaveAt, RewireLinkAt
+    from repro.scenarios.faults import JoinAt, LeaveAt
 
     if f < 0:
         raise TopologyError(f"f must be non-negative, got {f}")
@@ -152,7 +152,7 @@ def connectivity_under_churn(
         (
             (fault.time_ms, index, fault)
             for index, fault in enumerate(faults)
-            if isinstance(fault, (JoinAt, LeaveAt, RewireLinkAt))
+            if fault.edits_graph
         ),
         key=lambda item: (item[0], item[1]),
     )

@@ -12,24 +12,32 @@ These tests open dozens of real sockets per scenario and are marked
 a hung socket fails fast instead of stalling the runner.
 """
 
+import typing
+
 import pytest
 
 from repro.scenarios import (
     AdversarySpec,
     AsyncioBackend,
     CrashAt,
+    CrashWhen,
+    CutLinkWhen,
     DelayedStart,
+    FaultEvent,
     JoinAt,
     LeaveAt,
     LinkDropWindow,
+    ObservationFilter,
     RewireLinkAt,
     ScenarioSpec,
     TopologySpec,
+    TurnByzantineWhen,
     WorkloadSpec,
     conformance_mode_for,
     expand_grid,
     run_conformance,
 )
+from repro.scenarios.faults import ACCOUNTING_FLAGS, ADAPTIVE_FAULT_TYPES
 from repro.runner.parallel import SweepExecutor
 
 pytestmark = pytest.mark.slow
@@ -47,6 +55,78 @@ def assert_conforms(spec: ScenarioSpec) -> None:
     assert hashes["simulation"] != hashes["asyncio"]
 
 
+ECHO_SENT = ObservationFilter(kind="send", mtype="ECHO")
+DELIVERED_AT_2 = ObservationFilter(kind="deliver", pid=2)
+SENT_BY_0 = ObservationFilter(kind="send", pid=0)
+
+
+def _fault_row(seed, topology=TopologySpec(kind="harary", n=6, k=4), **faults):
+    (fault,) = faults.get("faults") or faults["adaptive"]
+    return ScenarioSpec(
+        name=f"conformance-{type(fault).__name__}",
+        topology=topology,
+        f=1,
+        seed=seed,
+        **faults,
+    )
+
+
+#: The conformance parametrisation: one row per fault class of the
+#: table in ``repro.scenarios.faults``.  ``TestFaultTable`` fails when a
+#: class has no row, so a new fault cannot land on one runtime only.
+FAULT_ROWS = {
+    type((spec.faults or spec.adaptive)[0]): spec
+    for spec in (
+        _fault_row(5, faults=(CrashAt(pid=4, time_ms=0.0),)),
+        _fault_row(
+            7,
+            TopologySpec(kind="harary", n=5, k=3),
+            faults=(DelayedStart(pid=2, time_ms=100.0),),
+        ),
+        # k=4 with one dead link still leaves 2f+1 disjoint paths, so
+        # both backends must report full delivery.
+        _fault_row(9, faults=(LinkDropWindow(u=0, v=1, start_ms=0.0, end_ms=None),)),
+        # Churn: which in-flight copies a graph edit catches is a timing
+        # property, so ``auto`` compares safety-only verdicts — delivery
+        # sets may differ, forged/split deliveries may not.
+        _fault_row(29, faults=(JoinAt(pid=4, time_ms=50.0),)),
+        _fault_row(29, faults=(LeaveAt(pid=4, time_ms=50.0),)),
+        _fault_row(
+            29, faults=(RewireLinkAt(pid=4, old_peer=5, new_peer=1, time_ms=50.0),)
+        ),
+        # Adaptive: when a trigger fires is a timing property too.
+        _fault_row(31, adaptive=(CrashWhen(pid=3, after=ECHO_SENT, count=2),)),
+        _fault_row(
+            31,
+            adaptive=(TurnByzantineWhen(pid=2, after=DELIVERED_AT_2, behaviour="drop"),),
+        ),
+        _fault_row(
+            31, adaptive=(CutLinkWhen(u=0, v=1, after=SENT_BY_0, duration_ms=40.0),)
+        ),
+    )
+}
+
+
+class TestFaultTable:
+    """Every fault class is one complete row, on both runtimes."""
+
+    ALL_FAULT_TYPES = typing.get_args(FaultEvent) + ADAPTIVE_FAULT_TYPES
+
+    @pytest.mark.parametrize("fault_type", ALL_FAULT_TYPES, ids=lambda t: t.__name__)
+    def test_row_is_complete(self, fault_type):
+        assert callable(vars(fault_type).get("apply")), "no apply"
+        for flag in ACCOUNTING_FLAGS:
+            assert type(vars(fault_type).get(flag)) is bool, f"{flag} not declared"
+        assert fault_type in FAULT_ROWS, "no cross-backend conformance row"
+
+    def test_no_row_without_a_fault_class(self):
+        assert set(FAULT_ROWS) == set(self.ALL_FAULT_TYPES)
+
+    @pytest.mark.parametrize("fault_type", FAULT_ROWS, ids=lambda t: t.__name__)
+    def test_fault_conforms(self, fault_type):
+        assert_conforms(FAULT_ROWS[fault_type])
+
+
 class TestBackendConformance:
     def test_no_fault_small_topology(self):
         assert_conforms(
@@ -55,41 +135,6 @@ class TestBackendConformance:
                 topology=TopologySpec(kind="harary", n=5, k=3),
                 f=1,
                 seed=3,
-            )
-        )
-
-    def test_crash_fault_variant(self):
-        assert_conforms(
-            ScenarioSpec(
-                name="conformance-crash",
-                topology=TopologySpec(kind="harary", n=6, k=4),
-                f=1,
-                seed=5,
-                faults=(CrashAt(pid=4, time_ms=0.0),),
-            )
-        )
-
-    def test_delayed_start_variant(self):
-        assert_conforms(
-            ScenarioSpec(
-                name="conformance-delayed-start",
-                topology=TopologySpec(kind="harary", n=5, k=3),
-                f=1,
-                seed=7,
-                faults=(DelayedStart(pid=2, time_ms=100.0),),
-            )
-        )
-
-    def test_permanent_link_drop_routes_around(self):
-        # k=4 with one dead link still leaves 2f+1 disjoint paths, so
-        # both backends must report full delivery.
-        assert_conforms(
-            ScenarioSpec(
-                name="conformance-link-drop",
-                topology=TopologySpec(kind="harary", n=6, k=4),
-                f=1,
-                seed=9,
-                faults=(LinkDropWindow(u=0, v=1, start_ms=0.0, end_ms=None),),
             )
         )
 
@@ -196,41 +241,10 @@ class TestRCOConformance:
 
 
 class TestChurnConformance:
-    """Membership churn runs on both backends with matching safety verdicts.
-
-    Which in-flight copies a graph edit catches is a timing property, so
-    ``auto`` compares safety-only verdicts for churned specs — delivery
-    sets may differ, forged/split deliveries may not.
-    """
-
     def test_churn_specs_resolve_to_safety_mode(self):
-        spec = ScenarioSpec(
-            name="conformance-churn-mode",
-            topology=TopologySpec(kind="harary", n=5, k=3),
-            f=1,
-            seed=23,
-            faults=(LeaveAt(pid=4, time_ms=50.0),),
-        )
+        spec = FAULT_ROWS[LeaveAt]
         assert spec.has_churn
         assert conformance_mode_for(spec) == "safety"
-
-    def test_join_leave_rewire_conform(self):
-        for name, faults in (
-            ("join", (JoinAt(pid=4, time_ms=50.0),)),
-            ("leave", (LeaveAt(pid=4, time_ms=50.0),)),
-            ("rewire", (RewireLinkAt(pid=4, old_peer=5, new_peer=1, time_ms=50.0),)),
-        ):
-            spec = ScenarioSpec(
-                name=f"conformance-churn-{name}",
-                topology=TopologySpec(kind="harary", n=6, k=4),
-                f=1,
-                seed=29,
-                faults=faults,
-            )
-            report = run_conformance(spec, overrides={"asyncio": FAST_ASYNCIO})
-            assert report.agree, (
-                f"backends disagree on {spec.name}: {report.mismatches()}"
-            )
 
 
 class TestSweepWithBackendAxis:

@@ -458,7 +458,7 @@ class TestWaitsAndCounters:
         buffered = [wire_message(index) for index in range(5)]
 
         async def scenario():
-            node.delay_start()
+            node.hold(keep_inbound=True)
             for message in buffered:
                 await node.handle_message(1, message)
             assert writers[2].chunks == []

@@ -1,4 +1,4 @@
-"""Unit tests for execution backends and fault → runtime-action dispatch.
+"""Unit tests for execution backends and faults applied to a cluster.
 
 Everything here runs without opening a socket: faults and loss are armed
 on a built (never started) cluster of stub protocols, and the node-level
@@ -23,6 +23,7 @@ from repro.scenarios import (
     get_backend,
 )
 from repro.scenarios import CrashWhen, DelaySpec, ObservationFilter, TurnByzantineWhen
+from repro.scenarios.engine import arm_adaptive
 from repro.topology.generators import harary_topology
 
 
@@ -47,46 +48,51 @@ class StubProtocol:
         return []
 
 
-def stub_cluster(topology, f=1, cluster_type=AsyncioCluster):
+def stub_cluster(topology, f=1, cluster_type=AsyncioCluster, **kwargs):
     """A built (not started) cluster hosting one stub protocol per process."""
     protocols = {
         pid: StubProtocol(pid, sorted(topology.neighbors(pid)))
         for pid in topology.nodes
     }
     return cluster_type(
-        topology, SystemConfig.for_system(len(topology.nodes), f), protocols
+        topology, SystemConfig.for_system(len(topology.nodes), f), protocols, **kwargs
     )
 
 
-class TestArmFaultsOnCluster:
-    """``arm`` dispatches fault events, scaled, onto a built cluster."""
+class TestApplyFaultsOnCluster:
+    """``fault.apply`` lands, scaled, on a built cluster."""
 
-    def _cluster(self):
-        return stub_cluster(harary_topology(5, 3))
+    def _cluster(self, **kwargs):
+        return stub_cluster(harary_topology(5, 3), **kwargs)
 
     def test_crash_at_zero_applies_before_start(self):
         cluster = self._cluster()
-        AsyncioBackend().arm(cluster, (CrashAt(pid=2, time_ms=0.0),))
+        CrashAt(pid=2, time_ms=0.0).apply(cluster)
         assert cluster.nodes[2].crashed
         assert not cluster.nodes[0].crashed
         assert not cluster._pending_actions
 
     def test_timed_crash_is_scaled_and_waits_for_the_epoch(self):
-        cluster = self._cluster()
-        AsyncioBackend(time_scale=1e-3).arm(cluster, (CrashAt(pid=3, time_ms=120.0),))
+        cluster = self._cluster(time_scale=2e-3)
+        CrashAt(pid=3, time_ms=120.0).apply(cluster)
         assert not cluster.nodes[3].crashed
-        ((at_s, _),) = cluster._pending_actions
-        assert at_s == pytest.approx(0.12)
+        ((time_ms, _, _),) = cluster._pending_actions
+        assert time_ms == 120.0
+
+        async def drive():
+            cluster.open_epoch()
+            (timer,) = cluster._timers
+            delay_s = timer.when() - asyncio.get_running_loop().time()
+            timer.cancel()
+            return delay_s
+
+        # 120 spec ms at 2 ms of wall clock each.
+        assert asyncio.run(drive()) == pytest.approx(0.24, abs=0.02)
 
     def test_link_drop_window_scales_both_bounds_on_both_endpoints(self):
-        cluster = self._cluster()
-        AsyncioBackend(time_scale=1e-3).arm(
-            cluster,
-            (
-                LinkDropWindow(u=0, v=1, start_ms=10.0, end_ms=30.0),
-                LinkDropWindow(u=2, v=3, start_ms=0.0, end_ms=None),
-            ),
-        )
+        cluster = self._cluster(time_scale=1e-3)
+        LinkDropWindow(u=0, v=1, start_ms=10.0, end_ms=30.0).apply(cluster)
+        LinkDropWindow(u=2, v=3, start_ms=0.0, end_ms=None).apply(cluster)
         for node, peer in ((0, 1), (1, 0)):
             assert not cluster.nodes[node].link_dropped(peer, elapsed_s=0.005)
             assert cluster.nodes[node].link_dropped(peer, elapsed_s=0.01)
@@ -108,17 +114,16 @@ class TestArmFaultsOnCluster:
             if u < v and not topology.has_edge(u, v)
         )
         with pytest.raises(ConfigurationError):
-            AsyncioBackend().arm(
-                stub_cluster(topology),
-                (LinkDropWindow(u=u, v=v, start_ms=0.0, end_ms=None),),
+            LinkDropWindow(u=u, v=v, start_ms=0.0, end_ms=None).apply(
+                stub_cluster(topology)
             )
 
-    def test_delayed_start_marks_dormant_until_the_scaled_wake_time(self):
-        cluster = self._cluster()
-        AsyncioBackend(time_scale=2e-3).arm(cluster, (DelayedStart(pid=4, time_ms=50.0),))
+    def test_delayed_start_marks_dormant_until_the_wake_time(self):
+        cluster = self._cluster(time_scale=2e-3)
+        DelayedStart(pid=4, time_ms=50.0).apply(cluster)
         assert cluster.nodes[4].dormant
-        ((wake_s, _),) = cluster._pending_actions
-        assert wake_s == pytest.approx(0.1)
+        ((wake_ms, _, _),) = cluster._pending_actions
+        assert wake_ms == 50.0
 
     def test_negative_delayed_start_rejected_like_the_simulator(self):
         # Backend parity: the spec dataclass itself rejects a negative
@@ -286,7 +291,7 @@ class TestArmAdaptiveOnCluster:
         cluster, spec = self._cluster_and_spec(
             (CrashWhen(pid=0, after=ObservationFilter(kind="send"), count=2),)
         )
-        state = AsyncioBackend().arm_adaptive(cluster, spec)
+        state = arm_adaptive(cluster, spec, {})
         observer = cluster.nodes[0].observer
         observer(Observation(kind="send", time_ms=0.0, pid=0, dest=1))
         assert not cluster.nodes[0].crashed
@@ -310,7 +315,7 @@ class TestArmAdaptiveOnCluster:
                 ),
             )
         )
-        state = AsyncioBackend().arm_adaptive(cluster, spec)
+        state = arm_adaptive(cluster, spec, {})
         original = cluster.nodes[2].protocol
         cluster.nodes[2].observer(
             Observation(kind="deliver", time_ms=5.0, pid=2, source=0, bid=0)
@@ -326,7 +331,7 @@ class TestArmAdaptiveOnCluster:
         cluster, spec = self._cluster_and_spec(
             (CrashWhen(pid=0, after=ObservationFilter(kind="send", pid=0)),)
         )
-        AsyncioBackend().arm_adaptive(cluster, spec)
+        arm_adaptive(cluster, spec, {})
         cluster.nodes[1].observer(
             Observation(kind="send", time_ms=0.0, pid=1, dest=0)
         )
@@ -349,7 +354,7 @@ class TestNodeRuntimeActions:
     def test_dormant_node_buffers_and_replays_in_order(self):
         protocol = StubProtocol()
         node = AsyncioNode(protocol)
-        node.delay_start()
+        node.hold(keep_inbound=True)
 
         async def drive():
             await node.handle_message(1, "m1")
@@ -369,7 +374,7 @@ class TestNodeRuntimeActions:
     def test_crash_wins_over_dormancy(self):
         protocol = StubProtocol()
         node = AsyncioNode(protocol)
-        node.delay_start()
+        node.hold(keep_inbound=True)
 
         async def drive():
             await node.handle_message(1, "m1")

@@ -151,6 +151,61 @@ class TestReport:
         assert stats.count == 101
         assert stats.format().startswith("[")
 
+    # Recorded from ``numpy.percentile(values, [2.5, 25, 50, 75, 97.5])``
+    # (default linear method) when the dependency was dropped.
+    NUMPY_ROWS = [
+        ([7.25], (7.25, 7.25, 7.25, 7.25, 7.25)),
+        ([3.0, 1.0], (1.05, 1.5, 2.0, 2.5, 2.95)),
+        (
+            [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4],
+            (0.115, 0.30000000000000004, 0.8, 2.4000000000000004, 5.919999999999999),
+        ),
+        (
+            [-12.5, 3.75, 0.0, 8.125, -1.5, 22.0, 4.0, 4.0, 9.5, -30.25, 17.0],
+            (-25.8125, -0.75, 4.0, 8.8125, 20.75),
+        ),
+    ]
+
+    @pytest.mark.parametrize("values, row", NUMPY_ROWS)
+    def test_boxplot_stats_equals_the_recorded_numpy_rows(self, values, row):
+        stats = boxplot_stats(values)
+        assert stats.as_row() == row  # bit-equal, not approx
+        assert stats.count == len(values)
+
+    def test_boxplot_stats_equals_numpy_where_it_is_installed(self):
+        numpy = pytest.importorskip("numpy")
+        import random
+
+        rng = random.Random(7)
+        for _ in range(300):
+            values = [
+                rng.choice((rng.uniform(-100.0, 100.0), float(rng.randint(-9, 9))))
+                for _ in range(rng.choice((1, 2, 3, 5, 8, 40, 41, 101)))
+            ]
+            expected = numpy.percentile(
+                numpy.asarray(values, dtype=float), [2.5, 25.0, 50.0, 75.0, 97.5]
+            )
+            assert boxplot_stats(values).as_row() == tuple(float(x) for x in expected)
+            assert median(values) == float(numpy.median(values))
+
+    def test_importing_repro_does_not_import_numpy(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = (
+            "import sys, repro, repro.metrics.report; "
+            "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
     def test_boxplot_stats_empty_rejected(self):
         with pytest.raises(ValueError):
             boxplot_stats([])

@@ -21,6 +21,7 @@ from repro.network.simulation.delays import (
 from repro.metrics.collector import MetricsCollector
 from repro.network.simulation.network import SimulatedNetwork
 from repro.network.simulation.scheduler import EventScheduler
+from repro.scenarios.faults import CrashAt, DelayedStart, JoinAt, LeaveAt
 from repro.topology.generators import complete_topology, line_topology
 
 
@@ -712,7 +713,7 @@ class TestNetworkFlights:
             assert self._entries(network) == network.scheduler.pending == 3
         # A drop window anywhere also rules a shared entry out.
         network = self._star([], p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
-        network.add_link_drop_window(0, 2, 0.0, 10.0)
+        network.drop_link(0, 2, 0.0, 10.0)
         network.broadcast(0, b"", 0)
         assert self._entries(network) == network.scheduler.pending == 2
         assert network.dropped_messages == 1
@@ -720,7 +721,7 @@ class TestNetworkFlights:
     def test_destination_crashed_in_flight_is_skipped_at_delivery(self):
         def build(log):
             network = self._star(log, p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
-            network.crash_at(2, 25.0)
+            CrashAt(pid=2, time_ms=25.0).apply(network)
             return network
 
         _, (log, _, metrics, dropped, executed, _) = self._both(
@@ -751,8 +752,8 @@ class TestNetworkFlights:
     def test_dormancy_and_membership_are_decided_per_destination(self):
         def build(log):
             network = self._star(log, p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
-            network.delay_start(1, 80.0)
-            network.join_at(3, 80.0)
+            DelayedStart(pid=1, time_ms=80.0).apply(network)
+            JoinAt(pid=3, time_ms=80.0).apply(network)
             return network
 
         _, (log, _, metrics, dropped, _, _) = self._both(
@@ -828,7 +829,7 @@ class TestNetworkFlights:
             protocols = {pid: _Scripted(pid, log) for pid in topo.nodes}
             protocols[1].on_broadcast = self._fan_out("m", [0, 2, 3, 0])
             network = SimulatedNetwork(topo, protocols)
-            network.leave_at(3, 0.0)
+            LeaveAt(pid=3, time_ms=0.0).apply(network)
             return network
 
         _, (log, error, metrics, dropped, executed, pending) = self._both(
