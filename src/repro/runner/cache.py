@@ -79,15 +79,16 @@ class ResultCache:
     def load(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
         """The cached result for ``spec``, or ``None`` to mean re-run."""
         path = self.path_for(spec)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
             with open(path, "rb") as handle:
                 version, backend, result = pickle.load(handle)
         except Exception:
-            # Any unreadable entry — truncated file, foreign pickle, a
-            # pre-v3 record with a different tuple shape — degrades to a
-            # re-run, never to a failed sweep.
+            # A missing file is the ordinary miss.  Any unreadable entry
+            # — truncated file, foreign pickle, a pre-v3 record with a
+            # different tuple shape — degrades to a re-run as well,
+            # never to a failed sweep.
             return None
         if version != CACHE_VERSION or not isinstance(result, ScenarioResult):
             # Older schema versions (e.g. a v3 record unpickled by a
@@ -109,14 +110,19 @@ class ResultCache:
         path = self.path_for(result.spec)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         # The temp name embeds the pid and a process-local counter so
         # concurrent writers — other processes sharing the directory,
         # and this process's own thread pool storing two same-hash
         # results at once — never interleave bytes in one .tmp file.
         tmp = path.with_suffix(f".{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
         try:
-            with open(tmp, "wb") as handle:
+            try:
+                handle = open(tmp, "wb")
+            except FileNotFoundError:
+                # First store into this directory (or it was removed).
+                path.parent.mkdir(parents=True, exist_ok=True)
+                handle = open(tmp, "wb")
+            with handle:
                 pickle.dump(
                     (CACHE_VERSION, result.spec.backend, result),
                     handle,
@@ -142,7 +148,9 @@ def partition_cached(
 
     Returns ``(results, pending, hits)``: the results list in cell order
     with cached entries filled in, the indices still needing execution,
-    and the hit count.  Both sweep executors start a run here.
+    and the hit count.  The distributed coordinator starts a run here;
+    :class:`~repro.runner.parallel.SweepExecutor` looks cells up one by
+    one as its stream reads them.
     """
     results: List[Optional[ScenarioResult]] = [None] * len(cells)
     pending: List[int] = []

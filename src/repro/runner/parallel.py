@@ -2,7 +2,7 @@
 
 Runs a sequence of :class:`~repro.scenarios.spec.ScenarioSpec` cells
 through :func:`~repro.scenarios.engine.run_scenario`, either inline
-(``workers <= 1``) or fanned out over a :mod:`multiprocessing` pool.
+(``workers <= 1``) or fanned out over a pool of worker processes.
 Each cell declares its execution backend (``spec.backend``): simulation
 cells run on the discrete-event simulator, asyncio cells materialize an
 :class:`~repro.network.asyncio_runtime.AsyncioCluster` on real localhost
@@ -23,13 +23,32 @@ Guarantees:
   share the deterministic expansion (topology, placement, wiring) but
   carry wall-clock timings; only their delivery/safety verdicts are
   stable (see :mod:`repro.scenarios.conformance`).
-* **Order preservation** — results come back in cell order.
+* **Order preservation** — results come back in cell order: a result
+  that finishes early waits behind the head of the line.
 * **Caching** — with a ``cache_dir``, each result is persisted under its
   scenario hash, which includes the backend, so the same scenario run on
   two backends occupies two cache slots; re-running a sweep only
   executes the cells not yet cached (the cached record's executing
   backend and spec are verified against the requesting cell before being
   trusted, so collisions of either kind degrade to a re-run).
+
+The dispatch window.  One loop (:meth:`SweepExecutor.run_stream`;
+``run`` drains it) reads a cell, looks it up in the cache and dispatches
+a miss while fewer than ``workers × DISPATCH_DEPTH`` dispatched cells
+are unfinished, refilling as any of them completes — also while it
+waits for the head.  A slow head therefore holds back the yield, not
+the workers, until ``DISPATCH_DEPTH`` windows of results (hits
+included) wait behind it: that bounds what the parent holds.  Worker
+*processes* stay at ``workers`` (fewer when a sized ``cells`` or
+``max_cells`` leaves fewer cells to read; a lone last miss runs
+inline).  A time budget stops the reading, so at most ``workers ×
+DISPATCH_DEPTH`` cells, all dispatched before the deadline, start
+after it; ``max_cells`` is exact.  A worker that dies mid-cell raises
+:class:`~concurrent.futures.process.BrokenProcessPool` naming the first
+cell whose result was lost, after the results ahead of it were yielded
+and stored.  ``cached`` flags and ``cache_hits`` equal the serial
+path's as long as no scenario hash repeats within a stream: the serial
+path serves a repeat from the cache, the pool may have dispatched both.
 """
 
 from __future__ import annotations
@@ -38,13 +57,19 @@ import multiprocessing
 import os
 import time
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Sized, Union
 
-from repro.runner.cache import ResultCache, partition_cached
+from repro.runner.cache import ResultCache
 from repro.scenarios.engine import ScenarioResult, run_scenario
 from repro.scenarios.spec import ScenarioSpec
+
+#: Unfinished dispatched cells per worker process (see "The dispatch
+#: window" above).  2–8 read the same wall on the fuzz stream.
+DISPATCH_DEPTH = 4
 
 
 def _execute_cell(spec: ScenarioSpec) -> ScenarioResult:
@@ -104,31 +129,8 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def run(self, cells: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
         """Run every cell and return results in cell order."""
-        cells = list(cells)
-        results, pending, self.cache_hits = partition_cached(cells, self.cache)
+        return [item.result for item in self.run_stream(cells)]
 
-        if pending:
-            specs = [cells[index] for index in pending]
-            if self.workers <= 1 or len(specs) == 1:
-                fresh = [_execute_cell(spec) for spec in specs]
-            else:
-                context = (
-                    multiprocessing.get_context(self.mp_context)
-                    if self.mp_context is not None
-                    else multiprocessing
-                )
-                pool_size = min(self.workers, len(specs))
-                with context.Pool(processes=pool_size) as pool:
-                    fresh = pool.map(_execute_cell, specs, chunksize=1)
-            for index, result in zip(pending, fresh):
-                results[index] = result
-                self.cache.store(result)
-
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Budgeted streaming execution
-    # ------------------------------------------------------------------
     def run_stream(
         self,
         cells: Iterable[ScenarioSpec],
@@ -142,18 +144,18 @@ class SweepExecutor:
         infinite generator, and execution stops *consuming* it once the
         time budget elapses or ``max_cells`` cells have been taken —
         whichever comes first (no budget means: drain the iterable).
-        Results are yielded in consumption order, as soon as available:
+        Results are yielded strictly in consumption order, as soon as
+        the head of the line is available.
 
-        * on the serial path each cell runs inline, so the budget is
-          checked between cells;
-        * with ``workers > 1`` a process-pool window of ``workers``
-          cells is kept in flight; cells already dispatched when the
-          budget runs out still complete and are yielded (a budgeted
-          stream never discards computed results — they are cached).
-
-        Cache semantics match :meth:`run`: each consumed cell is first
-        looked up by scenario hash (hits count toward ``max_cells`` and
-        ``cache_hits``), and every fresh result is persisted.
+        Each consumed cell is first looked up by scenario hash (hits
+        count toward ``max_cells`` and ``cache_hits``).  A miss runs
+        inline on the serial path, so the budget is checked between
+        cells; with ``workers > 1`` it is dispatched to the pool, which
+        is created on the first miss and kept fed as the module
+        docstring describes.  Cells already dispatched when the budget
+        runs out still complete and are yielded, and every fresh result
+        is persisted as it is yielded (a budgeted or failing stream
+        never discards a result it handed out).
         """
         if time_budget_s is not None and time_budget_s < 0:
             raise ValueError(f"time_budget_s must be >= 0, got {time_budget_s}")
@@ -163,78 +165,82 @@ class SweepExecutor:
             None if time_budget_s is None else time.monotonic() + time_budget_s
         )
         iterator = iter(cells)
-        self.cache_hits = 0
-        consumed = 0
-
-        def budget_allows_next() -> bool:
-            if max_cells is not None and consumed >= max_cells:
-                return False
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            return True
-
-        if self.workers <= 1:
-            index = 0
-            while budget_allows_next():
-                try:
-                    spec = next(iterator)
-                except StopIteration:
-                    return
-                consumed += 1
-                cached = self.cache.load(spec)
-                if cached is not None:
-                    self.cache_hits += 1
-                    yield StreamedResult(index, spec, cached, True)
-                else:
-                    result = _execute_cell(spec)
-                    self.cache.store(result)
-                    yield StreamedResult(index, spec, result, False)
-                index += 1
-            return
-
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else multiprocessing
+        # How many cells the stream can hold, where known: a pool is no
+        # larger than what is left to read, and a lone last cell runs inline.
+        limit = min(
+            len(cells) if isinstance(cells, Sized) else float("inf"),
+            float("inf") if max_cells is None else max_cells,
         )
-        # (index, spec, pending AsyncResult or None, cached result or None)
-        in_flight: deque = deque()
-        with context.Pool(processes=self.workers) as pool:
-            index = 0
-            exhausted = False
+        self.cache_hits = 0
+        window = self.workers * DISPATCH_DEPTH
+        # (future or None, index, spec, result unless the future holds
+        # it, cached) per consumed cell, in consumption order.
+        queue: deque = deque()
+        unfinished: list = []
+        consumed = 0
+        exhausted = False
+        pool: Optional[ProcessPoolExecutor] = None
+        try:
             while True:
-                while (
+                unfinished = [future for future in unfinished if not future.done()]
+                if (
                     not exhausted
-                    and len(in_flight) < self.workers
-                    and budget_allows_next()
+                    and len(unfinished) < window
+                    and len(queue) < window * DISPATCH_DEPTH
+                    and consumed < limit
+                    and (deadline is None or time.monotonic() < deadline)
                 ):
+                    # One cell a turn: a head that is ready is yielded
+                    # before the next cell is read.
                     try:
                         spec = next(iterator)
                     except StopIteration:
                         exhausted = True
-                        break
-                    consumed += 1
-                    cached = self.cache.load(spec)
-                    if cached is not None:
+                        continue
+                    result = self.cache.load(spec)
+                    future = None
+                    cached = result is not None
+                    if cached:
                         self.cache_hits += 1
-                        in_flight.append((index, spec, None, cached))
+                    elif pool is None and min(self.workers, limit - consumed) <= 1:
+                        result = _execute_cell(spec)
                     else:
-                        in_flight.append(
-                            (index, spec, pool.apply_async(_execute_cell, (spec,)), None)
-                        )
-                    index += 1
-                if not in_flight:
-                    # Nothing pending and nothing more to consume: the
-                    # fill loop above only leaves in_flight empty when
-                    # the stream is exhausted or the budget ran out.
+                        if pool is None:
+                            pool = ProcessPoolExecutor(
+                                min(self.workers, limit - consumed),
+                                multiprocessing.get_context(self.mp_context),
+                            )
+                        try:
+                            future = pool.submit(_execute_cell, spec)
+                        except BrokenProcessPool as error:
+                            # Read no further; the results queued ahead
+                            # of the lost cell are still yielded.
+                            future, exhausted = Future(), True
+                            future.set_exception(error)
+                        else:
+                            unfinished.append(future)
+                    queue.append((future, consumed, spec, result, cached))
+                    consumed += 1
+                elif not queue:
                     return
-                item_index, spec, pending, cached = in_flight.popleft()
-                if pending is None:
-                    yield StreamedResult(item_index, spec, cached, True)
-                else:
-                    result = pending.get()
-                    self.cache.store(result)
-                    yield StreamedResult(item_index, spec, result, False)
+                elif queue[0][0] in unfinished:
+                    wait(unfinished, return_when=FIRST_COMPLETED)
+                if queue and (queue[0][0] is None or queue[0][0].done()):
+                    future, index, spec, result, cached = queue.popleft()
+                    if future is not None:
+                        try:
+                            result = future.result()
+                        except BrokenProcessPool as error:
+                            raise BrokenProcessPool(
+                                f"a worker process died; the result of cell {index} "
+                                f"({spec.name!r}, {spec.scenario_hash()[:12]}) is lost"
+                            ) from error
+                    if not cached:
+                        self.cache.store(result)
+                    yield StreamedResult(index, spec, result, cached)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(

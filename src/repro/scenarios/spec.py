@@ -675,11 +675,25 @@ class ScenarioSpec:
         of specs predating each feature stay valid.  The golden files
         pin them; the executors' pickle caches are still invalidated by
         their own version bumps whenever the record layout changes.
+
+        Computed once per instance (the spec is frozen).  The memo is an
+        instance attribute, not a field: ``==``, ``repr``, ``replace``
+        copies and the canonical form never see it, and
+        :meth:`__getstate__` keeps it out of pickles.
         """
-        canonical = json.dumps(
-            _canonical(self), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_scenario_hash")
+        if digest is None:
+            canonical = json.dumps(
+                _canonical(self), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_scenario_hash", digest)
+        return digest
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_scenario_hash", None)
+        return state
 
 
 def _canonical(value):
