@@ -100,6 +100,8 @@ class BrachaDolevBroadcast(BroadcastProtocol):
         if not self.config.is_process(content.source):
             return []
         sends, delivered = self._disseminator.on_message(sender, message)
+        if not delivered:
+            return sends
         commands: List[Command] = list(sends)
         for item in delivered:
             commands.extend(self._on_content_delivered(item))

@@ -72,6 +72,22 @@ class BrachaMessage:
     bid: int
     payload: bytes
     creator: Optional[int] = None
+    #: Lazily memoized :meth:`__hash__` (a disseminated content is looked up
+    #: once per reception).  Like ``CrossLayerMessage._size_memo`` it is not a
+    #: compared, shown or ``__init__`` field, so ``replace`` copies start fresh;
+    #: unlike it, it must never leave the process — ``bytes`` hashes are salted.
+    _hash_memo: Optional[int] = field(default=None, compare=False, repr=False, init=False)
+
+    def __hash__(self) -> int:
+        memo = self._hash_memo
+        if memo is None:
+            memo = hash((self.mtype, self.source, self.bid, self.payload, self.creator))
+            object.__setattr__(self, "_hash_memo", memo)
+        return memo
+
+    def __reduce__(self):
+        # The slots default would pickle every field, the memo included.
+        return type(self), (self.mtype, self.source, self.bid, self.payload, self.creator)
 
     def wire_size(self, sizes: FieldSizes = PAPER_FIELD_SIZES) -> int:
         """Number of bytes this message occupies on a link."""

@@ -17,6 +17,7 @@ still charged to the sender — the transmission left the NIC).
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -120,8 +121,35 @@ class AsynchronousDelay(DelayModel):
     std_ms: float = 50.0
     min_ms: float = 0.1
 
+    def __post_init__(self) -> None:
+        # A NaN mean would clip every draw to ``min_ms`` without a word.
+        if not (
+            math.isfinite(self.mean_ms)
+            and 0 <= self.std_ms < math.inf
+            and 0 <= self.min_ms < math.inf
+        ):
+            raise ConfigurationError(
+                "a normal delay needs a finite mean and finite non-negative "
+                f"std and minimum, got N({self.mean_ms}, {self.std_ms}) ms "
+                f"clipped at {self.min_ms}"
+            )
+
     def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
-        return max(self.min_ms, rng.gauss(self.mean_ms, self.std_ms))
+        return self.sample_event(rng, sender, dest, size_bytes, 0.0)
+
+    def sample_event(
+        self,
+        rng: random.Random,
+        sender: int,
+        dest: int,
+        size_bytes: int,
+        time_ms: float,
+    ) -> float:
+        # The draw of every send of an asynchronous run, answered in one
+        # frame (``max(min_ms, gauss)`` spelled without the call); the one
+        # place the distribution is written — :meth:`sample` comes here.
+        delay = rng.gauss(self.mean_ms, self.std_ms)
+        return delay if delay > self.min_ms else self.min_ms
 
     def describe(self) -> str:
         return f"asynchronous(N({self.mean_ms:g}, {self.std_ms:g}) ms)"
@@ -133,6 +161,13 @@ class UniformDelay(DelayModel):
 
     low_ms: float = 10.0
     high_ms: float = 100.0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.low_ms <= self.high_ms < math.inf:
+            raise ConfigurationError(
+                "a uniform delay needs finite bounds 0 <= low <= high, "
+                f"got [{self.low_ms}, {self.high_ms}] ms"
+            )
 
     def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
         return rng.uniform(self.low_ms, self.high_ms)

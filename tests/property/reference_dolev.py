@@ -1,34 +1,15 @@
-"""Dolev's reliable communication on unknown topologies (Algorithm 2).
+"""Frozen reference for the Dolev reception handler (test-only).
 
-Dolev's protocol floods a content through the network while accumulating,
-in each message, the path of processes it traversed.  A process delivers
-a content once it has received it through ``f + 1`` node-disjoint paths,
-which is guaranteed to happen when the communication graph is at least
-``2f + 1``-vertex-connected (Menger's theorem + pigeonhole).
-
-Two classes are provided:
-
-* :class:`DolevDisseminator` — the reusable dissemination engine: it
-  manages the per-content path bookkeeping, the relaying rules and
-  Bonomi et al.'s MD.1–5 optimizations.  The layered Bracha-Dolev
-  combination (:mod:`repro.brb.bracha_dolev`) reuses it for each
-  Bracha message it disseminates.
-* :class:`DolevBroadcast` — the reliable-communication protocol exposed
-  through the standard :class:`~repro.core.protocol.BroadcastProtocol`
-  interface (honest-dealer broadcast).  :class:`OptimizedDolevBroadcast`
-  is the same protocol with MD.1–5 enabled by default.
-
-Reception order
----------------
-:meth:`DolevDisseminator.on_message` decides drops first: **lookup** (one
-``_contents.get``) → **MD.5** (the stored ``ContentState.done`` flag) →
-**validation** of the wire path → **MD.4** → **verify** (``add_path``,
-delivery, relay planning).  A dropped reception may still touch exactly
-one thing: an *empty* path adds its sender to ``neighbors_delivered``
-(what ``neighbors_that_delivered`` and ``state_size_estimate`` report),
-whether it ends in MD.5 or goes on.  A forged path (negative or ≥ 2²⁰
-identifiers, > 4096 hops) touches and allocates nothing, before or after
-MD.5.
+``ReferenceDisseminator`` is ``repro.brb.dolev.DolevDisseminator`` as it
+stood before the MD.5-first reception order: ``on_message`` validates
+the path, allocates the state and resolves the origin for every
+reception and only then applies MD.4 / MD.5; ``_plan_relays`` and
+``_relay_targets`` copy the exclusion set and build the relay message
+whatever the target list.  Copied verbatim apart from the class names
+(``ContentState`` has no ``done`` flag here).  The differential property
+in ``test_dolev_differential.py`` drives both with the same reception
+sequences and requires equal returns and equal state.  Do not
+"optimize" this file: its value is that it does not change.
 """
 
 from __future__ import annotations
@@ -36,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.config import SystemConfig
-from repro.core.events import Command, RCDeliver, SendTo
-from repro.core.messages import BrachaMessage, DolevMessage, MessageType, Path
+from repro.core.events import SendTo
+from repro.core.messages import BrachaMessage, DolevMessage, Path
 from repro.core.modifications import ModificationSet
-from repro.core.protocol import BroadcastProtocol
 from repro.paths.disjoint import DisjointPathVerifier
 from repro.paths.pathset import path_to_bits
 
@@ -58,14 +37,12 @@ def content_origin(content) -> Optional[int]:
 
 
 @dataclass
-class ContentState:
+class ReferenceContentState:
     """Dissemination state of one content at one process."""
 
     verifier: DisjointPathVerifier
     delivered: bool = False
     relayed_empty: bool = False
-    #: MD.5 reached: every later reception of the content is dropped.
-    done: bool = False
     #: Neighbors known to have delivered the content (they sent an empty path).
     neighbors_delivered: Set[int] = field(default_factory=set)
 
@@ -73,7 +50,7 @@ class ContentState:
         return self.verifier.state_size_estimate() + len(self.neighbors_delivered)
 
 
-class DolevDisseminator:
+class ReferenceDisseminator:
     """Per-content flooding with path accumulation and MD.1–5 support.
 
     Parameters
@@ -104,15 +81,15 @@ class DolevDisseminator:
         self.required_paths = required_paths
         self.mods = modifications if modifications is not None else ModificationSet.none()
         self.extra_exclusions = extra_exclusions
-        self._contents: Dict[object, ContentState] = {}
+        self._contents: Dict[object, ReferenceContentState] = {}
 
     # ------------------------------------------------------------------
     # State access
     # ------------------------------------------------------------------
-    def _state(self, content) -> ContentState:
+    def _state(self, content) -> ReferenceContentState:
         state = self._contents.get(content)
         if state is None:
-            state = ContentState(verifier=DisjointPathVerifier(self.required_paths))
+            state = ReferenceContentState(verifier=DisjointPathVerifier(self.required_paths))
             self._contents[content] = state
         return state
 
@@ -144,8 +121,7 @@ class DolevDisseminator:
             return [], []
         state.delivered = True
         state.relayed_empty = True
-        self._settle(state)
-        targets = self._relay_targets(content, state, content_origin(content), ())
+        targets = self._relay_targets(content, state, exclude=set())
         sends = [SendTo(dest=q, message=DolevMessage(content=content, path=())) for q in targets]
         return sends, [content]
 
@@ -159,21 +135,12 @@ class DolevDisseminator:
         """
         content = message.content
         wire_path: Path = message.path
-        state = self._contents.get(content)
-        if state is not None and state.done:
-            # MD.5, the common case, before anything is validated, allocated
-            # or resolved.  An empty path still says the sender has the content.
-            if not wire_path:
-                state.neighbors_delivered.add(sender)
-            return [], []
-        # Forged paths with absurd identifiers are dropped before any ``1 << id``
-        # and before a state is allocated.
+        # Forged paths with absurd identifiers are dropped before any ``1 << id``.
         if wire_path and (
             len(wire_path) > 4096 or min(wire_path) < 0 or max(wire_path) >= 2 ** 20
         ):
             return [], []
-        if state is None:
-            state = self._state(content)
+        state = self._state(content)
         origin = content_origin(content)
 
         if not wire_path:
@@ -185,6 +152,15 @@ class DolevDisseminator:
             and not state.neighbors_delivered.isdisjoint(wire_path)
         ):
             # MD.4: ignore paths that contain a neighbor that already delivered.
+            return [], []
+
+        # MD.5: after delivering and relaying the empty path, stop relaying
+        # (or right after delivery when MD.2's empty-path relay is disabled).
+        if (
+            state.delivered
+            and self.mods.md5_stop_after_delivery
+            and (state.relayed_empty or not self.mods.md2_empty_path_after_delivery)
+        ):
             return [], []
 
         # Node mask of the intermediaries: sender and wire path, without this
@@ -209,21 +185,9 @@ class DolevDisseminator:
                     state.verifier.discard_paths()
 
         sends = self._plan_relays(
-            content, state, sender, wire_path, origin, result.stored, newly_delivered, direct
+            content, state, sender, wire_path, result.stored, newly_delivered, direct
         )
-        if newly_delivered:
-            self._settle(state)
         return sends, ([content] if newly_delivered else [])
-
-    def _settle(self, state: ContentState) -> None:
-        # MD.5, written once: after delivering and relaying the empty path, stop
-        # relaying (or right after delivery when MD.2's empty-path relay is
-        # disabled).  Called wherever ``delivered`` / ``relayed_empty`` change.
-        state.done = (
-            state.delivered
-            and self.mods.md5_stop_after_delivery
-            and (state.relayed_empty or not self.mods.md2_empty_path_after_delivery)
-        )
 
     # ------------------------------------------------------------------
     # Relay planning
@@ -231,10 +195,9 @@ class DolevDisseminator:
     def _plan_relays(
         self,
         content,
-        state: ContentState,
+        state: ReferenceContentState,
         sender: int,
         wire_path: Path,
-        origin: Optional[int],
         path_stored: bool,
         newly_delivered: bool,
         direct: bool,
@@ -243,6 +206,7 @@ class DolevDisseminator:
             # MD.2: announce the delivery once, with an empty path.
             relay_path: Path = ()
             state.relayed_empty = True
+            exclude: Set[int] = set()
         else:
             # MBD.10: a dominated path adds no information — do not relay it.
             if (
@@ -253,108 +217,20 @@ class DolevDisseminator:
             ):
                 return []
             relay_path = wire_path + (sender,)
+            exclude = set(wire_path) | {sender}
 
-        # Never back along the path: the relayed path is the exclusion.
-        targets = self._relay_targets(content, state, origin, relay_path)
-        if not targets:
-            return []
+        targets = self._relay_targets(content, state, exclude=exclude)
         message = DolevMessage(content=content, path=relay_path)
         return [SendTo(dest=q, message=message) for q in targets]
 
-    def _relay_targets(
-        self, content, state: ContentState, origin: Optional[int], relay_path: Path
-    ) -> List[int]:
-        # ``origin`` may be None (raw bytes), which is no neighbor's id.
-        excluded = {self.process_id, origin, *relay_path}
+    def _relay_targets(self, content, state: ReferenceContentState, *, exclude: Set[int]) -> List[int]:
+        origin = content_origin(content)
+        excluded = set(exclude)
+        if origin is not None:
+            excluded.add(origin)
+        excluded.add(self.process_id)
         if self.mods.md3_skip_delivered_neighbors:
             excluded |= state.neighbors_delivered
         if self.extra_exclusions is not None:
-            excluded.update(self.extra_exclusions(content))
+            excluded |= set(self.extra_exclusions(content))
         return [q for q in self.neighbors if q not in excluded]
-
-
-class DolevBroadcast(BroadcastProtocol):
-    """Reliable communication (honest-dealer broadcast) on generic networks.
-
-    The broadcast content carries its source and broadcast identifier (as
-    required by Bonomi et al.'s optimized variant, Sec. 3), so deliveries
-    report the claimed source of the payload.
-    """
-
-    def __init__(
-        self,
-        process_id: int,
-        config: SystemConfig,
-        neighbors: Iterable[int],
-        *,
-        modifications: Optional[ModificationSet] = None,
-    ) -> None:
-        super().__init__(process_id, config, neighbors)
-        self.modifications = (
-            modifications if modifications is not None else ModificationSet.none()
-        )
-        self._disseminator = DolevDisseminator(
-            process_id=process_id,
-            neighbors=self.neighbors,
-            required_paths=config.disjoint_paths_required,
-            modifications=self.modifications,
-        )
-
-    def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:
-        content = BrachaMessage(
-            mtype=MessageType.SEND, source=self.process_id, bid=bid, payload=payload
-        )
-        sends, delivered = self._disseminator.originate(content)
-        commands: List[Command] = list(sends)
-        commands.extend(self._deliver_contents(delivered))
-        return commands
-
-    def on_message(self, sender: int, message: DolevMessage) -> List[Command]:
-        if not isinstance(message, DolevMessage) or not isinstance(
-            message.content, BrachaMessage
-        ):
-            return []
-        sends, delivered = self._disseminator.on_message(sender, message)
-        if not delivered:
-            return sends
-        commands: List[Command] = list(sends)
-        commands.extend(self._deliver_contents(delivered))
-        return commands
-
-    def _deliver_contents(self, contents: List[object]) -> List[Command]:
-        commands: List[Command] = []
-        for content in contents:
-            key = (content.source, content.bid)
-            if key in self.delivered:
-                continue
-            self.delivered[key] = content.payload
-            commands.append(RCDeliver(payload=content.payload, source=content.source))
-        return commands
-
-    def state_size_estimate(self) -> int:
-        """Stored paths and combinations (memory proxy, Sec. 7.3)."""
-        return self._disseminator.state_size_estimate()
-
-
-class OptimizedDolevBroadcast(DolevBroadcast):
-    """Dolev's protocol with Bonomi et al.'s MD.1–5 optimizations enabled."""
-
-    def __init__(
-        self,
-        process_id: int,
-        config: SystemConfig,
-        neighbors: Iterable[int],
-        *,
-        modifications: Optional[ModificationSet] = None,
-    ) -> None:
-        mods = modifications if modifications is not None else ModificationSet.dolev_optimized()
-        super().__init__(process_id, config, neighbors, modifications=mods)
-
-
-__all__ = [
-    "DolevDisseminator",
-    "DolevBroadcast",
-    "OptimizedDolevBroadcast",
-    "ContentState",
-    "content_origin",
-]

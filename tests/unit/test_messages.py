@@ -1,6 +1,12 @@
 """Unit tests for the message wire formats and Table 3 size accounting."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
+from repro.core.encoding import decode_message, encode_message
 from repro.core.messages import (
     BrachaMessage,
     CrossLayerMessage,
@@ -60,6 +66,82 @@ class TestBrachaMessage:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+class TestBrachaMessageHashMemo:
+    """``__hash__`` is memoized per object and never leaves the process."""
+
+    @staticmethod
+    def _echo():
+        return BrachaMessage(MessageType.ECHO, 1, 0, b"payload", creator=2)
+
+    def test_equal_but_distinct_messages_find_each_other(self):
+        stored, key = self._echo(), self._echo()
+        assert stored is not key
+        table = {stored: "state"}
+        assert hash(stored) == hash(key) == hash(stored)  # memo hit equals first take
+        assert table[key] == "state"
+        assert key._hash_memo == stored._hash_memo is not None
+        different = [
+            dataclasses.replace(stored, **change)
+            for change in (
+                {"mtype": MessageType.READY}, {"source": 3}, {"bid": 1},
+                {"payload": b""}, {"creator": None},
+            )
+        ]
+        assert all(other != stored and other not in table for other in different)
+
+    def test_copies_start_with_a_fresh_memo(self):
+        message = self._echo()
+        hash(message)
+        tagged = message.with_creator(5)
+        assert tagged._hash_memo is None and hash(tagged) != hash(message)
+        assert tagged in {BrachaMessage(MessageType.ECHO, 1, 0, b"payload", creator=5)}
+        for clone in (
+            dataclasses.replace(message),
+            pickle.loads(pickle.dumps(message)),
+            decode_message(encode_message(message)),
+        ):
+            assert clone == message and clone._hash_memo is None
+
+    def test_memo_is_not_a_compared_shown_or_init_field(self):
+        taken, fresh = self._echo(), self._echo()
+        wire, text = encode_message(fresh), repr(fresh)
+        hash(taken)
+        assert taken == fresh and repr(taken) == text and "memo" not in text
+        assert encode_message(taken) == wire
+        assert pickle.dumps(taken) == pickle.dumps(fresh)
+        assert [f.name for f in dataclasses.fields(BrachaMessage) if f.init] == [
+            "mtype", "source", "bid", "payload", "creator",
+        ]
+        # Wrapping contents hash through the memo, equal before and after.
+        assert hash(DolevMessage(taken, (1,))) == hash(DolevMessage(fresh, (1,)))
+
+    def test_memo_does_not_travel_to_a_process_with_another_hash_seed(self):
+        # ``bytes`` hashes are salted per process: a memo carried by pickle
+        # would make the unpickled message miss under an equal fresh key.
+        message = self._echo()
+        hash(message)
+        script = (
+            "import pickle, sys\n"
+            "from repro.core.messages import BrachaMessage, MessageType\n"
+            "message = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = BrachaMessage(MessageType.ECHO, 1, 0, b'payload', creator=2)\n"
+            "assert hash(message) == hash(fresh) and {message: 1}[fresh] == 1\n"
+            "print(hash(fresh))\n"
+        )
+        hashes = set()
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                input=pickle.dumps(message),
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            hashes.add(done.stdout.strip())
+        assert len(hashes) == 2  # the two children really hashed differently
 
 
 class TestDolevMessage:

@@ -159,6 +159,35 @@ class TestDelayModels:
                 DelaySpec("fixed", mean_ms=bad).build()
         assert FixedDelay(0.0).sample(random.Random(0), 0, 1, 8) == 0.0
 
+    def test_sampled_delay_parameters_are_checked_at_construction(self):
+        # ``max(0.1, nan)`` is 0.1: a NaN mean used to delay every message
+        # by exactly ``min_ms``; negative uniform bounds built and then
+        # failed inside the first send.
+        from repro.scenarios.spec import DelaySpec
+
+        nan, inf = float("nan"), float("inf")
+        for mean, std in ((nan, 50.0), (inf, 50.0), (50.0, nan), (50.0, -1.0), (50.0, inf)):
+            with pytest.raises(ConfigurationError, match="normal delay"):
+                AsynchronousDelay(mean, std)
+            with pytest.raises(ConfigurationError, match="normal delay"):
+                DelaySpec("normal", mean_ms=mean, std_ms=std).build()
+        for bad_min in (nan, -0.1, inf):
+            with pytest.raises(ConfigurationError, match="normal delay"):
+                AsynchronousDelay(50.0, 50.0, min_ms=bad_min)
+        for low, high in ((-100.0, -10.0), (-1.0, 5.0), (20.0, 10.0), (nan, 10.0), (1.0, nan), (1.0, inf)):
+            with pytest.raises(ConfigurationError, match="uniform delay"):
+                UniformDelay(low, high)
+            with pytest.raises(ConfigurationError, match="uniform delay"):
+                DelaySpec("uniform", low_ms=low, high_ms=high).build()
+        # Degenerate but meaningful parameters stay accepted.
+        rng = random.Random(0)
+        assert AsynchronousDelay(5.0, 0.0).sample(rng, 0, 1, 8) == 5.0
+        assert AsynchronousDelay(-5.0, 0.0, min_ms=0.0).sample(rng, 0, 1, 8) == 0.0
+        assert UniformDelay(0.0, 0.0).sample(rng, 0, 1, 8) == 0.0
+        assert UniformDelay(3.0, 3.0).sample(rng, 0, 1, 8) == 3.0
+        # The parameters of a kind the spec does not use are not its business.
+        DelaySpec("fixed", mean_ms=5.0, std_ms=-1.0, low_ms=9.0, high_ms=1.0).build()
+
     def test_sampled_delays_are_still_checked_per_send(self):
         class Broken(UniformDelay):
             def sample(self, rng, sender, dest, size_bytes):
