@@ -20,7 +20,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["networkx"],
+    # Standard library only at run time; the test tooling is listed in
+    # requirements-ci.txt.
+    install_requires=[],
     entry_points={
         "console_scripts": [
             "repro-sweep-worker=repro.runner.distributed:worker_main",

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
-
 from repro.core.config import SystemConfig
 from repro.core.errors import TopologyError
 from repro.core.events import Command, RCDeliver, SendTo
@@ -71,23 +69,13 @@ def disjoint_routes(
     not contain ``count`` disjoint routes (i.e. it is not ``count``-connected
     between the two endpoints).
     """
-    graph = topology.to_networkx()
-    routes: List[Tuple[int, ...]] = []
-    if graph.has_edge(source, destination):
-        routes.append((destination,))
-        graph = graph.copy()
-        graph.remove_edge(source, destination)
-    if nx.has_path(graph, source, destination):
-        for path in nx.node_disjoint_paths(graph, source, destination):
-            routes.append(tuple(path[1:]))
-            if len(routes) >= count:
-                break
+    routes = [path[1:] for path in topology.disjoint_paths(source, destination, count)]
     if len(routes) < count:
         raise TopologyError(
             f"only {len(routes)} vertex-disjoint routes between {source} and "
             f"{destination}, {count} required"
         )
-    return routes[:count]
+    return routes
 
 
 class RoutedDolevBroadcast(BroadcastProtocol):

@@ -7,15 +7,13 @@ These functions are exponential-time and intended for tests only:
   (the quantity the incremental :class:`~repro.paths.disjoint.DisjointPathVerifier`
   tracks).
 * :func:`graph_disjoint_paths` — vertex-disjoint paths between two nodes
-  of a graph, computed with NetworkX's max-flow machinery (Menger's
+  of a graph, computed by the topology kernel's max flow (Menger's
   theorem), used to validate topology requirements.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
-
-import networkx as nx
 
 from repro.topology.generators import Topology
 
@@ -50,15 +48,7 @@ def graph_disjoint_paths(topology: Topology, source: int, target: int) -> List[L
 
     A direct edge is returned as the two-node path ``[source, target]``.
     """
-    graph = topology.to_networkx()
-    paths: List[List[int]] = []
-    if graph.has_edge(source, target):
-        paths.append([source, target])
-        graph = graph.copy()
-        graph.remove_edge(source, target)
-    if nx.has_path(graph, source, target):
-        paths.extend(list(p) for p in nx.node_disjoint_paths(graph, source, target))
-    return paths
+    return [list(path) for path in topology.disjoint_paths(source, target)]
 
 
 __all__ = ["max_disjoint_selection", "graph_disjoint_paths"]

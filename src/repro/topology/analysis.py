@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.config import SystemConfig
 from repro.core.errors import TopologyError
+from repro.topology import kernel
 from repro.topology.generators import Topology
 
 
@@ -27,7 +26,8 @@ def vertex_connectivity(topology: Topology) -> int:
 def meets_connectivity_requirement(topology: Topology, config: SystemConfig) -> bool:
     """Whether the graph is at least ``2f + 1``-vertex-connected."""
     if config.f == 0:
-        return nx.is_connected(topology.to_networkx()) if topology.n > 1 else True
+        _, masks = topology.bits()
+        return topology.n <= 1 or kernel.is_connected(masks, (1 << topology.n) - 1)
     return topology.vertex_connectivity() >= config.min_connectivity
 
 
@@ -46,18 +46,7 @@ def disjoint_path_count(topology: Topology, source: int, target: int) -> int:
     A direct edge counts as one path.  Used by tests to validate the
     premise of Dolev's correctness argument (Menger's theorem).
     """
-    if source == target:
-        raise TopologyError("source and target must differ")
-    graph = topology.to_networkx()
-    if graph.has_edge(source, target):
-        # ``node_disjoint_paths`` requires non-adjacent endpoints; remove the
-        # edge, count internally-disjoint paths, then add the direct edge back.
-        graph = graph.copy()
-        graph.remove_edge(source, target)
-        if not nx.has_path(graph, source, target):
-            return 1
-        return 1 + len(list(nx.node_disjoint_paths(graph, source, target)))
-    return len(list(nx.node_disjoint_paths(graph, source, target)))
+    return len(topology.disjoint_paths(source, target))
 
 
 def articulation_points(topology: Topology) -> Tuple[int, ...]:
@@ -68,7 +57,10 @@ def articulation_points(topology: Topology) -> Tuple[int, ...]:
     adversary placement strategies use these as the highest-leverage spots
     for Byzantine processes on weakly connected graphs.
     """
-    return tuple(sorted(nx.articulation_points(topology.to_networkx())))
+    position, masks = topology.bits()
+    cut = kernel.articulation_points(masks, (1 << len(masks)) - 1)
+    nodes = tuple(position)
+    return tuple(nodes[i] for i in kernel.members(cut))
 
 
 def all_pairs_min_disjoint_paths(topology: Topology) -> Tuple[int, List[Tuple[int, int]]]:
@@ -119,14 +111,12 @@ class ChurnConnectivityReport:
         return all(snapshot.meets_bound for snapshot in self.snapshots)
 
 
-def _live_connectivity(graph: nx.Graph) -> int:
-    if graph.number_of_nodes() <= 1:
-        return graph.number_of_nodes()
-    if not nx.is_connected(graph):
-        return 0
-    if graph.number_of_nodes() == 2:
-        return 1
-    return nx.node_connectivity(graph)
+def _live_connectivity(masks: List[int], alive: int) -> int:
+    # A lone member (or none) counts as its own connectivity, so one
+    # surviving process still meets the f = 0 bound.
+    if alive & (alive - 1) == 0:
+        return alive.bit_count()
+    return kernel.vertex_connectivity(masks, alive)
 
 
 def connectivity_under_churn(
@@ -156,37 +146,54 @@ def connectivity_under_churn(
         ),
         key=lambda item: (item[0], item[1]),
     )
-    graph = topology.to_networkx().copy()
+    position, initial = topology.bits()
+    masks = list(initial)
+    alive = (1 << len(masks)) - 1
+
+    def leave(i: int) -> None:
+        nonlocal alive
+        alive &= ~(1 << i)
+        for j in kernel.members(masks[i]):
+            masks[j] &= ~(1 << i)
+        masks[i] = 0
+
     # Pending joiners are not members of the initial graph.
     for _, _, fault in churn:
         if isinstance(fault, JoinAt):
-            graph.remove_node(fault.pid)
+            if fault.pid not in position:
+                raise TopologyError(f"JoinAt targets unknown process {fault.pid}")
+            leave(position[fault.pid])
+    connectivity = _live_connectivity(masks, alive)
     snapshots = [
         ChurnSnapshot(
             time_ms=0.0,
             event="initial",
-            connectivity=_live_connectivity(graph),
-            meets_bound=_live_connectivity(graph) >= required,
+            connectivity=connectivity,
+            meets_bound=connectivity >= required,
         )
     ]
     for time_ms, _, fault in churn:
+        pid = position.get(fault.pid)
         if isinstance(fault, JoinAt):
-            graph.add_node(fault.pid)
-            for peer in topology.neighbors(fault.pid):
-                if graph.has_node(peer):
-                    graph.add_edge(fault.pid, peer)
+            alive |= 1 << pid
+            for j in kernel.members(initial[pid] & alive):
+                masks[pid] |= 1 << j
+                masks[j] |= 1 << pid
             event = f"join({fault.pid})"
         elif isinstance(fault, LeaveAt):
-            if graph.has_node(fault.pid):
-                graph.remove_node(fault.pid)
+            if pid is not None and alive >> pid & 1:
+                leave(pid)
             event = f"leave({fault.pid})"
         else:
-            if graph.has_edge(fault.pid, fault.old_peer):
-                graph.remove_edge(fault.pid, fault.old_peer)
-            if graph.has_node(fault.pid) and graph.has_node(fault.new_peer):
-                graph.add_edge(fault.pid, fault.new_peer)
+            old, new = position.get(fault.old_peer), position.get(fault.new_peer)
+            if pid is not None and old is not None:
+                masks[pid] &= ~(1 << old)
+                masks[old] &= ~(1 << pid)
+            if pid is not None and new is not None and alive >> pid & 1 and alive >> new & 1:
+                masks[pid] |= 1 << new
+                masks[new] |= 1 << pid
             event = f"rewire({fault.pid}: {fault.old_peer}->{fault.new_peer})"
-        connectivity = _live_connectivity(graph)
+        connectivity = _live_connectivity(masks, alive)
         snapshots.append(
             ChurnSnapshot(
                 time_ms=time_ms,

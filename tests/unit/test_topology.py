@@ -1,11 +1,24 @@
-"""Unit tests for topology generation and analysis."""
+"""Unit tests for topology generation and analysis.
+
+The comparison with NetworkX lives in
+``test_topology_networkx_differential.py``; everything here runs on the
+standard library alone.
+"""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.brb.dolev_routed import disjoint_routes
 from repro.core.config import SystemConfig
 from repro.core.errors import TopologyError
+from repro.paths.oracle import graph_disjoint_paths
+from repro.topology import kernel
 from repro.topology.analysis import (
     all_pairs_min_disjoint_paths,
+    articulation_points,
     disjoint_path_count,
     meets_connectivity_requirement,
     require_connectivity,
@@ -48,11 +61,6 @@ class TestTopologyType:
         topo = ring_topology(5)
         assert topo.degree(0) == 2
         assert topo.min_degree() == 2
-
-    def test_to_networkx_round_trip(self):
-        topo = torus_topology(3, 3)
-        again = Topology.from_networkx(topo.to_networkx())
-        assert again.adjacency == topo.adjacency
 
     def test_iteration_yields_sorted_nodes(self):
         topo = Topology.from_edges([5, 3, 1], [(1, 3), (3, 5)])
@@ -154,3 +162,131 @@ class TestAnalysis:
         minimum, witnesses = all_pairs_min_disjoint_paths(topo)
         assert minimum == topo.vertex_connectivity()
         assert witnesses
+
+
+def _masks(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+class TestKernel:
+    def test_backtracking_two_vertices_along_a_path(self):
+        # 0 = s, 1 = t.  The only shortest path 0-2-3-4-1 is the one the
+        # first search takes; a second path exists only by walking it
+        # back from 4 through 3 to 2 (both vertex arcs reversed) and
+        # leaving 2 towards 8, while 5-6-7 enters at 4.
+        adj = _masks(11, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7),
+                          (7, 4), (2, 8), (8, 9), (9, 10), (10, 1)])
+        assert kernel.disjoint_paths(adj, 0, 1) == [[0, 2, 8, 9, 10, 1], [0, 5, 6, 7, 4, 1]]
+        assert kernel.disjoint_paths(adj, 0, 1, 1) == [[0, 2, 3, 4, 1]]
+
+    def test_common_neighbours_come_first_and_limit_stops_early(self):
+        topo = complete_topology(6)
+        assert topo.disjoint_paths(0, 1) == [(0, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1)]
+        assert topo.disjoint_paths(0, 1, limit=2) == [(0, 1), (0, 2, 1)]
+        assert topo.disjoint_paths(0, 1, limit=0) == []
+
+    def test_limited_connectivity_is_min_of_limit_and_kappa(self):
+        _, masks = harary_topology(12, 5).bits()
+        for limit in range(8):
+            assert kernel.vertex_connectivity(masks, (1 << 12) - 1, limit) == min(limit, 5)
+
+    def test_articulation_points_and_connectedness(self):
+        assert articulation_points(line_topology(5)) == (1, 2, 3)
+        assert articulation_points(ring_topology(5)) == ()
+        star = Topology.from_edges(range(5), [(0, i) for i in range(1, 5)])
+        assert articulation_points(star) == (0,)
+        _, masks = line_topology(4).bits()
+        assert kernel.is_connected(masks, 0b1111)
+        assert not kernel.is_connected(masks, 0)
+
+    def test_identifiers_need_not_be_positions(self):
+        topo = Topology.from_edges([40, 10, 30, 20], [(10, 20), (20, 30), (30, 40), (40, 10)])
+        assert topo.vertex_connectivity() == 2
+        assert topo.disjoint_paths(10, 30) == [(10, 20, 30), (10, 40, 30)]
+
+
+RING5, RING6 = ring_topology(5), ring_topology(6)
+
+
+class TestTopologyApiErrors:
+    """Bad arguments raise :class:`TopologyError` naming the argument."""
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            # source == target: rejected once, at the kernel entry.
+            pytest.param(lambda: disjoint_routes(RING6, 0, 0, 1), "0", id="routes-same-node"),
+            pytest.param(lambda: graph_disjoint_paths(RING5, 2, 2), "2", id="paths-same-node"),
+            pytest.param(lambda: disjoint_path_count(RING5, 2, 2), "2", id="count-same-node"),
+            # unknown processes.
+            pytest.param(lambda: disjoint_path_count(RING5, 0, 99), "target process 99",
+                         id="count-unknown-target"),
+            pytest.param(lambda: graph_disjoint_paths(RING5, 99, 0), "source process 99",
+                         id="paths-unknown-source"),
+            pytest.param(lambda: disjoint_routes(RING5, 0, 99, 1), "target process 99",
+                         id="routes-unknown-target"),
+            pytest.param(lambda: RING5.disjoint_paths(0, 2, limit=-1), "limit",
+                         id="negative-limit"),
+            # generator arguments.
+            pytest.param(lambda: random_regular_topology(10, -2), "k=-2",
+                         id="regular-negative-degree"),
+            pytest.param(lambda: random_regular_topology(10, 4, min_connectivity=-1),
+                         "min_connectivity=-1", id="regular-negative-connectivity"),
+            pytest.param(lambda: complete_topology(-1), "n=-1", id="complete-negative-n"),
+        ],
+    )
+    def test_rejected(self, call, named):
+        with pytest.raises(TopologyError, match=named):
+            call()
+
+
+class TestNoNetworkxAtRunTime:
+    def test_repro_runs_with_networkx_blocked(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = """
+import sys
+sys.modules["networkx"] = None  # any import of it now raises ImportError
+import repro
+from repro.core.config import SystemConfig
+from repro.network.simulation.network import SimulatedNetwork
+from repro.fuzz.sample import stream_fuzz_specs
+from repro.runner.configs import modification_set_for
+from repro.scenarios import DelaySpec, ScenarioSpec, TopologySpec, run_scenario
+from repro.topology.analysis import articulation_points, connectivity_under_churn
+from repro.topology.generators import harary_topology, line_topology
+
+dense = ScenarioSpec(
+    name="paper-dense", topology=TopologySpec("random_regular", n=31, k=24, min_connectivity=9),
+    delay=DelaySpec("fixed", mean_ms=50.0), protocol="cross_layer",
+    modifications=modification_set_for("lat_bdw"), f=4, payload_size=1024, seed=1000)
+assert run_scenario(dense).all_correct_delivered
+
+churned = next(spec for spec in stream_fuzz_specs(seed=17, churn_fraction=1.0)
+               if any(fault.edits_graph for fault in spec.faults))
+run_scenario(churned)
+report = connectivity_under_churn(churned.topology.build(churned.seed), churned.faults, churned.f)
+assert len(report.snapshots) > 1
+
+assert articulation_points(line_topology(5)) == (1, 2, 3)
+
+topology = harary_topology(8, 4)
+config = SystemConfig.for_system(8, 1)
+network = SimulatedNetwork(topology, {
+    pid: repro.RoutedDolevBroadcast(pid, config, sorted(topology.neighbors(pid)), topology)
+    for pid in topology.nodes}, seed=1)
+network.broadcast(0, b"routed", 0)
+assert len(network.run().deliveries_for((0, 0))) == 8
+assert sys.modules["networkx"] is None
+"""
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
