@@ -1,17 +1,16 @@
 """Scenario-engine sweep through the parallel executor, end to end.
 
 Expands a base scenario into a grid of cells (adversary placement ×
-connectivity × seeds), runs it three times — once serially, once over a
-process pool with ``workers > 1``, once over TCP-connected worker
-processes via :class:`~repro.runner.distributed.DistributedSweepExecutor`
-— verifies all paths agree cell by cell, and reports the aggregate
-impact of the adversary placements on latency and network consumption.
+connectivity × seeds), runs it twice — once serially, once over a
+process pool with ``workers > 1`` — verifies both paths agree cell by
+cell, and reports the aggregate impact of the adversary placements on
+latency and network consumption.
 A second pass times a sensor-style multi-broadcast workload
 (:meth:`WorkloadSpec.repeated`) and records the delivered-broadcast
 throughput next to the single-shot numbers.
 
 This is the harness every later scaling PR plugs new workloads into; the
-serial/parallel/distributed agreement check doubles as a continuous
+serial/parallel agreement check doubles as a continuous
 guard on the scenario engine's determinism contract.
 """
 
@@ -19,7 +18,6 @@ import time
 from dataclasses import replace
 
 from repro.core.modifications import ModificationSet
-from repro.runner.distributed import DistributedSweepExecutor
 from repro.runner.parallel import SweepExecutor
 from repro.scenarios import (
     AdversarySpec,
@@ -93,21 +91,8 @@ def test_scenario_sweep_parallel_executor(benchmark):
     # The determinism contract: the pool returns exactly the serial results.
     assert parallel == serial
 
-    # Distributed mode: the same cells over TCP-connected worker
-    # processes (the coordinator spawns them locally here; across hosts
-    # the timing would add real network latency and a shared cache dir).
-    distributed_executor = DistributedSweepExecutor(workers=2)
-    started = time.perf_counter()
-    distributed = distributed_executor.run(cells)
-    distributed_seconds = time.perf_counter() - started
-    assert distributed == serial
-
     emit_header(
         f"Scenario sweep — {len(cells)} cells, {workers} workers (scale={SCALE.name})"
-    )
-    emit(
-        f"distributed mode: {len(cells)} cells over 2 worker processes "
-        f"in {distributed_seconds:.2f}s"
     )
     summary = {}
     for label in dict.fromkeys(labels):
@@ -176,12 +161,6 @@ def test_scenario_sweep_parallel_executor(benchmark):
             "workers": workers,
             "cells": len(cells),
             "backends": backends,
-            "distributed": {
-                "workers": 2,
-                "seconds": distributed_seconds,
-                "dispatched_cells": distributed_executor.dispatched_cells,
-                "requeued_cells": distributed_executor.requeued_cells,
-            },
             "workload": {
                 "cells": len(workload_cells),
                 "broadcasts_per_cell": broadcasts,

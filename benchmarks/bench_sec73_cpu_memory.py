@@ -2,11 +2,17 @@
 
 The paper measures, with 16 B payloads, the per-process memory consumption
 for N = 10, 30 and 50 and attributes its growth to the storage of received
-transmission paths.  This benchmark reports the same quantity directly —
-the per-process stored-path / combination count and its byte-accounted
-upper bound — plus the Python-level peak allocation measured with
-``tracemalloc`` and the number of disjoint-path combination operations
-(a CPU proxy).
+transmission paths.  This benchmark runs one Dolev-optimized (MD.1–5)
+cell per N and prints, per row:
+
+* ``peak state`` / ``total state`` — the largest and the summed
+  per-process ``state_size_estimate()`` (stored paths, path combinations
+  and quorum entries), read once after the cell's last event;
+* ``py peak MB`` — the Python-level peak allocation of the whole cell,
+  measured with ``tracemalloc`` (the one nondeterministic column);
+* ``messages`` — the messages the cell sent.
+
+It reports no CPU measure of its own; ``messages`` is the only work count.
 """
 
 import tracemalloc

@@ -2,10 +2,9 @@
 
 The project is normally used straight from a checkout (the root
 ``conftest.py`` puts ``src`` on ``sys.path``); installing is only needed
-for the console scripts, most importantly ``repro-sweep-worker`` — the
-worker half of the distributed sweep executor
-(:mod:`repro.runner.distributed`).  Uninstalled environments can run the
-same worker as ``python -m repro.runner.distributed``.
+for the console scripts ``repro-fuzz`` and ``repro-lint``.  Uninstalled
+environments run them as ``python -m repro.fuzz`` and
+``python -m repro.lint``.
 """
 
 from setuptools import find_packages, setup
@@ -25,7 +24,6 @@ setup(
     install_requires=[],
     entry_points={
         "console_scripts": [
-            "repro-sweep-worker=repro.runner.distributed:worker_main",
             "repro-fuzz=repro.fuzz.cli:main",
             "repro-lint=repro.lint.cli:main",
         ],

@@ -10,7 +10,7 @@ ready-to-paste regression test stub.
 * :mod:`repro.fuzz.sample` — the unbounded, seed-deterministic spec
   stream (lossy × adaptive × workload grids over both backends);
 * :mod:`repro.fuzz.farm` — :class:`FuzzFarm`, the budgeted coordinator
-  over the sweep executors;
+  over the sweep executor;
 * :mod:`repro.fuzz.corpus` — the JSON corpus and its record schema;
 * :mod:`repro.fuzz.shrink` — the shrinker and regression-stub renderer;
 * :mod:`repro.fuzz.cli` — the ``repro-fuzz`` console script

@@ -3,8 +3,10 @@
 One budgeted farm pass per invocation (CI's scheduled lanes re-invoke
 it; an operator loops it).  Exit status is the farm's verdict: ``0`` for
 an oracle-green run, ``2`` when violations were found (new or
-re-discovered), ``1`` for corpus-validation failures or usage errors —
-so a cron lane turns red exactly when the oracle fires.
+re-discovered), ``1`` for corpus-validation failures — so a cron lane
+turns red exactly when the oracle fires.  A usage error (no budget, a
+negative budget, fewer than one worker) exits through argparse with
+status ``2`` before anything runs.
 
 Besides fuzzing, the tool serves the corpus:
 
@@ -218,6 +220,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.time_budget is None and args.max_cells is None:
         parser.error("a fuzz run needs --time-budget and/or --max-cells")
+    for flag, value, low in (
+        ("--workers", args.workers, 1),
+        ("--time-budget", args.time_budget, 0),
+        ("--max-cells", args.max_cells, 0),
+    ):
+        if value is not None and value < low:
+            parser.error(f"{flag} must be >= {low}, got {value}")
     backends = tuple(args.backend) if args.backend else ("simulation",)
     if args.transient_cap is None:
         transient_cap = DEFAULT_TRANSIENT_CAP

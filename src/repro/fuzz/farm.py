@@ -27,12 +27,8 @@ seed-deterministic — two farms with the same seed and cell budget judge
 the same cells and write the same records — which is what lets CI replay
 any finding.
 
-Executors are pluggable: the default in-process
-:class:`~repro.runner.parallel.SweepExecutor` streams cell by cell
-(worker churn = process pool); a
-:class:`~repro.runner.distributed.DistributedSweepExecutor` (or anything
-with a ``run(cells)`` method) is driven in batches instead, inheriting
-its lease-timeout requeue and degrade-to-local story.
+Cells run through :meth:`~repro.runner.parallel.SweepExecutor.run_stream`
+(worker churn = process pool).
 """
 
 from __future__ import annotations
@@ -59,10 +55,6 @@ from repro.scenarios.spec import ScenarioSpec
 
 #: Result checker signature: one run's oracle violations.
 ResultChecker = Callable[[ScenarioResult], Sequence[OracleViolation]]
-
-#: Batch size used when driving a non-streaming (e.g. distributed)
-#: executor.
-DEFAULT_BATCH_SIZE = 16
 
 
 @dataclass
@@ -136,10 +128,11 @@ class FuzzFarm:
         Process-pool width of the default executor (ignored when an
         ``executor`` is supplied).
     executor:
-        Any object with ``run(cells) -> results``; one exposing
-        ``run_stream`` (the in-process :class:`SweepExecutor`) is driven
-        cell by cell, anything else — e.g. a
-        ``DistributedSweepExecutor`` — in ``batch_size`` batches.
+        Any object with :meth:`SweepExecutor.run_stream`'s signature
+        (``run_stream(specs, time_budget_s=, max_cells=)`` yielding items
+        with ``spec`` and ``result``) and a ``cache_hits`` count; the
+        default is a :class:`SweepExecutor` over ``workers`` and
+        ``cache_dir``.
     check:
         Result checker (default: the safety oracle's
         :func:`~repro.scenarios.oracle.check_result`).  Tests inject
@@ -188,7 +181,6 @@ class FuzzFarm:
         conformance_backends: Tuple[str, ...] = (),
         shrink: bool = True,
         shrink_max_attempts: int = 500,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         workload_fraction: float = 0.25,
         rco_fraction: float = 0.15,
         behaviour_fraction: float = 0.2,
@@ -207,7 +199,6 @@ class FuzzFarm:
         self.conformance_backends = tuple(conformance_backends)
         self.shrink_enabled = shrink
         self.shrink_max_attempts = shrink_max_attempts
-        self.batch_size = batch_size
         self.workload_fraction = workload_fraction
         self.rco_fraction = rco_fraction
         self.behaviour_fraction = behaviour_fraction
@@ -249,21 +240,12 @@ class FuzzFarm:
             behaviour_fraction=self.behaviour_fraction,
             churn_fraction=self.churn_fraction,
         )
-        if hasattr(self.executor, "run_stream"):
-            for item in self.executor.run_stream(
-                specs, time_budget_s=time_budget_s, max_cells=max_cells
-            ):
-                report.cells_run += 1
-                self._judge(item.spec, item.result, report)
-            report.cache_hits = getattr(self.executor, "cache_hits", 0)
-        else:
-            self._run_batched(
-                specs,
-                report,
-                started=started,
-                time_budget_s=time_budget_s,
-                max_cells=max_cells,
-            )
+        for item in self.executor.run_stream(
+            specs, time_budget_s=time_budget_s, max_cells=max_cells
+        ):
+            report.cells_run += 1
+            self._judge(item.spec, item.result, report)
+        report.cache_hits = self.executor.cache_hits
         report.elapsed_s = time.monotonic() - started
         if self.transient_cap is not None:
             report.pruned_records = len(
@@ -272,37 +254,6 @@ class FuzzFarm:
         self.corpus.write_manifest()
         report.manifest_hash = self.corpus.manifest_hash()
         return report
-
-    def _run_batched(
-        self,
-        specs,
-        report: FuzzReport,
-        *,
-        started: float,
-        time_budget_s: Optional[float],
-        max_cells: Optional[int],
-    ) -> None:
-        """Drive a batch executor (e.g. distributed) under the budget."""
-        while True:
-            if time_budget_s is not None and time.monotonic() - started >= time_budget_s:
-                return
-            remaining = None if max_cells is None else max_cells - report.cells_run
-            if remaining is not None and remaining <= 0:
-                return
-            size = self.batch_size if remaining is None else min(self.batch_size, remaining)
-            batch = []
-            for _ in range(size):
-                try:
-                    batch.append(next(specs))
-                except StopIteration:
-                    break
-            if not batch:
-                return
-            results = self.executor.run(batch)
-            report.cache_hits += getattr(self.executor, "cache_hits", 0)
-            for spec, result in zip(batch, results):
-                report.cells_run += 1
-                self._judge(spec, result, report)
 
     # ------------------------------------------------------------------
     # Judging
@@ -465,7 +416,6 @@ class FuzzFarm:
 
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
     "FuzzReport",
     "FuzzFarm",
     "ResultChecker",

@@ -592,8 +592,8 @@ class WireConstantConsistency(Rule):
     rule_id = "WIR001"
     title = "wire/cache/corpus schema constants stay single-sourced"
     rationale = (
-        "WIRE_VERSION, CACHE_VERSION and the corpus/report schema numbers "
-        "gate compatibility decisions on both ends of a connection or "
+        "CACHE_VERSION and the corpus/report schema numbers gate "
+        "compatibility decisions between the writer and the reader of a "
         "file; a stray literal or a second definition site lets the two "
         "ends drift.  The lint.toml pin makes every bump a deliberate, "
         "reviewable change."

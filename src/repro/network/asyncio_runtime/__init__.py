@@ -12,8 +12,6 @@ from repro.network.asyncio_runtime.framing import (
     MAX_FRAME_BYTES,
     FrameError,
     encode_frame,
-    read_frame,
-    write_frame,
 )
 from repro.network.asyncio_runtime.node import AsyncioNode
 from repro.network.asyncio_runtime.cluster import AsyncioCluster
@@ -24,6 +22,4 @@ __all__ = [
     "FrameError",
     "MAX_FRAME_BYTES",
     "encode_frame",
-    "read_frame",
-    "write_frame",
 ]

@@ -1,34 +1,18 @@
-"""Length-prefixed frame codec shared by every asyncio wire protocol.
+"""Length-prefixed frame codec of the asyncio node↔node channels.
 
 One frame is a big-endian ``u32`` byte count followed by that many
-payload bytes.  The codec was born inside :class:`AsyncioNode` for the
-node↔node protocol channels; the distributed sweep executor
-(:mod:`repro.runner.distributed`) speaks the same framing for its
-coordinator↔worker messages, so the extraction lives here where both
-sides can import it without duplicating wire code.
+payload bytes.  The first frame of a connection is a fixed-size HELLO
+carrying the dialing process identifier (:data:`HELLO`).
 
-The first frame of a node↔node connection is a fixed-size HELLO carrying
-the dialing process identifier (:data:`HELLO`); higher-level protocols
-such as the sweep wire format put their own tagged envelope inside
-ordinary frames instead (see :mod:`repro.runner.wire`).
-
-Truncation surfaces as :class:`asyncio.IncompleteReadError` from
-:func:`read_frame` — a peer that dies mid-frame looks exactly like a
-peer that closed the connection, and every reader already handles that.
-A length prefix above :data:`MAX_FRAME_BYTES` raises :class:`FrameError`
-instead of attempting a multi-gigabyte allocation on a corrupt or
-hostile prefix.
-
-There are two readers of the same format: :func:`read_frame` awaits one
-frame at a time (the sweep executor's request/reply traffic), and
 :func:`iter_frames` splits whatever a socket read returned into all the
-frames it completes (the node↔node data path, where one read carries
-many small protocol messages).
+frames it completes — one read carries many small protocol messages —
+and leaves an incomplete tail for the next read.  A length prefix above
+:data:`MAX_FRAME_BYTES` raises :class:`FrameError` instead of attempting
+a multi-gigabyte allocation on a corrupt or hostile prefix.
 """
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from typing import Iterator
 
@@ -41,9 +25,8 @@ LENGTH = struct.Struct(">I")
 HELLO = struct.Struct(">I")
 
 #: Refuse frames above this size (a corrupt length prefix otherwise
-#: turns into an absurd allocation).  The largest legitimate payloads —
-#: pickled :class:`~repro.scenarios.engine.ScenarioResult` snapshots with
-#: full metrics — are a few megabytes at paper scale.
+#: turns into an absurd allocation).  A protocol message — one payload
+#: plus its header and path — stays far below it.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -58,14 +41,6 @@ def encode_frame(payload: bytes) -> bytes:
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )
     return LENGTH.pack(len(payload)) + payload
-
-
-def _check_prefix(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame prefix announces {length} bytes, above the "
-            f"{MAX_FRAME_BYTES}-byte cap"
-        )
 
 
 def iter_frames(buffer: bytearray) -> Iterator[bytes]:
@@ -84,7 +59,11 @@ def iter_frames(buffer: bytearray) -> Iterator[bytes]:
     try:
         while available - offset >= header:
             (length,) = LENGTH.unpack_from(buffer, offset)
-            _check_prefix(length)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(
+                    f"frame prefix announces {length} bytes, above the "
+                    f"{MAX_FRAME_BYTES}-byte cap"
+                )
             end = offset + header + length
             if end > available:
                 break
@@ -95,23 +74,6 @@ def iter_frames(buffer: bytearray) -> Iterator[bytes]:
         del buffer[:offset]
 
 
-def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
-    """Queue one frame on ``writer`` (call ``await writer.drain()`` after)."""
-    writer.write(encode_frame(payload))
-
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one frame's payload.
-
-    Raises :class:`asyncio.IncompleteReadError` when the peer closes or
-    dies mid-frame and :class:`FrameError` on an oversized length prefix.
-    """
-    header = await reader.readexactly(LENGTH.size)
-    (length,) = LENGTH.unpack(header)
-    _check_prefix(length)
-    return await reader.readexactly(length)
-
-
 __all__ = [
     "LENGTH",
     "HELLO",
@@ -119,6 +81,4 @@ __all__ = [
     "FrameError",
     "encode_frame",
     "iter_frames",
-    "write_frame",
-    "read_frame",
 ]

@@ -203,7 +203,7 @@ class LossyDelay(DelayModel):
     Surviving messages are delayed by the wrapped ``base`` model.  The
     loss draw comes from the same seeded RNG as the delays, so for a
     fixed scenario seed the exact set of lost messages is deterministic
-    — the property the sweep executors' equality contract relies on.
+    — the property the sweep executor's equality contract relies on.
     """
 
     base: DelayModel = FixedDelay(50.0)

@@ -1,16 +1,11 @@
-"""Scenario-hash result cache shared by every sweep executor.
+"""Scenario-hash result cache of the sweep executor.
 
 One cache entry per scenario hash (see
 :meth:`~repro.scenarios.spec.ScenarioSpec.scenario_hash`), stored as a
 pickled ``(version, backend, result)`` record written atomically — a
 temp file unique to the writing process renamed into place, so many
-worker processes on the same cache directory never interleave bytes.
-
-In the distributed executor the cache directory doubles as the
-coordination layer: workers persist every result they compute, the
-coordinator re-checks the cache at dispatch time, and a cell cached by
-*any* participant is never dispatched again (including across separate
-sweeps sharing the directory).
+processes on the same cache directory never interleave bytes.  A cell
+cached by any sweep sharing the directory is served to every later one.
 
 Loading is paranoid by design — a cache can only ever save work, never
 corrupt a sweep:
@@ -33,7 +28,7 @@ import itertools
 import os
 import pickle
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
@@ -61,7 +56,7 @@ class ResultCache:
     """Per-cell result persistence keyed by scenario hash.
 
     ``cache_dir=None`` disables the cache: every operation becomes a
-    no-op, which lets executors hold one unconditional instance.
+    no-op, which lets the executor hold one unconditional instance.
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
@@ -141,28 +136,4 @@ class ResultCache:
             raise
 
 
-def partition_cached(
-    cells: Sequence[ScenarioSpec], cache: ResultCache
-) -> Tuple[List[Optional[ScenarioResult]], List[int], int]:
-    """Split a sweep into served-from-cache and still-pending cells.
-
-    Returns ``(results, pending, hits)``: the results list in cell order
-    with cached entries filled in, the indices still needing execution,
-    and the hit count.  The distributed coordinator starts a run here;
-    :class:`~repro.runner.parallel.SweepExecutor` looks cells up one by
-    one as its stream reads them.
-    """
-    results: List[Optional[ScenarioResult]] = [None] * len(cells)
-    pending: List[int] = []
-    hits = 0
-    for index, spec in enumerate(cells):
-        cached = cache.load(spec)
-        if cached is not None:
-            results[index] = cached
-            hits += 1
-        else:
-            pending.append(index)
-    return results, pending, hits
-
-
-__all__ = ["CACHE_VERSION", "ResultCache", "partition_cached"]
+__all__ = ["CACHE_VERSION", "ResultCache"]

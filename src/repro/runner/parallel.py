@@ -9,10 +9,8 @@ cells run on the discrete-event simulator, asyncio cells materialize an
 sockets — worker processes host their own event loop, and the ephemeral
 port allocation keeps concurrently running cells from colliding.
 
-For fan-out past one machine, see
-:class:`~repro.runner.distributed.DistributedSweepExecutor`, which
-shares this module's cache layer (:mod:`repro.runner.cache`) and
-determinism contract but ships cells to worker *hosts* over TCP.
+:meth:`SweepExecutor.run_stream` is the one way cells run: ``run``, the
+paper benchmarks and the fuzz farm all drain it.
 
 Guarantees:
 

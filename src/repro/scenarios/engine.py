@@ -1,7 +1,7 @@
 """Scenario engine: build and run one :class:`ScenarioSpec`.
 
-:func:`run_scenario` is the single entry point the serial and parallel
-sweep executors share.  It dispatches on ``spec.backend`` to a
+:func:`run_scenario` is the single entry point the sweep executor's
+serial and pool paths share.  It dispatches on ``spec.backend`` to a
 :class:`~repro.scenarios.backends.ScenarioBackend`; the default
 ``"simulation"`` backend (:func:`simulate_scenario`, kept here) expands
 the spec into a topology, a set of protocol instances (with Byzantine

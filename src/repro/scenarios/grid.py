@@ -4,7 +4,7 @@ A grid cell is one fully resolved :class:`ScenarioSpec`.  Axes address
 spec fields either directly (``"seed"``, ``"payload_size"``) or through a
 dotted path into the nested specs (``"topology.n"``, ``"delay.kind"``),
 and cells are produced in deterministic row-major order — the order the
-sweep executors preserve in their results.
+sweep executor preserves in its results.
 
 Workloads are an axis like any other: ``expand_grid(base, {"workload":
 [None, WorkloadSpec.repeated(0, 5, 40.0)]})`` sweeps the same scenario

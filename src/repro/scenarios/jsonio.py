@@ -3,8 +3,8 @@
 The fuzzing farm (:mod:`repro.fuzz`) persists every interesting spec as
 a JSON record under ``corpus/`` so that corpus entries survive code
 refactors, diff cleanly in review, and can be pasted into regression
-tests.  Pickle (:mod:`repro.scenarios.serialize`) stays the wire format
-between coordinator and workers — it round-trips ``RunMetrics`` and is
+tests.  Pickle (:mod:`repro.scenarios.serialize`) stays what the process
+pool and the result cache carry — it round-trips ``RunMetrics`` and is
 faster — but a corpus that outlives many code versions needs a format
 where a renamed module does not orphan every stored entry.
 

@@ -1,32 +1,27 @@
-"""Wire (de)serialization of scenario specs and results.
+"""Validated pickling of scenario specs and results.
 
-The distributed sweep executor ships :class:`ScenarioSpec` cells to
-worker hosts and gets :class:`ScenarioResult` snapshots back; both
-travel as pickled payloads inside tagged wire envelopes (see
-:mod:`repro.runner.wire`).  Pickle is the right tool here — specs embed
-:class:`~repro.core.modifications.ModificationSet`, fault-event and
-workload (:class:`~repro.scenarios.spec.WorkloadSpec`) dataclasses, and
-results carry full :class:`~repro.metrics.collector.RunMetrics`
-snapshots plus per-broadcast
-:class:`~repro.scenarios.engine.BroadcastOutcome` tuples — but raw
-``pickle.loads`` turns a corrupt frame into an
-arbitrary exception (or an arbitrary object).  Since wire v3 the spec
-payloads may also embed lossy delay fields and adaptive fault classes
-(:class:`~repro.scenarios.faults.ObservationFilter` and friends), which
-is why mixed-version pairs are rejected at the envelope layer before any
-body reaches these helpers.  They pin the failure mode instead:
+:class:`~repro.runner.parallel.SweepExecutor`'s process pool pickles
+every :class:`ScenarioSpec` it dispatches and every
+:class:`ScenarioResult` a worker returns, and the result cache stores
+results as pickles.  These helpers do that step on its own (the
+observatory benchmark times it with them).  Pickle fits the objects —
+specs embed :class:`~repro.core.modifications.ModificationSet`,
+fault-event and workload (:class:`~repro.scenarios.spec.WorkloadSpec`)
+dataclasses, and results carry full
+:class:`~repro.metrics.collector.RunMetrics` snapshots plus
+per-broadcast :class:`~repro.scenarios.engine.BroadcastOutcome` tuples —
+and the helpers pin the failure mode raw ``pickle.loads`` leaves open:
 
 * any unpickling problem — truncated payload, garbage bytes, a payload
   produced by an incompatible code version — raises
   :class:`SerializationError`;
 * a payload that unpickles into the *wrong type* also raises
-  :class:`SerializationError`, so a transposed message kind cannot leak
-  a spec where a result is expected (or vice versa).
+  :class:`SerializationError`, so a spec cannot pass for a result (or
+  vice versa).
 
-Trust model: the sweep protocol links the operator's own coordinator and
-worker processes (the authenticated-channel assumption the node runtime
-already makes); the validation here is about corruption and version
-skew, not about sandboxing hostile pickles.
+Trust model: the bytes come from the operator's own processes; the
+validation here is about corruption and version skew, not about
+sandboxing hostile pickles.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ class SerializationError(ReproError):
 
 
 def dumps_spec(spec: ScenarioSpec) -> bytes:
-    """Serialize one spec for the wire."""
+    """Pickle one spec."""
     if not isinstance(spec, ScenarioSpec):
         raise SerializationError(f"expected a ScenarioSpec, got {type(spec).__name__}")
     return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
@@ -55,7 +50,7 @@ def loads_spec(payload: bytes) -> ScenarioSpec:
 
 
 def dumps_result(result: ScenarioResult) -> bytes:
-    """Serialize one result for the wire."""
+    """Pickle one result."""
     if not isinstance(result, ScenarioResult):
         raise SerializationError(
             f"expected a ScenarioResult, got {type(result).__name__}"

@@ -499,7 +499,7 @@ class ScenarioSpec:
     identical results.  ``seed`` drives the topology generation, the link
     delays, the adversary placement and any randomized behaviour.
 
-    ``backend`` selects the execution backend the sweep executors hand
+    ``backend`` selects the execution backend the sweep executor hands
     the cell to: ``"simulation"`` (discrete-event, fully deterministic)
     or ``"asyncio"`` (real TCP sockets on localhost; timings are
     wall-clock, delivery/safety verdicts must match the simulation — see
@@ -673,8 +673,8 @@ class ScenarioSpec:
         existed are omitted from the canonical form (see the
         ``_HASH_SUPPRESS_DEFAULTS`` maps on the spec classes), so hashes
         of specs predating each feature stay valid.  The golden files
-        pin them; the executors' pickle caches are still invalidated by
-        their own version bumps whenever the record layout changes.
+        pin them; the executor's pickle cache is still invalidated by
+        its own version bumps whenever the record layout changes.
 
         Computed once per instance (the spec is frozen).  The memo is an
         instance attribute, not a field: ``==``, ``repr``, ``replace``

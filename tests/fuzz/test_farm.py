@@ -196,32 +196,42 @@ class TestFarm:
             assert record.stats["byzantine"] >= record.spec.f
         assert corpus.validate() == {}
 
-    def test_batched_executor_path_matches_streaming(self, tmp_path):
-        class BatchOnlyExecutor:
-            """A ``run(cells)``-only executor (the distributed shape)."""
+    def test_any_run_stream_executor_matches_the_default(self, tmp_path):
+        class StreamOnlyExecutor:
+            """Just ``run_stream`` and ``cache_hits`` (the observatory's
+            measuring adapter has this shape)."""
 
             def __init__(self):
                 from repro.runner.parallel import SweepExecutor
 
                 self._inner = SweepExecutor(workers=1)
-                self.cache_hits = 0
+                self.budgets = []
 
-            def run(self, cells):
-                return self._inner.run(cells)
+            @property
+            def cache_hits(self):
+                return self._inner.cache_hits + 100
 
-        streamed = FuzzFarm(
+            def run_stream(self, specs, *, time_budget_s=None, max_cells=None):
+                self.budgets.append((time_budget_s, max_cells))
+                return self._inner.run_stream(
+                    specs, time_budget_s=time_budget_s, max_cells=max_cells
+                )
+
+        default = FuzzFarm(
             tmp_path / "a", check=forge_delivery_when_lossy, seed=0
         ).run(max_cells=BUDGET)
-        batched = FuzzFarm(
+        executor = StreamOnlyExecutor()
+        adapted = FuzzFarm(
             tmp_path / "b",
-            executor=BatchOnlyExecutor(),
+            executor=executor,
             check=forge_delivery_when_lossy,
             seed=0,
-            batch_size=3,
         ).run(max_cells=BUDGET)
-        assert batched.cells_run == BUDGET
-        assert batched.new_records == streamed.new_records
-        assert batched.manifest_hash == streamed.manifest_hash
+        assert executor.budgets == [(None, BUDGET)]
+        assert adapted.cells_run == BUDGET
+        assert adapted.cache_hits == 100
+        assert adapted.new_records == default.new_records
+        assert adapted.manifest_hash == default.manifest_hash
 
     def test_no_shrink_records_the_raw_offender(self, tmp_path):
         farm = FuzzFarm(
@@ -402,6 +412,19 @@ class TestCLI:
         with pytest.raises(SystemExit) as excinfo:
             main(["--corpus-dir", str(tmp_path)])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--time-budget", "-1"), ("--max-cells", "-2")],
+    )
+    def test_usage_error_on_bad_numbers(self, tmp_path, capsys, flag, value):
+        """Regression: each ended in a ``ValueError`` traceback from the
+        executor instead of a usage error."""
+        argv = ["--corpus-dir", str(tmp_path), "--max-cells", "1", flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_transient_cap_zero_empties_the_transient_tiers(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.runner.cache import CACHE_VERSION, ResultCache, partition_cached
+from repro.runner.cache import CACHE_VERSION, ResultCache
 from repro.runner.parallel import SweepExecutor
 from repro.scenarios import ScenarioSpec, TopologySpec, run_scenario
 
@@ -159,12 +159,3 @@ def test_cross_backend_collision_is_rejected(tmp_path, spec, result):
     assert executor.run([spec]) == [rerun]
     assert executor.cache_hits == 1
 
-
-def test_partition_cached_splits_hits_and_pending(tmp_path, spec, result):
-    cache = ResultCache(tmp_path)
-    cache.store(result)
-    other = spec.with_seed(spec.seed + 1)
-    results, pending, hits = partition_cached([other, spec, other], cache)
-    assert results == [None, result, None]
-    assert pending == [0, 2]
-    assert hits == 1

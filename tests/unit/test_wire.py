@@ -1,31 +1,42 @@
-"""Unit tests of the sweep wire stack: framing, envelopes, payloads.
-
-Covers the three layers the distributed executor composes:
+"""Unit tests of the byte codecs: frames and pickled payloads.
 
 * :mod:`repro.network.asyncio_runtime.framing` — length-prefixed frames
-  (round-trip, truncation, oversized prefixes);
-* :mod:`repro.scenarios.serialize` — spec/result payloads (round-trip,
-  garbage, wrong-type rejection);
-* :mod:`repro.runner.wire` — tagged envelopes (round-trip of every
-  message kind, garbage/short/bad-magic frames, and the version-tag
-  rejection an incompatible worker triggers).
+  (round-trip, a partial tail kept for the next read, oversized
+  prefixes and payloads);
+* :mod:`repro.scenarios.serialize` — spec/result payloads (round-trip
+  of every spec part the process pool pickles, garbage, wrong-type
+  rejection).
 """
 
-import asyncio
+import json
 import pickle
 
 import pytest
 
+from repro.core.modifications import ModificationSet
 from repro.network.asyncio_runtime.framing import (
     MAX_FRAME_BYTES,
     FrameError,
     LENGTH,
     encode_frame,
     iter_frames,
-    read_frame,
 )
-from repro.runner import wire
-from repro.scenarios import ScenarioSpec, TopologySpec, run_scenario
+from repro.scenarios import (
+    AdversarySpec,
+    CrashAt,
+    CrashWhen,
+    CutLinkWhen,
+    DelaySpec,
+    JoinAt,
+    LinkDropWindow,
+    ObservationFilter,
+    RewireLinkAt,
+    ScenarioSpec,
+    TopologySpec,
+    TurnByzantineWhen,
+    WorkloadSpec,
+    run_scenario,
+)
 from repro.scenarios.serialize import (
     SerializationError,
     dumps_result,
@@ -50,31 +61,77 @@ def result(spec):
     return run_scenario(spec)
 
 
-def read_all_frames(data: bytes):
-    """Decode every frame of ``data`` through the real reader coroutine."""
-
-    async def drain():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        frames = []
-        while True:
-            try:
-                frames.append(await read_frame(reader))
-            except asyncio.IncompleteReadError:
-                return frames
-
-    return asyncio.run(drain())
+def _row(name, **fields):
+    fields.setdefault("topology", TopologySpec(kind="harary", n=6, k=4))
+    return ScenarioSpec(name=f"wire-{name}", f=1, seed=29, **fields)
 
 
-def read_one_frame(data: bytes) -> bytes:
-    async def one():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_frame(reader)
-
-    return asyncio.run(one())
+#: One spec per part of :class:`ScenarioSpec` that rides inside the
+#: pickle the process pool sends, each small enough to run in a test.
+SPEC_ROWS = {
+    "workload": _row(
+        "workload",
+        topology=TopologySpec(kind="harary", n=6, k=3),
+        workload=WorkloadSpec.round_robin([0, 1], 4, interval_ms=20.0),
+    ),
+    "equivocator": _row(
+        "equivocator",
+        adversaries=(
+            AdversarySpec(behaviour="equivocate", conflicting_payload=b"evil"),
+        ),
+    ),
+    "lossy-bursty-normal": _row(
+        "lossy-bursty-normal",
+        protocol="bracha_dolev",
+        delay=DelaySpec(
+            kind="normal",
+            mean_ms=20.0,
+            std_ms=5.0,
+            loss=0.05,
+            burst_period_ms=200.0,
+            burst_len_ms=20.0,
+        ),
+    ),
+    "timed-faults": _row(
+        "timed-faults",
+        faults=(
+            CrashAt(pid=4, time_ms=0.0),
+            LinkDropWindow(u=0, v=1, start_ms=0.0, end_ms=None),
+        ),
+    ),
+    "churn": _row(
+        "churn",
+        faults=(
+            JoinAt(pid=4, time_ms=50.0),
+            RewireLinkAt(pid=3, old_peer=5, new_peer=1, time_ms=60.0),
+        ),
+    ),
+    "adaptive": _row(
+        "adaptive",
+        adaptive=(
+            CrashWhen(pid=3, after=ObservationFilter(kind="send", mtype="ECHO"), count=2),
+            CutLinkWhen(
+                u=0, v=1, after=ObservationFilter(kind="send", pid=0), duration_ms=40.0
+            ),
+        ),
+    ),
+    "byzantine-turn": _row(
+        "byzantine-turn",
+        adaptive=(
+            TurnByzantineWhen(
+                pid=2, after=ObservationFilter(kind="deliver", pid=2), behaviour="drop"
+            ),
+        ),
+    ),
+    "rco-modifications-medium": _row(
+        "rco-modifications-medium",
+        topology=TopologySpec(kind="harary", n=6, k=3),
+        protocol="rco_cross_layer",
+        modifications=ModificationSet.latency_and_bandwidth_optimized(),
+        shared_bandwidth_bps=1e6,
+        workload=WorkloadSpec.causal_chain((0, 2, 4), interval_ms=200.0),
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -83,34 +140,36 @@ def read_one_frame(data: bytes) -> bytes:
 class TestFraming:
     def test_frames_round_trip_back_to_back(self):
         payloads = [b"", b"x", b"hello" * 100]
-        stream = b"".join(encode_frame(p) for p in payloads)
-        assert read_all_frames(stream) == payloads
+        buffer = bytearray(b"".join(encode_frame(p) for p in payloads))
+        assert list(iter_frames(buffer)) == payloads
+        assert not buffer
 
-    def test_truncated_frame_raises_incomplete_read(self):
+    @pytest.mark.parametrize("cut", [1, 2, 3, LENGTH.size, LENGTH.size + 5])
+    def test_a_partial_tail_stays_in_the_buffer(self, cut):
         frame = encode_frame(b"truncate-me")
-        with pytest.raises(asyncio.IncompleteReadError):
-            read_one_frame(frame[:-3])
+        buffer = bytearray(encode_frame(b"whole") + frame[:cut])
+        assert list(iter_frames(buffer)) == [b"whole"]
+        assert bytes(buffer) == frame[:cut]
+        assert list(iter_frames(buffer)) == []
+        buffer += frame[cut:]
+        assert list(iter_frames(buffer)) == [b"truncate-me"]
+        assert not buffer
 
-    def test_truncated_header_raises_incomplete_read(self):
-        with pytest.raises(asyncio.IncompleteReadError):
-            read_one_frame(LENGTH.pack(10)[:2])
-
-    def test_oversized_prefix_is_rejected_not_allocated(self):
-        header = LENGTH.pack(MAX_FRAME_BYTES + 1)
-        with pytest.raises(FrameError):
-            read_one_frame(header)
-
-    def test_iter_frames_agrees_with_read_frame_and_keeps_a_partial_tail(self):
+    def test_frames_fed_one_byte_at_a_time_come_out_whole(self):
         payloads = [b"", b"x", b"hello" * 100]
         stream = b"".join(encode_frame(p) for p in payloads)
-        tail = encode_frame(b"not all here yet")[:-1]
-        buffer = bytearray(stream + tail)
-        assert list(iter_frames(buffer)) == payloads == read_all_frames(stream)
-        assert bytes(buffer) == tail
-        assert list(iter_frames(buffer)) == []
-        buffer += b"t"
-        assert list(iter_frames(buffer)) == [b"not all here yet"]
+        buffer = bytearray()
+        frames = []
+        for byte in stream:
+            buffer.append(byte)
+            frames.extend(iter_frames(buffer))
+        assert frames == payloads
         assert not buffer
+
+    def test_oversized_prefix_is_rejected_not_allocated(self):
+        buffer = bytearray(LENGTH.pack(MAX_FRAME_BYTES + 1))
+        with pytest.raises(FrameError):
+            list(iter_frames(buffer))
 
     def test_iter_frames_yields_what_precedes_an_oversized_prefix(self):
         poison = LENGTH.pack(MAX_FRAME_BYTES + 1) + b"unreachable"
@@ -157,95 +216,26 @@ class TestSerialize:
         with pytest.raises(SerializationError):
             loads_spec(pickle.dumps({"not": "a spec"}))
 
+    @pytest.mark.parametrize("row", sorted(SPEC_ROWS))
+    def test_every_spec_part_round_trips_under_its_hash(self, row):
+        spec = SPEC_ROWS[row]
+        restored = loads_spec(dumps_spec(spec))
+        assert restored == spec
+        # The pool's workers and the result cache key cells by this hash.
+        assert restored.scenario_hash() == spec.scenario_hash()
+
+    @pytest.mark.parametrize("row", sorted(SPEC_ROWS))
+    def test_result_round_trip_keeps_every_outcome(self, row):
+        result = run_scenario(SPEC_ROWS[row])
+        restored = loads_result(dumps_result(result))
+        assert restored == result
+        assert restored.outcomes == result.outcomes
+        assert json.dumps(restored.summary(), sort_keys=True) == json.dumps(
+            result.summary(), sort_keys=True
+        )
+
     def test_dumps_validates_input_type(self, spec):
         with pytest.raises(SerializationError):
             dumps_spec("not a spec")
         with pytest.raises(SerializationError):
             dumps_result(spec)
-
-
-# ----------------------------------------------------------------------
-# Envelopes
-# ----------------------------------------------------------------------
-class TestEnvelope:
-    def test_control_messages_round_trip(self):
-        for frame, kind in [
-            (wire.encode_hello(), wire.HELLO),
-            (wire.encode_welcome(), wire.WELCOME),
-            (wire.encode_shutdown(), wire.SHUTDOWN),
-        ]:
-            decoded_kind, body = wire.decode_envelope(frame)
-            assert decoded_kind == kind
-            assert body == b""
-
-    def test_task_round_trip(self, spec):
-        kind, body = wire.decode_envelope(wire.encode_task(7, spec))
-        assert kind == wire.TASK
-        assert wire.decode_task(body) == (7, spec)
-
-    def test_result_round_trip(self, result):
-        kind, body = wire.decode_envelope(wire.encode_result(3, result))
-        assert kind == wire.RESULT
-        index, restored = wire.decode_result(body)
-        assert index == 3
-        assert restored == result
-
-    def test_error_and_heartbeat_round_trip(self):
-        kind, body = wire.decode_envelope(wire.encode_error(9, "boom ✗"))
-        assert kind == wire.ERROR
-        assert wire.decode_error(body) == (9, "boom ✗")
-        kind, body = wire.decode_envelope(wire.encode_heartbeat(4))
-        assert kind == wire.HEARTBEAT
-        assert wire.decode_heartbeat(body) == 4
-
-    def test_reject_round_trip(self):
-        kind, body = wire.decode_envelope(wire.encode_reject("bad version"))
-        assert kind == wire.REJECT
-        assert wire.decode_reject(body) == "bad version"
-
-    def test_garbage_frame_raises_wire_error(self):
-        with pytest.raises(wire.WireError):
-            wire.decode_envelope(b"GARBAGEGARBAGE")
-
-    def test_short_frame_raises_wire_error(self):
-        with pytest.raises(wire.WireError):
-            wire.decode_envelope(wire.WIRE_MAGIC)  # header cut off
-
-    def test_unknown_kind_raises_wire_error(self):
-        frame = wire.WIRE_MAGIC + bytes((wire.WIRE_VERSION, 0xEE))
-        with pytest.raises(wire.WireError):
-            wire.decode_envelope(frame)
-        with pytest.raises(wire.WireError):
-            wire.encode_envelope(0xEE)
-
-    def test_version_tag_rejects_incompatible_peer(self):
-        frame = wire.WIRE_MAGIC + bytes((wire.WIRE_VERSION + 1, wire.HELLO))
-        with pytest.raises(wire.WireVersionError) as excinfo:
-            wire.decode_envelope(frame)
-        assert excinfo.value.version == wire.WIRE_VERSION + 1
-        # The version error is a WireError, so handshake code can treat
-        # "broken peer" uniformly while still telling the reason apart.
-        assert isinstance(excinfo.value, wire.WireError)
-
-    def test_task_with_garbage_body_raises_wire_error(self):
-        _, body = wire.decode_envelope(
-            wire.encode_envelope(wire.TASK, b"\x00\x00\x00\x01not-a-pickle")
-        )
-        with pytest.raises(wire.WireError):
-            wire.decode_task(body)
-
-    def test_body_without_index_raises_wire_error(self):
-        with pytest.raises(wire.WireError):
-            wire.decode_task(b"\x01")
-        with pytest.raises(wire.WireError):
-            wire.decode_heartbeat(b"")
-
-    def test_transposed_kinds_are_rejected(self, spec, result):
-        # A TASK body fed to the result decoder must fail loudly, not
-        # hand back a spec where a result is expected.
-        _, task_body = wire.decode_envelope(wire.encode_task(1, spec))
-        with pytest.raises(wire.WireError):
-            wire.decode_result(task_body)
-        _, result_body = wire.decode_envelope(wire.encode_result(1, result))
-        with pytest.raises(wire.WireError):
-            wire.decode_task(result_body)
