@@ -42,18 +42,31 @@ from typing import Dict, List, Sequence
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "observatory" / "run.py"
 WIN_SHARE = 0.9
+STDERR_TAIL = 20
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> Dict[str, float]:
-    """One untraced run in ``checkout``; metric name -> value."""
+def run_once(side: str, checkout: Path, workload: str, seed: int,
+             seconds: int) -> Dict[str, float]:
+    """One untraced run of ``side`` in ``checkout``; metric name -> value.
+
+    The exit code is checked before stdout is read: a run that crashed, or
+    exited 2 on an exact-metric mismatch, prints no JSON line, so the
+    error names the side, the exit code and the tail of its stderr.
+    """
     done = subprocess.run(
         [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, stdout=subprocess.PIPE, text=True,
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    line = json.loads(done.stdout.strip().splitlines()[-1])
-    if done.returncode != 0 or line["failed"]:
-        raise SystemExit(f"{checkout}: {workload} failed {line['failed']}/{line['attempted']}")
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        tail = "\n".join(done.stderr.strip().splitlines()[-STDERR_TAIL:])
+        raise SystemExit(f"{side} run of {workload} in {checkout} exited "
+                         f"{done.returncode}; stderr ends:\n{tail}")
+    line = json.loads(lines[-1])
+    if line["failed"]:
+        raise SystemExit(f"{side} run of {workload} in {checkout}: "
+                         f"{line['failed']}/{line['attempted']} failed")
     return {name: entry["value"] for name, entry in line["metrics"].items()}
 
 
@@ -114,7 +127,8 @@ def main(argv: Sequence[str] = ()) -> int:
         checkouts = {"base": Path(base_checkout), "change": ROOT}
         for pair in range(args.pairs):
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                runs[side].append(run_once(checkouts[side], args.workload, args.seed, seconds))
+                runs[side].append(
+                    run_once(side, checkouts[side], args.workload, args.seed, seconds))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
 
     print(f"{args.workload}  seed {args.seed}  {args.pairs} alternating pairs, "

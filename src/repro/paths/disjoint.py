@@ -31,6 +31,12 @@ Levels are walked top-down and updated in place: level ``c + 1`` is read
 before the unions grown from level ``c`` are merged into it, so every
 level is extended from its state before the call.
 
+The satisfying path can only reach a new top level, so ``add_path`` just
+scans the top level for a union disjoint from it and leaves the growth of
+every level *pending*: the first read of the combinations applies it with
+the same loop, so the levels read as if grown eagerly, and
+``discard_paths`` (MD.2, right after delivery) drops it unapplied.
+
 The verifier is *incremental* and *monotonic*: once ``satisfied`` becomes
 true it stays true, and adding paths never lowers the best count.
 """
@@ -84,16 +90,19 @@ class DisjointPathVerifier:
     """
 
     __slots__ = ("required", "max_combinations", "_store", "_has_direct",
-                 "_levels", "_best_indirect", "_satisfied")
+                 "_levels", "_pending", "_best_indirect", "_satisfied")
 
     def __init__(self, required: int, *, max_combinations: int = 4096) -> None:
         if required < 1:
             raise ValueError("at least one disjoint path must be required")
+        if max_combinations < 1:
+            raise ValueError(f"max_combinations must be at least 1, got {max_combinations}")
         self.required = required
         self.max_combinations = max_combinations
         self._store = PathStore()
         self._has_direct = False
         self._levels: List[List[int]] = [[0]]  # see the module docstring
+        self._pending = 0  # the satisfying path, not yet grown into _levels
         self._best_indirect = 0
         self._satisfied = False
 
@@ -121,9 +130,17 @@ class DisjointPathVerifier:
         return len(self._store) + (1 if self._has_direct else 0)
 
     @property
+    def combination_levels(self) -> List[List[int]]:
+        """The memoized unions of ``1, 2, ...`` disjoint paths, lowest first."""
+        if self._pending:
+            self._grow(self._pending)
+            self._pending = 0
+        return self._levels[1:]
+
+    @property
     def stored_combination_count(self) -> int:
         """Number of disjoint-path combinations currently memoized."""
-        return sum(map(len, self._levels)) - 1
+        return sum(map(len, self.combination_levels))
 
     def state_size_estimate(self) -> int:
         """Rough memory footprint proxy: stored paths plus combinations."""
@@ -147,10 +164,26 @@ class DisjointPathVerifier:
             if self._has_direct:
                 return _REDUNDANT
             self._has_direct = True
-            return self._stored()
+            self._satisfied = self._best_indirect + 1 >= self.required
+            return _STORED_SATISFIED if self._satisfied else _STORED
         if not self._store.add_bits(bits):
             return _REDUNDANT
 
+        height = len(self._levels)
+        if height > self._best_indirect and height + self._has_direct >= self.required:
+            for union in self._levels[-1]:
+                if not union & bits:  # the path reaches a new, satisfying top level
+                    self._pending = bits
+                    self._best_indirect = height
+                    self._satisfied = True
+                    return _STORED_SATISFIED
+        self._grow(bits)  # the scan above was the only way to become satisfied
+        if len(self._levels) - 1 > self._best_indirect:
+            self._best_indirect = len(self._levels) - 1
+        return _STORED
+
+    def _grow(self, bits: int) -> None:
+        """Combine the path ``bits`` with every level, top-down, in place."""
         levels = self._levels
         cap = self.max_combinations
         for count in range(len(levels), 0, -1):
@@ -168,20 +201,11 @@ class DisjointPathVerifier:
                 if len(target) > cap:
                     target.sort(key=int.bit_count)
                     del target[cap:]
-        if len(levels) - 1 > self._best_indirect:
-            self._best_indirect = len(levels) - 1
-        return self._stored()
-
-    def _stored(self) -> PathAddResult:
-        """The result of storing a path, noting first-time satisfaction."""
-        if self.best_count >= self.required:
-            self._satisfied = True
-            return _STORED_SATISFIED
-        return _STORED
 
     def discard_paths(self) -> None:
         """Drop stored paths and combinations (MD.2, after delivery)."""
         self._store.clear()
+        self._pending = 0
         del self._levels[1:]
 
 

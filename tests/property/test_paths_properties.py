@@ -126,9 +126,38 @@ class TestKernelMatchesFrozenReference:
             assert _observable(kernel) == _observable(reference)
             # Same unions in the same order per cardinality: the order
             # decides what the cap truncates on later calls.
-            assert kernel._levels[1:] == reference.frontier_levels()
+            assert kernel.combination_levels == reference.frontier_levels()
             assert kernel._store.paths == tuple(reference._store._paths)
             if index == discard_after:  # MD.2 after an MD.1 delivery
                 kernel.discard_paths()
                 reference.discard_paths()
                 assert _observable(kernel) == _observable(reference)
+
+    @given(
+        paths=kernel_paths_strategy,
+        required=st.integers(min_value=1, max_value=5),
+        max_combinations=st.sampled_from([2, 8, 4096]),
+        discard_after=st.none() | st.integers(min_value=0, max_value=23),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_state_when_read_only_at_the_end(
+        self, paths, required, max_combinations, discard_after
+    ):
+        # Nothing reads the combinations between paths, so a satisfying
+        # path's growth stays pending until the final read or a discard.
+        kernel = DisjointPathVerifier(required, max_combinations=max_combinations)
+        reference = ReferenceVerifier(required, max_combinations=max_combinations)
+        for index, path in enumerate(paths):
+            got = kernel.add_path(path)
+            expected = reference.add_path(path)
+            assert (got.stored, got.newly_satisfied) == (
+                expected.stored,
+                expected.newly_satisfied,
+            )
+            assert kernel.best_count == reference.best_count
+            if index == discard_after:
+                kernel.discard_paths()
+                reference.discard_paths()
+        assert _observable(kernel) == _observable(reference)
+        assert kernel.combination_levels == reference.frontier_levels()
+        assert kernel._store.paths == tuple(reference._store._paths)

@@ -6,6 +6,7 @@ from repro.paths.disjoint import DisjointPathVerifier, PathAddResult
 from repro.paths.oracle import graph_disjoint_paths, max_disjoint_selection
 from repro.paths.pathset import PathStore, bits_to_nodes, path_to_bits
 from repro.topology.generators import harary_topology
+from tests.property.reference_verifier import ReferenceVerifier
 
 
 class TestBitCodec:
@@ -69,6 +70,13 @@ class TestDisjointPathVerifier:
         with pytest.raises(ValueError):
             DisjointPathVerifier(0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_requires_positive_combination_cap(self, cap):
+        # A cap below one would empty every level it truncates, so four
+        # pairwise-disjoint paths would never satisfy required = 2.
+        with pytest.raises(ValueError, match="max_combinations"):
+            DisjointPathVerifier(2, max_combinations=cap)
+
     def test_single_path_satisfies_requirement_one(self):
         verifier = DisjointPathVerifier(1)
         result = verifier.add_path([4, 5])
@@ -131,6 +139,30 @@ class TestDisjointPathVerifier:
         verifier.discard_paths()
         assert verifier.satisfied
         assert verifier.stored_combination_count == 0
+
+    def test_first_read_after_satisfaction_grows_the_levels_once(self):
+        paths = ([1, 2], [3], [2, 4], [5])
+        verifier = DisjointPathVerifier(3)
+        reference = ReferenceVerifier(3)
+        for path in paths:
+            assert verifier.add_path(path) == reference.add_path(path)
+        assert verifier.satisfied and verifier._pending
+        levels = verifier.combination_levels
+        assert not verifier._pending
+        assert levels == reference.frontier_levels()
+        assert verifier.combination_levels == levels
+        assert verifier.stored_combination_count == reference.stored_combination_count
+        assert verifier.state_size_estimate() == (
+            reference.stored_path_count + reference.stored_combination_count
+        )
+
+    def test_discard_after_satisfaction_drops_the_pending_growth(self):
+        verifier = DisjointPathVerifier(2)
+        verifier.add_path([1])
+        assert verifier.add_path([2]).newly_satisfied
+        verifier.discard_paths()
+        assert verifier.stored_combination_count == 0
+        assert verifier.combination_levels == []
 
     def test_matches_oracle_on_tricky_set(self):
         paths = [[1, 2], [3, 4], [1, 3], [2, 4], [5]]
