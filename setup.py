@@ -18,7 +18,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     # Standard library only at run time; the test tooling is listed in
     # requirements-ci.txt.
     install_requires=[],

@@ -36,9 +36,7 @@ from repro.core.modifications import ModificationSet
 from repro.core.sizes import FieldSizes, PAPER_FIELD_SIZES
 from repro.brb.bracha import BrachaBroadcast
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
-from repro.brb.cpa import BrachaCPABroadcast, CPABroadcast
 from repro.brb.dolev import DolevBroadcast, OptimizedDolevBroadcast
-from repro.brb.dolev_routed import RoutedDolevBroadcast
 from repro.brb.optimized import CrossLayerBrachaDolev
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.network.simulation.delays import (
@@ -110,9 +108,6 @@ __all__ = [
     "BrachaBroadcast",
     "DolevBroadcast",
     "OptimizedDolevBroadcast",
-    "RoutedDolevBroadcast",
-    "CPABroadcast",
-    "BrachaCPABroadcast",
     "BrachaDolevBroadcast",
     "CrossLayerBrachaDolev",
     # topologies

@@ -12,21 +12,10 @@
 * :class:`~repro.brb.optimized.CrossLayerBrachaDolev` — the paper's
   contribution: the cross-layer combination supporting the MBD.1–12
   modifications.
-
-Two extension substrates are also provided (related / future work the
-paper points at):
-
-* :class:`~repro.brb.dolev_routed.RoutedDolevBroadcast` — Dolev's
-  known-topology variant using precomputed vertex-disjoint routes.
-* :class:`~repro.brb.cpa.CPABroadcast` and
-  :class:`~repro.brb.cpa.BrachaCPABroadcast` — the Certified Propagation
-  Algorithm under the local fault model, alone and under Bracha.
 """
 
 from repro.brb.bracha import BrachaBroadcast
 from repro.brb.dolev import DolevBroadcast, OptimizedDolevBroadcast
-from repro.brb.dolev_routed import RoutedDolevBroadcast
-from repro.brb.cpa import BrachaCPABroadcast, CPABroadcast
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
 from repro.brb.optimized import CrossLayerBrachaDolev
 
@@ -34,9 +23,6 @@ __all__ = [
     "BrachaBroadcast",
     "DolevBroadcast",
     "OptimizedDolevBroadcast",
-    "RoutedDolevBroadcast",
-    "CPABroadcast",
-    "BrachaCPABroadcast",
     "BrachaDolevBroadcast",
     "CrossLayerBrachaDolev",
 ]

@@ -5,8 +5,9 @@ it; an operator loops it).  Exit status is the farm's verdict: ``0`` for
 an oracle-green run, ``2`` when violations were found (new or
 re-discovered), ``1`` for corpus-validation failures — so a cron lane
 turns red exactly when the oracle fires.  A usage error (no budget, a
-negative budget, fewer than one worker) exits through argparse with
-status ``2`` before anything runs.
+negative or NaN budget, fewer than one worker, a fraction outside
+``[0, 1]``) exits through argparse with status ``2`` before anything
+runs.
 
 Besides fuzzing, the tool serves the corpus:
 
@@ -225,8 +226,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("--time-budget", args.time_budget, 0),
         ("--max-cells", args.max_cells, 0),
     ):
-        if value is not None and value < low:
+        # ``not >=`` also catches NaN: a NaN budget would run no cell and exit 0.
+        if value is not None and not value >= low:
             parser.error(f"{flag} must be >= {low}, got {value}")
+    for flag, value in (
+        ("--workload-fraction", args.workload_fraction),
+        ("--rco-fraction", args.rco_fraction),
+        ("--behaviour-fraction", args.behaviour_fraction),
+        ("--churn-fraction", args.churn_fraction),
+    ):
+        if not 0 <= value <= 1:
+            parser.error(f"{flag} must be within [0, 1], got {value}")
     backends = tuple(args.backend) if args.backend else ("simulation",)
     if args.transient_cap is None:
         transient_cap = DEFAULT_TRANSIENT_CAP

@@ -57,9 +57,6 @@ class DelayModel(abc.ABC):
     """Per-message link delay distribution."""
 
     @abc.abstractmethod
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
-        """Delay (in milliseconds) applied to one message on one link."""
-
     def sample_event(
         self,
         rng: random.Random,
@@ -68,24 +65,15 @@ class DelayModel(abc.ABC):
         size_bytes: int,
         time_ms: float,
     ) -> DelayOutcome:
-        """Delay for one message, or :data:`DROP` to lose it.
+        """Delay (in milliseconds) for one message on one link, or :data:`DROP`.
 
         ``time_ms`` is the simulated send time, which time-dependent loss
-        models (bursty outages) key on.  The lossless base models simply
-        delegate to :meth:`sample`, so existing subclasses keep working
-        — and keep their RNG consumption byte-identical — without
-        overriding anything.
+        models (bursty outages) key on.
         """
-        return self.sample(rng, sender, dest, size_bytes)
 
-    @property
-    def lossy(self) -> bool:
-        """Whether :meth:`sample_event` may ever return :data:`DROP`."""
-        return False
-
-    def describe(self) -> str:
-        """Short human-readable description used in benchmark reports."""
-        return type(self).__name__
+    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> DelayOutcome:
+        """:meth:`sample_event` for a message sent at time 0."""
+        return self.sample_event(rng, sender, dest, size_bytes, 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,11 +90,15 @@ class FixedDelay(DelayModel):
                 f"a fixed delay must be a non-negative number, got {self.delay_ms}"
             )
 
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
+    def sample_event(
+        self,
+        rng: random.Random,
+        sender: int,
+        dest: int,
+        size_bytes: int,
+        time_ms: float,
+    ) -> float:
         return self.delay_ms
-
-    def describe(self) -> str:
-        return f"synchronous({self.delay_ms:g} ms)"
 
 
 @dataclass(frozen=True)
@@ -134,9 +126,6 @@ class AsynchronousDelay(DelayModel):
                 f"clipped at {self.min_ms}"
             )
 
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
-        return self.sample_event(rng, sender, dest, size_bytes, 0.0)
-
     def sample_event(
         self,
         rng: random.Random,
@@ -146,13 +135,9 @@ class AsynchronousDelay(DelayModel):
         time_ms: float,
     ) -> float:
         # The draw of every send of an asynchronous run, answered in one
-        # frame (``max(min_ms, gauss)`` spelled without the call); the one
-        # place the distribution is written — :meth:`sample` comes here.
+        # frame (``max(min_ms, gauss)`` spelled without the call).
         delay = rng.gauss(self.mean_ms, self.std_ms)
         return delay if delay > self.min_ms else self.min_ms
-
-    def describe(self) -> str:
-        return f"asynchronous(N({self.mean_ms:g}, {self.std_ms:g}) ms)"
 
 
 @dataclass(frozen=True)
@@ -169,31 +154,15 @@ class UniformDelay(DelayModel):
                 f"got [{self.low_ms}, {self.high_ms}] ms"
             )
 
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
+    def sample_event(
+        self,
+        rng: random.Random,
+        sender: int,
+        dest: int,
+        size_bytes: int,
+        time_ms: float,
+    ) -> float:
         return rng.uniform(self.low_ms, self.high_ms)
-
-    def describe(self) -> str:
-        return f"uniform([{self.low_ms:g}, {self.high_ms:g}] ms)"
-
-
-@dataclass(frozen=True)
-class BandwidthAwareDelay(DelayModel):
-    """Adds a serialization term proportional to the message size.
-
-    Models the 1 Gb/s bandwidth cap the paper applies with ``netem``: a
-    message of ``size_bytes`` takes ``size_bytes * 8 / rate_bps`` seconds
-    to serialize on the link, on top of a base propagation delay.
-    """
-
-    base: DelayModel = FixedDelay(50.0)
-    rate_bps: float = 1e9
-
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
-        serialization_ms = (size_bytes * 8.0 / self.rate_bps) * 1000.0
-        return self.base.sample(rng, sender, dest, size_bytes) + serialization_ms
-
-    def describe(self) -> str:
-        return f"{self.base.describe()}+{self.rate_bps / 1e9:g}Gb/s"
 
 
 @dataclass(frozen=True)
@@ -215,9 +184,6 @@ class LossyDelay(DelayModel):
                 f"loss_probability must be within [0, 1], got {self.loss_probability}"
             )
 
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
-        return self.base.sample(rng, sender, dest, size_bytes)
-
     def sample_event(
         self,
         rng: random.Random,
@@ -229,13 +195,6 @@ class LossyDelay(DelayModel):
         if rng.random() < self.loss_probability:
             return DROP
         return self.base.sample_event(rng, sender, dest, size_bytes, time_ms)
-
-    @property
-    def lossy(self) -> bool:
-        return self.loss_probability > 0.0
-
-    def describe(self) -> str:
-        return f"lossy({self.loss_probability:g})+{self.base.describe()}"
 
 
 @dataclass(frozen=True)
@@ -258,8 +217,11 @@ class BurstyLossWindow(DelayModel):
     loss_probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.period_ms <= 0:
-            raise ValueError(f"period_ms must be positive, got {self.period_ms}")
+        # ``not <`` also catches NaN: a NaN offset or period never bursts.
+        if not 0 < self.period_ms < math.inf:
+            raise ValueError(f"period_ms must be positive and finite, got {self.period_ms}")
+        if not math.isfinite(self.offset_ms):
+            raise ValueError(f"offset_ms must be finite, got {self.offset_ms}")
         if not 0.0 <= self.burst_ms <= self.period_ms:
             raise ValueError(
                 f"burst_ms must be within [0, period_ms], got {self.burst_ms}"
@@ -272,9 +234,6 @@ class BurstyLossWindow(DelayModel):
     def in_burst(self, time_ms: float) -> bool:
         """Whether a message sent at ``time_ms`` falls inside a burst."""
         return (time_ms - self.offset_ms) % self.period_ms < self.burst_ms
-
-    def sample(self, rng: random.Random, sender: int, dest: int, size_bytes: int) -> float:
-        return self.base.sample(rng, sender, dest, size_bytes)
 
     def sample_event(
         self,
@@ -289,16 +248,6 @@ class BurstyLossWindow(DelayModel):
                 return DROP
         return self.base.sample_event(rng, sender, dest, size_bytes, time_ms)
 
-    @property
-    def lossy(self) -> bool:
-        return self.burst_ms > 0 and self.loss_probability > 0.0
-
-    def describe(self) -> str:
-        return (
-            f"bursty({self.burst_ms:g}/{self.period_ms:g} ms)"
-            f"+{self.base.describe()}"
-        )
-
 
 __all__ = [
     "DROP",
@@ -307,7 +256,6 @@ __all__ = [
     "FixedDelay",
     "AsynchronousDelay",
     "UniformDelay",
-    "BandwidthAwareDelay",
     "LossyDelay",
     "BurstyLossWindow",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -165,9 +166,11 @@ class DelaySpec:
             raise ConfigurationError(
                 f"loss probability must be within [0, 1], got {self.loss}"
             )
-        if self.burst_period_ms < 0 or self.burst_len_ms < 0:
+        # ``not <`` also catches NaN, which would build a lossless model
+        # and never equal its own pickle round trip (a cache miss forever).
+        if not (0 <= self.burst_period_ms < math.inf and 0 <= self.burst_len_ms < math.inf):
             raise ConfigurationError(
-                "burst window times must be non-negative, got "
+                "burst window times must be finite and non-negative, got "
                 f"period={self.burst_period_ms}, len={self.burst_len_ms}"
             )
         if self.burst_len_ms > 0 and self.burst_period_ms <= 0:

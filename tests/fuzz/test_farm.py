@@ -25,6 +25,22 @@ from repro.fuzz.sample import stream_fuzz_specs
 BUDGET = 8
 
 
+@pytest.fixture(scope="module")
+def cell_cache(tmp_path_factory):
+    """One scenario-hash result cache for this module's seed-0 farms.
+
+    Every farm here streams the same seed-0 cells, and the first of them
+    (``complete(10)``, two ``alter_sender`` relays) floods 1.6 M messages,
+    tens of seconds a run.  Farms whose test is about judging, recording or
+    the CLI read results through this cache, so each cell runs once per
+    module.  The tests of execution and caching themselves
+    (``test_same_seed_runs_are_identical``, ``test_cache_is_shared_between_runs``
+    and the adapted executor of ``test_any_run_stream_executor_matches_the_default``)
+    keep executors of their own.
+    """
+    return tmp_path_factory.mktemp("cell-cache")
+
+
 def forge_delivery_when_lossy(result):
     """The forged-delivery craft from the oracle unit tests, keyed on a
     spec predicate so fuzzed streams contain both red and green cells."""
@@ -98,18 +114,23 @@ class TestFarm:
         with pytest.raises(ValueError, match="needs a budget"):
             farm.run()
 
-    def test_green_checker_yields_exit_zero(self, tmp_path):
-        farm = FuzzFarm(tmp_path / "corpus", check=lambda result: (), seed=0)
+    def test_green_checker_yields_exit_zero(self, tmp_path, cell_cache):
+        farm = FuzzFarm(
+            tmp_path / "corpus", cache_dir=cell_cache, check=lambda result: (), seed=0
+        )
         report = farm.run(max_cells=4)
         assert report.cells_run == 4
         assert report.violation_count == 0
         assert report.exit_code == 0
         assert report.manifest_hash == Corpus(tmp_path / "corpus").manifest_hash()
 
-    def test_injected_violation_is_found_and_shrunk(self, tmp_path):
+    def test_injected_violation_is_found_and_shrunk(self, tmp_path, cell_cache):
         """The acceptance criterion: find → shrink, within the budget."""
         farm = FuzzFarm(
-            tmp_path / "corpus", check=forge_delivery_when_lossy, seed=0
+            tmp_path / "corpus",
+            cache_dir=cell_cache,
+            check=forge_delivery_when_lossy,
+            seed=0,
         )
         report = farm.run(max_cells=BUDGET)
         hashes = report.new_records.get("oracle_violation", [])
@@ -161,15 +182,12 @@ class TestFarm:
                 scenario_hash
             ).read_text()
 
-    def test_rediscovery_is_deduplicated(self, tmp_path):
+    def test_rediscovery_is_deduplicated(self, tmp_path, cell_cache):
         corpus_dir = tmp_path / "corpus"
-        first = FuzzFarm(
-            corpus_dir, check=forge_delivery_when_lossy, seed=0
-        ).run(max_cells=BUDGET)
+        kwargs = dict(cache_dir=cell_cache, check=forge_delivery_when_lossy, seed=0)
+        first = FuzzFarm(corpus_dir, **kwargs).run(max_cells=BUDGET)
         assert first.new_records.get("oracle_violation")
-        second = FuzzFarm(
-            corpus_dir, check=forge_delivery_when_lossy, seed=0
-        ).run(max_cells=BUDGET)
+        second = FuzzFarm(corpus_dir, **kwargs).run(max_cells=BUDGET)
         assert second.new_records.get("oracle_violation", []) == []
         assert second.duplicate_violations == len(
             first.new_records["oracle_violation"]
@@ -184,8 +202,8 @@ class TestFarm:
         assert first.cache_hits == 0
         assert second.cache_hits == 4
 
-    def test_near_f_bound_survivors_are_recorded(self, tmp_path):
-        farm = FuzzFarm(tmp_path / "corpus", seed=0)
+    def test_near_f_bound_survivors_are_recorded(self, tmp_path, cell_cache):
+        farm = FuzzFarm(tmp_path / "corpus", cache_dir=cell_cache, seed=0)
         report = farm.run(max_cells=24)
         hashes = report.new_records.get("near_f_bound", [])
         assert hashes, "seed-0 stream contains f-saturated safe cells"
@@ -196,7 +214,7 @@ class TestFarm:
             assert record.stats["byzantine"] >= record.spec.f
         assert corpus.validate() == {}
 
-    def test_any_run_stream_executor_matches_the_default(self, tmp_path):
+    def test_any_run_stream_executor_matches_the_default(self, tmp_path, cell_cache):
         class StreamOnlyExecutor:
             """Just ``run_stream`` and ``cache_hits`` (the observatory's
             measuring adapter has this shape)."""
@@ -218,7 +236,10 @@ class TestFarm:
                 )
 
         default = FuzzFarm(
-            tmp_path / "a", check=forge_delivery_when_lossy, seed=0
+            tmp_path / "a",
+            cache_dir=cell_cache,
+            check=forge_delivery_when_lossy,
+            seed=0,
         ).run(max_cells=BUDGET)
         executor = StreamOnlyExecutor()
         adapted = FuzzFarm(
@@ -233,9 +254,10 @@ class TestFarm:
         assert adapted.new_records == default.new_records
         assert adapted.manifest_hash == default.manifest_hash
 
-    def test_no_shrink_records_the_raw_offender(self, tmp_path):
+    def test_no_shrink_records_the_raw_offender(self, tmp_path, cell_cache):
         farm = FuzzFarm(
             tmp_path / "corpus",
+            cache_dir=cell_cache,
             check=forge_delivery_when_lossy,
             seed=0,
             shrink=False,
@@ -269,8 +291,10 @@ class TestFarm:
         assert "pruned transient records: 7" in text
         assert "deadbeef" in text
 
-    def test_transient_cap_bounds_the_corpus(self, tmp_path):
-        capped = FuzzFarm(tmp_path / "capped", seed=0, transient_cap=1)
+    def test_transient_cap_bounds_the_corpus(self, tmp_path, cell_cache):
+        capped = FuzzFarm(
+            tmp_path / "capped", cache_dir=cell_cache, seed=0, transient_cap=1
+        )
         report = capped.run(max_cells=24)
         assert report.pruned_records > 0
         categories = [
@@ -279,7 +303,9 @@ class TestFarm:
         assert categories.count("near_f_bound") <= 1
         assert categories.count("latency_outlier") <= 1
 
-        unbounded = FuzzFarm(tmp_path / "raw", seed=0, transient_cap=None)
+        unbounded = FuzzFarm(
+            tmp_path / "raw", cache_dir=cell_cache, seed=0, transient_cap=None
+        )
         raw = unbounded.run(max_cells=24)
         assert raw.pruned_records == 0
         raw_count = len(Corpus(tmp_path / "raw").hashes())
@@ -306,7 +332,7 @@ class TestConformanceDivergence:
         return dataclasses.replace(result, metrics=patched)
 
     def test_unreproducible_divergence_is_recorded_unshrunk(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, cell_cache
     ):
         """The mirror run "diverges", but the conformance evaluator's
         honest baseline re-run is green: the farm must keep the raw
@@ -319,6 +345,7 @@ class TestConformanceDivergence:
         )
         farm = FuzzFarm(
             tmp_path / "corpus",
+            cache_dir=cell_cache,
             check=lambda result: (),
             seed=0,
             conformance_backends=("simulation", "asyncio"),
@@ -333,7 +360,7 @@ class TestConformanceDivergence:
             assert record.shrunk_spec is None
             assert record.shrunk_violations == ()
 
-    def test_reproducible_divergence_is_shrunk(self, tmp_path, monkeypatch):
+    def test_reproducible_divergence_is_shrunk(self, tmp_path, monkeypatch, cell_cache):
         """When the cross-backend evaluator reproduces the divergence,
         the recorded spec carries a minimized reproducer."""
         from repro.scenarios.oracle import OracleViolation
@@ -357,6 +384,7 @@ class TestConformanceDivergence:
         monkeypatch.setattr(farm_module, "conformance_evaluator", fake_evaluator)
         farm = FuzzFarm(
             tmp_path / "corpus",
+            cache_dir=cell_cache,
             check=lambda result: (),
             seed=0,
             conformance_backends=("simulation", "asyncio"),
@@ -373,12 +401,10 @@ class TestConformanceDivergence:
 
 
 class TestCLI:
-    def test_fuzz_run_then_corpus_tools(self, tmp_path, capsys):
+    def test_fuzz_run_then_corpus_tools(self, tmp_path, capsys, cell_cache):
         corpus_dir = str(tmp_path / "corpus")
-        assert (
-            main(["--corpus-dir", corpus_dir, "--max-cells", "6", "--seed", "0"])
-            == 0
-        )
+        argv = ["--corpus-dir", corpus_dir, "--cache-dir", str(cell_cache)]
+        assert main([*argv, "--max-cells", "6", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "cells run: 6" in out
         assert "corpus manifest hash: " in out
@@ -390,9 +416,20 @@ class TestCLI:
 
         assert main(["--corpus-dir", corpus_dir, "--list"]) == 0
 
-    def test_replay_roundtrip_and_missing_hash(self, tmp_path, capsys):
+    def test_replay_roundtrip_and_missing_hash(self, tmp_path, capsys, cell_cache):
         corpus_dir = str(tmp_path / "corpus")
-        main(["--corpus-dir", corpus_dir, "--max-cells", "24", "--seed", "0"])
+        main(
+            [
+                "--corpus-dir",
+                corpus_dir,
+                "--cache-dir",
+                str(cell_cache),
+                "--max-cells",
+                "24",
+                "--seed",
+                "0",
+            ]
+        )
         capsys.readouterr()
         corpus = Corpus(corpus_dir)
         hashes = corpus.hashes()
@@ -415,23 +452,48 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--workers", "0"), ("--time-budget", "-1"), ("--max-cells", "-2")],
+        [
+            ("--workers", "0"),
+            ("--time-budget", "-1"),
+            ("--max-cells", "-2"),
+            ("--time-budget", "nan"),
+            ("--rco-fraction", "1.5"),
+            ("--churn-fraction", "-0.1"),
+            ("--workload-fraction", "2"),
+            ("--behaviour-fraction", "nan"),
+        ],
     )
     def test_usage_error_on_bad_numbers(self, tmp_path, capsys, flag, value):
-        """Regression: each ended in a ``ValueError`` traceback from the
-        executor instead of a usage error."""
+        """Regression: the first three ended in a ``ValueError`` traceback
+        from the executor instead of a usage error; a NaN budget ran zero
+        cells and exited 0, and out-of-range fractions were accepted."""
         argv = ["--corpus-dir", str(tmp_path), "--max-cells", "1", flag, value]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_transient_cap_zero_empties_the_transient_tiers(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["0", "1"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--workload-fraction", "--rco-fraction", "--behaviour-fraction", "--churn-fraction"],
+    )
+    def test_fraction_bounds_are_accepted(self, tmp_path, capsys, flag, value):
+        """Both ends of ``[0, 1]`` pass the range check."""
+        argv = ["--corpus-dir", str(tmp_path), "--max-cells", "0", flag, value]
+        assert main(argv) == 0
+        assert "cells run: 0" in capsys.readouterr().out
+
+    def test_transient_cap_zero_empties_the_transient_tiers(
+        self, tmp_path, capsys, cell_cache
+    ):
         corpus_dir = str(tmp_path / "corpus")
         code = main(
             [
                 "--corpus-dir",
                 corpus_dir,
+                "--cache-dir",
+                str(cell_cache),
                 "--max-cells",
                 "24",
                 "--seed",
@@ -446,12 +508,14 @@ class TestCLI:
         assert "pruned transient records:" in capsys.readouterr().out
         assert Corpus(corpus_dir).hashes() == ()
 
-    def test_negative_transient_cap_disables_pruning(self, tmp_path, capsys):
+    def test_negative_transient_cap_disables_pruning(self, tmp_path, capsys, cell_cache):
         corpus_dir = str(tmp_path / "corpus")
         code = main(
             [
                 "--corpus-dir",
                 corpus_dir,
+                "--cache-dir",
+                str(cell_cache),
                 "--max-cells",
                 "24",
                 "--seed",

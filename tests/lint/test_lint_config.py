@@ -1,5 +1,5 @@
-"""Config loading: the committed ``lint.toml``, the minimal TOML
-fallback parser, glob scoping and the registry meta-checks."""
+"""Config loading: the committed ``lint.toml``, malformed files, glob
+scoping and the registry meta-checks."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.lint.config import (
     LintConfig,
     glob_to_regex,
     load_config,
-    parse_minimal_toml,
 )
 from repro.lint.engine import lint_paths
 from repro.lint.rules import RULES
@@ -46,46 +45,15 @@ def test_every_registered_rule_has_violating_and_clean_fixtures():
         assert kinds == {"violating", "clean"}, f"{rule_id} lacks fixtures"
 
 
-def test_minimal_parser_matches_tomllib_on_committed_config():
-    tomllib = pytest.importorskip("tomllib")
-    text = COMMITTED.read_text(encoding="utf-8")
-    assert parse_minimal_toml(text) == tomllib.loads(text)
-
-
-def test_minimal_parser_subset():
-    parsed = parse_minimal_toml(
-        """
-        # comment
-        [lint]
-        paths = ["src", "tests"]  # trailing comment
-        [rules.DET001]
-        severity = "error"
-        include = [
-            "src/**",
-            "tests/**",
-        ]
-        threshold = 3
-        ratio = 0.5
-        enabled = true
-        [rules.SLT001.classes]
-        "src/a.py::Hot" = ["base"]
-        """
-    )
-    assert parsed["lint"]["paths"] == ["src", "tests"]
-    assert parsed["rules"]["DET001"]["include"] == ["src/**", "tests/**"]
-    assert parsed["rules"]["DET001"]["threshold"] == 3
-    assert parsed["rules"]["DET001"]["ratio"] == 0.5
-    assert parsed["rules"]["DET001"]["enabled"] is True
-    assert parsed["rules"]["SLT001"]["classes"]["src/a.py::Hot"] == ["base"]
-
-
-def test_minimal_parser_rejects_garbage():
-    with pytest.raises(ConfigError):
-        parse_minimal_toml("not a toml line\n")
-    with pytest.raises(ConfigError):
-        parse_minimal_toml("key = {inline = 1}\n")
-    with pytest.raises(ConfigError):
-        parse_minimal_toml('key = [\n  "unterminated"\n')
+@pytest.mark.parametrize(
+    "text",
+    ["not a toml line\n", "key = {inline = \n", 'key = [\n  "unterminated"\n'],
+)
+def test_malformed_config_file_rejected(tmp_path, text):
+    path = tmp_path / "lint.toml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(path)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Unit tests for scenario specs, grids and adversary placement."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -70,7 +72,6 @@ class TestDelaySpec:
         assert isinstance(model, LossyDelay)
         assert model.loss_probability == 0.25
         assert isinstance(model.base, FixedDelay)
-        assert model.lossy
 
     def test_burst_wraps_the_base_model(self):
         model = DelaySpec(
@@ -107,6 +108,29 @@ class TestDelaySpec:
             DelaySpec(kind="fixed", burst_period_ms=10.0, burst_len_ms=20.0)
         with pytest.raises(ConfigurationError):
             DelaySpec(kind="fixed", burst_period_ms=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for period, length in ((nan, 0.0), (nan, 5.0), (50.0, nan), (inf, 5.0), (inf, 0.0)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                DelaySpec(kind="fixed", burst_period_ms=period, burst_len_ms=length)
+
+    @pytest.mark.parametrize(
+        "delay",
+        [
+            DelaySpec(kind="fixed", mean_ms=5.0),
+            DelaySpec(kind="normal", mean_ms=40.0, std_ms=10.0),
+            DelaySpec(kind="uniform", low_ms=1.0, high_ms=9.0),
+            DelaySpec(kind="fixed", loss=0.25),
+            DelaySpec(kind="uniform", burst_period_ms=50.0, burst_len_ms=5.0),
+        ],
+        ids=["fixed", "normal", "uniform", "lossy", "bursty"],
+    )
+    def test_accepted_specs_equal_their_pickle_round_trip(self, delay):
+        # The result cache finds a cell by an equal spec after unpickling;
+        # a NaN field (now rejected) made a spec unequal to its own copy.
+        spec = ScenarioSpec(topology=TopologySpec(kind="ring", n=6), delay=delay)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert copy.scenario_hash() == spec.scenario_hash()
 
     def test_lossless_defaults_keep_the_scenario_hash(self):
         # The loss fields at their defaults are suppressed from the

@@ -12,7 +12,6 @@ from repro.brb.bracha import BrachaBroadcast
 from repro.network.simulation.delays import (
     DROP,
     AsynchronousDelay,
-    BandwidthAwareDelay,
     BurstyLossWindow,
     FixedDelay,
     LossyDelay,
@@ -145,8 +144,7 @@ class TestDelayModels:
     def test_fixed_delay(self):
         model = FixedDelay(50.0)
         rng = random.Random(0)
-        assert model.sample(rng, 0, 1, 100) == 50.0
-        assert "50" in model.describe()
+        assert model.sample_event(rng, 0, 1, 100, 0.0) == 50.0
 
     def test_fixed_delay_rejects_nan_and_negative_at_construction(self):
         # Used to surface as a ValueError from inside the first send.
@@ -157,7 +155,7 @@ class TestDelayModels:
                 FixedDelay(bad)
             with pytest.raises(ConfigurationError, match="fixed delay"):
                 DelaySpec("fixed", mean_ms=bad).build()
-        assert FixedDelay(0.0).sample(random.Random(0), 0, 1, 8) == 0.0
+        assert FixedDelay(0.0).sample_event(random.Random(0), 0, 1, 8, 0.0) == 0.0
 
     def test_sampled_delay_parameters_are_checked_at_construction(self):
         # ``max(0.1, nan)`` is 0.1: a NaN mean used to delay every message
@@ -181,16 +179,16 @@ class TestDelayModels:
                 DelaySpec("uniform", low_ms=low, high_ms=high).build()
         # Degenerate but meaningful parameters stay accepted.
         rng = random.Random(0)
-        assert AsynchronousDelay(5.0, 0.0).sample(rng, 0, 1, 8) == 5.0
-        assert AsynchronousDelay(-5.0, 0.0, min_ms=0.0).sample(rng, 0, 1, 8) == 0.0
-        assert UniformDelay(0.0, 0.0).sample(rng, 0, 1, 8) == 0.0
-        assert UniformDelay(3.0, 3.0).sample(rng, 0, 1, 8) == 3.0
+        assert AsynchronousDelay(5.0, 0.0).sample_event(rng, 0, 1, 8, 0.0) == 5.0
+        assert AsynchronousDelay(-5.0, 0.0, min_ms=0.0).sample_event(rng, 0, 1, 8, 0.0) == 0.0
+        assert UniformDelay(0.0, 0.0).sample_event(rng, 0, 1, 8, 0.0) == 0.0
+        assert UniformDelay(3.0, 3.0).sample_event(rng, 0, 1, 8, 0.0) == 3.0
         # The parameters of a kind the spec does not use are not its business.
         DelaySpec("fixed", mean_ms=5.0, std_ms=-1.0, low_ms=9.0, high_ms=1.0).build()
 
     def test_sampled_delays_are_still_checked_per_send(self):
         class Broken(UniformDelay):
-            def sample(self, rng, sender, dest, size_bytes):
+            def sample_event(self, rng, sender, dest, size_bytes, time_ms):
                 return float("nan") if dest == 2 else -1.0
 
         for dest in (2, 3):
@@ -205,21 +203,15 @@ class TestDelayModels:
     def test_asynchronous_delay_positive_and_varied(self):
         model = AsynchronousDelay(50.0, 50.0)
         rng = random.Random(1)
-        samples = [model.sample(rng, 0, 1, 100) for _ in range(200)]
+        samples = [model.sample_event(rng, 0, 1, 100, 0.0) for _ in range(200)]
         assert all(s >= model.min_ms for s in samples)
         assert max(samples) > min(samples)
 
     def test_uniform_delay_bounds(self):
         model = UniformDelay(10.0, 20.0)
         rng = random.Random(2)
-        samples = [model.sample(rng, 0, 1, 100) for _ in range(100)]
+        samples = [model.sample_event(rng, 0, 1, 100, 0.0) for _ in range(100)]
         assert all(10.0 <= s <= 20.0 for s in samples)
-
-    def test_bandwidth_aware_delay_adds_serialization(self):
-        model = BandwidthAwareDelay(base=FixedDelay(10.0), rate_bps=8_000)
-        rng = random.Random(3)
-        # 1000 bytes at 8 kb/s = 1 second = 1000 ms on top of the base 10 ms.
-        assert model.sample(rng, 0, 1, 1000) == pytest.approx(1010.0)
 
 
 class TestSimulatedNetwork:
@@ -389,7 +381,6 @@ class TestLossyDelayModels:
     def test_lossless_models_never_drop(self):
         rng = random.Random(1)
         for model in (FixedDelay(5.0), UniformDelay(1.0, 2.0)):
-            assert not model.lossy
             for _ in range(16):
                 assert model.sample_event(rng, 0, 1, 10, 0.0) is not DROP
 
@@ -410,6 +401,11 @@ class TestLossyDelayModels:
             BurstyLossWindow(base=FixedDelay(), period_ms=0.0)
         with pytest.raises(ValueError):
             BurstyLossWindow(base=FixedDelay(), period_ms=10.0, burst_ms=20.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="period_ms"):
+                BurstyLossWindow(base=FixedDelay(), period_ms=bad)
+            with pytest.raises(ValueError, match="offset_ms"):
+                BurstyLossWindow(base=FixedDelay(), offset_ms=bad)
 
     def test_network_counts_lossy_drops(self):
         config = SystemConfig.for_system(4, 1)

@@ -11,7 +11,6 @@ import sys
 
 import pytest
 
-from repro.brb.dolev_routed import disjoint_routes
 from repro.core.config import SystemConfig
 from repro.core.errors import TopologyError
 from repro.paths.oracle import graph_disjoint_paths
@@ -208,6 +207,23 @@ class TestKernel:
         assert topo.vertex_connectivity() == 2
         assert topo.disjoint_paths(10, 30) == [(10, 20, 30), (10, 40, 30)]
 
+    def test_limited_paths_are_vertex_disjoint(self):
+        paths = harary_topology(8, 4).disjoint_paths(0, 4, 4)
+        assert len(paths) == 4
+        assert all(path[0] == 0 and path[-1] == 4 for path in paths)
+        interiors = [set(path[1:-1]) for path in paths]
+        for i, a in enumerate(interiors):
+            for b in interiors[i + 1 :]:
+                assert not (a & b)
+
+    def test_direct_edge_is_a_path(self):
+        assert (0, 1) in complete_topology(4).disjoint_paths(0, 1, 3)
+
+    def test_limit_above_connectivity_returns_what_exists(self):
+        # A ring has two disjoint paths between any pair; asking for a
+        # third returns the two rather than raising.
+        assert ring_topology(6).disjoint_paths(0, 3, 3) == [(0, 1, 2, 3), (0, 5, 4, 3)]
+
 
 RING5, RING6 = ring_topology(5), ring_topology(6)
 
@@ -219,7 +235,7 @@ class TestTopologyApiErrors:
         "call, named",
         [
             # source == target: rejected once, at the kernel entry.
-            pytest.param(lambda: disjoint_routes(RING6, 0, 0, 1), "0", id="routes-same-node"),
+            pytest.param(lambda: RING6.disjoint_paths(0, 0, 1), "0", id="limited-same-node"),
             pytest.param(lambda: graph_disjoint_paths(RING5, 2, 2), "2", id="paths-same-node"),
             pytest.param(lambda: disjoint_path_count(RING5, 2, 2), "2", id="count-same-node"),
             # unknown processes.
@@ -227,8 +243,8 @@ class TestTopologyApiErrors:
                          id="count-unknown-target"),
             pytest.param(lambda: graph_disjoint_paths(RING5, 99, 0), "source process 99",
                          id="paths-unknown-source"),
-            pytest.param(lambda: disjoint_routes(RING5, 0, 99, 1), "target process 99",
-                         id="routes-unknown-target"),
+            pytest.param(lambda: graph_disjoint_paths(RING5, 0, 99), "target process 99",
+                         id="paths-unknown-target"),
             pytest.param(lambda: RING5.disjoint_paths(0, 2, limit=-1), "limit",
                          id="negative-limit"),
             # generator arguments.
@@ -253,8 +269,6 @@ class TestNoNetworkxAtRunTime:
 import sys
 sys.modules["networkx"] = None  # any import of it now raises ImportError
 import repro
-from repro.core.config import SystemConfig
-from repro.network.simulation.network import SimulatedNetwork
 from repro.fuzz.sample import stream_fuzz_specs
 from repro.runner.configs import modification_set_for
 from repro.scenarios import DelaySpec, ScenarioSpec, TopologySpec, run_scenario
@@ -275,13 +289,7 @@ assert len(report.snapshots) > 1
 
 assert articulation_points(line_topology(5)) == (1, 2, 3)
 
-topology = harary_topology(8, 4)
-config = SystemConfig.for_system(8, 1)
-network = SimulatedNetwork(topology, {
-    pid: repro.RoutedDolevBroadcast(pid, config, sorted(topology.neighbors(pid)), topology)
-    for pid in topology.nodes}, seed=1)
-network.broadcast(0, b"routed", 0)
-assert len(network.run().deliveries_for((0, 0))) == 8
+assert len(harary_topology(8, 4).disjoint_paths(0, 4)) == 4
 assert sys.modules["networkx"] is None
 """
         subprocess.run(

@@ -19,7 +19,6 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from repro.brb.dolev_routed import disjoint_routes  # noqa: E402
 from repro.core.errors import TopologyError  # noqa: E402
 from repro.fuzz.sample import stream_fuzz_specs  # noqa: E402
 from repro.paths.oracle import graph_disjoint_paths  # noqa: E402
@@ -336,11 +335,10 @@ class TestDisjointPathsMatchNetworkx:
                 assert len(paths) == expected
                 assert_valid_paths(topology, paths, source, target)
                 for count in range(0, expected + 1):
-                    routes = disjoint_routes(topology, source, target, count)
-                    assert len(routes) == count
-                    assert_valid_paths(topology, [(source, *r) for r in routes], source, target)
-                with pytest.raises(TopologyError):
-                    disjoint_routes(topology, source, target, expected + 1)
+                    limited = topology.disjoint_paths(source, target, count)
+                    assert len(limited) == count
+                    assert_valid_paths(topology, limited, source, target)
+                assert len(topology.disjoint_paths(source, target, expected + 1)) == expected
                 pairs += 1
         assert pairs > 600
 
