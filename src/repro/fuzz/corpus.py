@@ -30,13 +30,13 @@ alone — :meth:`Corpus.replay` re-runs the stored spec through
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.runner.cache import write_atomic
 from repro.scenarios.engine import ScenarioResult, run_scenario
 from repro.scenarios.jsonio import (
     SpecJSONError,
@@ -70,7 +70,10 @@ DEFAULT_TRANSIENT_CAP = 64
 
 _MANIFEST_NAME = "manifest.json"
 
-_TMP_COUNTER = itertools.count()
+
+def _json_document(data: object) -> bytes:
+    """The on-disk form of a record or the manifest (review-friendly JSON)."""
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -238,18 +241,7 @@ class Corpus:
         path = self.path_for(record.scenario_hash)
         if path.exists():
             return False
-        self.root.mkdir(parents=True, exist_ok=True)
-        document = json.dumps(record.to_jsonable(), indent=2, sort_keys=True)
-        tmp = path.with_suffix(f".{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
-        try:
-            tmp.write_text(document + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, _json_document(record.to_jsonable()))
         return True
 
     def load(self, scenario_hash: str) -> CorpusRecord:
@@ -339,18 +331,7 @@ class Corpus:
 
     def write_manifest(self) -> Path:
         """Rewrite ``manifest.json`` (returns its path)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        document = json.dumps(self.manifest(), indent=2, sort_keys=True)
-        tmp = self.manifest_path.with_suffix(f".{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
-        try:
-            tmp.write_text(document + "\n", encoding="utf-8")
-            os.replace(tmp, self.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.manifest_path, _json_document(self.manifest()))
         return self.manifest_path
 
     def validate(self) -> Dict[str, List[str]]:

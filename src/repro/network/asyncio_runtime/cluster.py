@@ -20,17 +20,23 @@ runtime primitives of :mod:`repro.scenarios.faults` —
 the same spec milliseconds as the simulator; ``time_scale`` maps them to
 wall-clock seconds after the *epoch* (:meth:`open_epoch`), the instant
 the broadcast workload begins.
+
+Nor is loss translated here.  The cluster takes the ``delay_model`` /
+``seed`` pair :class:`~repro.network.simulation.network.SimulatedNetwork`
+takes, and every node asks that model which of its sends are lost.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
 from repro.network.asyncio_runtime.node import AsyncioNode
+from repro.network.simulation.delays import DelayModel
 from repro.topology.generators import Topology
 
 ProtocolBuilder = Callable[[int, SystemConfig, Iterable[int]], object]
@@ -45,14 +51,14 @@ class AsyncioCluster:
         Either a callable ``(pid, config, neighbors) -> protocol`` or a
         ready-made mapping ``pid -> protocol`` (the scenario backend
         builds adversary-wrapped instances up front).
-    port_base:
-        ``None`` (default) uses ephemeral ports exchanged via a port
-        map; an integer restores the legacy fixed ``port_base + pid``
-        layout.
     collector:
         Optional metrics collector shared by every node.
     time_scale:
         Wall-clock seconds per spec millisecond of the primitives' times.
+    delay_model, seed:
+        The delay model each node asks which sends are lost (``None``:
+        lossless), and the seed of its per-link RNGs.  The delays it
+        returns are ignored: the sockets provide the real ones.
     """
 
     def __init__(
@@ -61,11 +67,17 @@ class AsyncioCluster:
         config: SystemConfig,
         builder: Union[ProtocolBuilder, Mapping[int, object]],
         *,
-        port_base: Optional[int] = None,
         host: str = "127.0.0.1",
         collector: Optional[MetricsCollector] = None,
         time_scale: float = 1e-3,
+        delay_model: Optional[DelayModel] = None,
+        seed: int = 0,
     ) -> None:
+        # ``not <`` also catches NaN; 0 would divide ``now`` by zero.
+        if not 0 < time_scale < math.inf:
+            raise ConfigurationError(
+                f"time_scale must be positive and finite, got {time_scale}"
+            )
         self.topology = topology
         self.config = config
         self.collector = collector
@@ -77,7 +89,12 @@ class AsyncioCluster:
             else:
                 protocol = builder(pid, config, sorted(topology.neighbors(pid)))
             self.nodes[pid] = AsyncioNode(
-                protocol, host=host, port_base=port_base, collector=collector
+                protocol,
+                host=host,
+                collector=collector,
+                delay_model=delay_model,
+                seed=seed,
+                time_scale=time_scale,
             )
         self.epoch: Optional[float] = None
         # (time_ms, action, args) armed when the epoch opens.
@@ -185,7 +202,7 @@ class AsyncioCluster:
     ) -> None:
         """Drop every message on the ``{u, v}`` link during the window.
 
-        Installed symmetrically as outgoing drop filters on both
+        Installed symmetrically as outgoing drop windows on both
         endpoints.
         """
         if not self.topology.has_edge(u, v):
@@ -229,27 +246,6 @@ class AsyncioCluster:
         node_v.allow_peer(u)
         if self._port_map:
             self._spawn(node_u.dial_peer, v, self._port_map[v])
-
-    def add_loss_filter(self, u: int, v: int, probability: float, seed: int) -> None:
-        """Lose messages on the ``{u, v}`` link with ``probability``.
-
-        Installed symmetrically as outgoing loss filters on both
-        endpoints; each direction draws from its own RNG derived from
-        ``seed``, mirroring the scenario engine's lossy delay models.
-        """
-        if not self.topology.has_edge(u, v):
-            raise ConfigurationError(f"no link between {u} and {v} to lose on")
-        self._node(u).add_loss_filter(v, probability, seed)
-        self._node(v).add_loss_filter(u, probability, seed ^ 0x5DEECE66D)
-
-    def add_periodic_drop_window(
-        self, u: int, v: int, period_s: float, burst_s: float, offset_s: float = 0.0
-    ) -> None:
-        """Lose messages on the ``{u, v}`` link during periodic bursts."""
-        if not self.topology.has_edge(u, v):
-            raise ConfigurationError(f"no link between {u} and {v} to drop")
-        self._node(u).add_periodic_drop_window(v, period_s, burst_s, offset_s)
-        self._node(v).add_periodic_drop_window(u, period_s, burst_s, offset_s)
 
     def _set_observer(self, observer) -> None:
         for node in self.nodes.values():

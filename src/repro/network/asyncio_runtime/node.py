@@ -17,25 +17,32 @@ its length prefix was valid, so the framing is intact — while an
 oversized prefix closes the link.  *Outbound*, interpreting a command
 list never touches a socket: each send is checked against the crash
 flag, recorded in the collector, checked against the drop windows, the
-loss filters and the severed set (in that order, one RNG draw per
-consulted message), and its frame is appended to a per-destination
-outbox.  A message object is encoded once per command list however many
-neighbors it goes to.  The outbox is flushed — one ``write`` of the
-concatenated frames per destination, then one ``drain`` each — after
-every chunk, every :meth:`broadcast`, every :meth:`handle_message` and
-every ``on_start``/:meth:`wake` replay step.  Back-pressure is therefore
-paid per batch: a read loop does not take its next chunk while a
-destination it relayed to is not draining, and the loops of other peers
-keep running.  Frames queued before a crash are still written, none
-after; per-link order is the order of the sends.  An observer sees a
-send once it is *queued for the wire or provably lost*, and what is
-queued is written even if the observer's reaction crashes the node.
+delay model and the severed set (in that order), and its frame is
+appended to a per-destination outbox.  A message object is encoded once
+per command list however many neighbors it goes to.  The outbox is
+flushed — one ``write`` of the concatenated frames per destination, then
+one ``drain`` each — after every chunk, every :meth:`broadcast`, every
+:meth:`handle_message` and every ``on_start``/:meth:`wake` replay step.
+Back-pressure is therefore paid per batch: a read loop does not take its
+next chunk while a destination it relayed to is not draining, and the
+loops of other peers keep running.  Frames queued before a crash are
+still written, none after; per-link order is the order of the sends.  An
+observer sees a send once it is *queued for the wire or provably lost*,
+and what is queued is written even if the observer's reaction crashes
+the node.
 
-Ports are ephemeral by default: a node binds port 0, learns the port the
-kernel assigned and publishes it through the cluster's port map, so
-concurrent clusters (pytest-xdist workers, parallel CI jobs) never race
-for a fixed port range.  Passing ``port_base`` restores the legacy fixed
-``port_base + process_id`` layout.
+Ports are ephemeral: a node binds port 0, learns the port the kernel
+assigned and publishes it through the cluster's port map, so concurrent
+clusters (pytest-xdist workers, parallel CI jobs) never race for a fixed
+port range.
+
+Loss is the spec's own :class:`~repro.network.simulation.delays.DelayModel`,
+asked per send exactly as the simulator asks it: a send is lost when
+``delay_model.sample_event(rng, pid, dest, size, now_ms)`` returns
+:data:`~repro.network.simulation.delays.DROP`.  ``now_ms`` is spec
+milliseconds since the epoch and ``rng`` is one ``random.Random`` per
+directed link derived from ``seed``; the returned delay is ignored,
+because the sockets provide the real one.
 
 Beyond plain hosting, a node carries the per-process half of the
 runtime primitives :class:`~repro.network.asyncio_runtime.cluster.AsyncioCluster`
@@ -53,10 +60,6 @@ implements for :mod:`repro.scenarios.faults`:
   window, matching the simulator's link-drop windows;
 * :meth:`disconnect_peer` / :meth:`allow_peer` / :meth:`dial_peer` — one
   endpoint's share of cutting or adding an edge of the live graph;
-* :meth:`add_loss_filter` / :meth:`add_periodic_drop_window` — the
-  connection-level mirrors of the scenario engine's lossy delay models:
-  outgoing messages to one peer are lost with a seeded probability, or
-  during periodic outage bursts;
 * :meth:`replace_protocol` — swap the hosted instance mid-run (adaptive
   adversaries turning a process Byzantine);
 * an :attr:`observer` hook reporting every send/delivery as an
@@ -80,6 +83,7 @@ from repro.network.asyncio_runtime.framing import (
     encode_frame,
     iter_frames,
 )
+from repro.network.simulation.delays import DROP, DelayModel
 
 #: Bytes asked of a socket per read.  Every frame a chunk completes is
 #: handled before the next read, so this also bounds how much inbound
@@ -99,15 +103,16 @@ class AsyncioNode:
     protocol:
         Any object implementing the protocol interface (``broadcast`` /
         ``on_message`` returning command lists).
-    port_base:
-        ``None`` (the default) binds an ephemeral port; the actual port
-        is available as :attr:`port` once :meth:`start` returned and is
-        exchanged through a port map.  When set, node ``i`` listens on
-        ``port_base + i`` (legacy fixed layout).
     collector:
         Optional :class:`MetricsCollector` shared by the cluster; sends
         and deliveries are recorded with wall-clock milliseconds relative
         to the cluster epoch (see :meth:`set_epoch`).
+    delay_model, seed:
+        The lossy delay model that decides which sends are lost (``None``:
+        none is), and the seed its per-link RNGs derive from.
+    time_scale:
+        Wall-clock seconds per spec millisecond, mapping the epoch-relative
+        wall clock to the model's ``time_ms``.
     """
 
     def __init__(
@@ -115,14 +120,20 @@ class AsyncioNode:
         protocol,
         *,
         host: str = "127.0.0.1",
-        port_base: Optional[int] = None,
         collector: Optional[MetricsCollector] = None,
+        delay_model: Optional[DelayModel] = None,
+        seed: int = 0,
+        time_scale: float = 1e-3,
     ) -> None:
         self.protocol = protocol
         self.process_id = protocol.process_id
         self.host = host
-        self.port_base = port_base
         self.collector = collector
+        self.delay_model = delay_model
+        self.seed = seed
+        self.time_scale = time_scale
+        # peer -> the RNG of the link to it, made at its first send.
+        self._link_rngs: Dict[int, random.Random] = {}
         self._port: Optional[int] = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -150,13 +161,10 @@ class AsyncioNode:
         # peer -> [(start_s, end_s)] drop windows, relative to the epoch;
         # end_s is None for a window that never closes.
         self._drop_windows: Dict[int, List[Tuple[float, Optional[float]]]] = {}
-        # peer -> [predicate(elapsed_s) -> bool] generic drop filters
-        # (probabilistic loss, periodic bursts).
-        self._drop_filters: Dict[int, List[Callable[[float], bool]]] = {}
         #: Observer of protocol events (sends/deliveries); set by the
         #: scenario backend to feed adaptive adversaries.
         self.observer: Optional[Callable[[Observation], None]] = None
-        #: Outgoing messages lost to drop windows or loss filters.
+        #: Outgoing messages lost to drop windows or the delay model.
         self.dropped_messages = 0
         #: Frames handed to a socket, and the ``write`` calls that carried
         #: them; ``frames_sent / writes`` is the coalescing factor.
@@ -174,47 +182,30 @@ class AsyncioNode:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        """The port this node listens on.
-
-        For ephemeral allocation the value only exists after
-        :meth:`start` bound the socket.
-        """
-        if self._port is not None:
-            return self._port
-        if self.port_base is not None:
-            return self.port_base + self.process_id
-        raise RuntimeAbort(
-            f"node {self.process_id} uses ephemeral ports and has not started yet"
-        )
+        """The port this node listens on; it exists once :meth:`start`
+        bound the socket."""
+        if self._port is None:
+            raise RuntimeAbort(
+                f"node {self.process_id} uses ephemeral ports and has not started yet"
+            )
+        return self._port
 
     async def start(self) -> None:
         """Start listening for inbound neighbor connections."""
-        requested = 0 if self.port_base is None else self.port_base + self.process_id
         self._server = await asyncio.start_server(
-            self._on_inbound, host=self.host, port=requested
+            self._on_inbound, host=self.host, port=0
         )
         self._port = self._server.sockets[0].getsockname()[1]
 
-    async def connect_neighbors(self, port_map: Optional[Mapping[int, int]] = None) -> None:
+    async def connect_neighbors(self, port_map: Mapping[int, int]) -> None:
         """Dial every neighbor with a larger identifier.
 
-        ``port_map`` maps process id → actual listening port (required
-        for ephemeral allocation; the cluster builds it after every node
-        started).  Without a map the legacy ``port_base + id`` layout is
-        assumed.
+        ``port_map`` maps process id → actual listening port; the cluster
+        builds it after every node started.
         """
         for neighbor in sorted(self._channel_peers()):
-            if neighbor <= self.process_id:
-                continue
-            if port_map is not None:
-                port = port_map[neighbor]
-            elif self.port_base is not None:
-                port = self.port_base + neighbor
-            else:
-                raise RuntimeAbort(
-                    "ephemeral ports need a port map to dial neighbors"
-                )
-            await self._dial(neighbor, port)
+            if neighbor > self.process_id:
+                await self._dial(neighbor, port_map[neighbor])
 
     async def _dial(self, neighbor: int, port: int, *, attempts: int = 40) -> None:
         last_error: Optional[Exception] = None
@@ -375,61 +366,38 @@ class AsyncioNode:
         """
         self._drop_windows.setdefault(peer, []).append((start_s, end_s))
 
-    def add_loss_filter(self, peer: int, probability: float, seed: int) -> None:
-        """Lose outgoing messages to ``peer`` with ``probability``.
+    def link_dropped(
+        self, peer: int, elapsed_s: Optional[float] = None, size_bytes: int = 0
+    ) -> bool:
+        """Whether a message to ``peer`` at ``elapsed_s`` would be lost.
 
-        The connection-level mirror of the scenario engine's
-        :class:`~repro.network.simulation.delays.LossyDelay`: each
-        message is dropped independently, drawn from a ``seed``-keyed RNG
-        (the scenario backend derives the seed from the scenario hash,
-        so the drop sequence is fixed per scenario even though wall-clock
-        message ordering is not).
+        Consults the timed drop windows first, then the delay model, which
+        draws from the link's RNG as the model says (a probabilistic loss
+        draws once per consulted message).
         """
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be within [0, 1], got {probability}")
-        rng = random.Random(seed)
-        self._drop_filters.setdefault(peer, []).append(
-            lambda _elapsed_s: rng.random() < probability
-        )
-
-    def add_periodic_drop_window(
-        self, peer: int, period_s: float, burst_s: float, offset_s: float = 0.0
-    ) -> None:
-        """Lose outgoing messages to ``peer`` during periodic bursts.
-
-        The connection-level mirror of
-        :class:`~repro.network.simulation.delays.BurstyLossWindow`:
-        every ``period_s`` the link is down for ``burst_s`` (times are
-        seconds relative to the cluster epoch).
-        """
-        if period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {period_s}")
-        if not 0.0 <= burst_s <= period_s:
-            raise ValueError(f"burst_s must be within [0, period_s], got {burst_s}")
-        self._drop_filters.setdefault(peer, []).append(
-            lambda elapsed_s: (elapsed_s - offset_s) % period_s < burst_s
-        )
-
-    def link_dropped(self, peer: int, elapsed_s: Optional[float] = None) -> bool:
-        """Whether a message to ``peer`` at ``elapsed_s`` would be dropped.
-
-        Consults the timed drop windows first, then the generic filters
-        (probabilistic loss consumes one RNG draw per consulted message).
-        """
-        windows = self._drop_windows.get(peer)
-        filters = self._drop_filters.get(peer)
-        if not windows and not filters:
-            return False
         if elapsed_s is None:
             elapsed_s = self._elapsed_s()
+        windows = self._drop_windows.get(peer)
         if windows and any(
             start <= elapsed_s and (end is None or elapsed_s < end)
             for start, end in windows
         ):
             return True
-        return bool(filters) and any(
-            drop_filter(elapsed_s) for drop_filter in filters
+        if self.delay_model is None:
+            return False
+        rng = self._link_rngs.get(peer)
+        if rng is None:
+            # Seeded as the scenario backend always seeded a link: by its
+            # endpoints, with the higher-to-lower direction flipped.
+            lo, hi = sorted((self.process_id, peer))
+            seed = self.seed ^ (lo * 0x9E3779B1 + hi)
+            if self.process_id > peer:
+                seed ^= 0x5DEECE66D
+            rng = self._link_rngs[peer] = random.Random(seed)
+        outcome = self.delay_model.sample_event(
+            rng, self.process_id, peer, size_bytes, elapsed_s / self.time_scale
         )
+        return outcome is DROP
 
     def replace_protocol(self, protocol: object) -> None:
         """Swap the hosted protocol instance mid-run.
@@ -591,11 +559,12 @@ class AsyncioNode:
 
     def _send(self, dest: int, message, encoded: _EncodedFrames) -> None:
         elapsed_s = self._elapsed_s()
+        size = 0
         if self.collector is not None:
-            self.collector.record_send(
+            size = self.collector.record_send(
                 elapsed_s * 1000.0, self.process_id, dest, message
             )
-        if self.link_dropped(dest, elapsed_s) or dest in self._severed:
+        if self.link_dropped(dest, elapsed_s, size) or dest in self._severed:
             self.dropped_messages += 1
         elif dest in self._writers:
             entry = encoded.get(id(message))

@@ -47,9 +47,39 @@ from repro.scenarios.spec import ScenarioSpec
 #:     it miss cleanly before any field is compared.
 CACHE_VERSION = 5
 
-#: Disambiguates concurrent same-process writers of one cache slot
+#: Disambiguates concurrent same-process writers of one path
 #: (``next`` on a C-implemented counter is atomic under the GIL).
 _TMP_COUNTER = itertools.count()
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` all at once, creating its directory.
+
+    The bytes go to a temp file renamed into place.  Its name embeds the
+    pid and a process-local counter, so concurrent writers — other
+    processes sharing the directory, and this process's own threads
+    writing one path at once — never interleave bytes in one temp file.
+    """
+    tmp = path.with_suffix(f".{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
+    try:
+        try:
+            handle = open(tmp, "wb")
+        except FileNotFoundError:
+            # First write into this directory (or it was removed).
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(tmp, "wb")
+        with handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        # Don't litter the (possibly long-lived, shared) directory with
+        # half-written temp files on ENOSPC or cancellation; a process
+        # killed mid-write still leaks one, which no reader ever opens.
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
@@ -105,35 +135,13 @@ class ResultCache:
         path = self.path_for(result.spec)
         if path is None:
             return
-        # The temp name embeds the pid and a process-local counter so
-        # concurrent writers — other processes sharing the directory,
-        # and this process's own thread pool storing two same-hash
-        # results at once — never interleave bytes in one .tmp file.
-        tmp = path.with_suffix(f".{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
-        try:
-            try:
-                handle = open(tmp, "wb")
-            except FileNotFoundError:
-                # First store into this directory (or it was removed).
-                path.parent.mkdir(parents=True, exist_ok=True)
-                handle = open(tmp, "wb")
-            with handle:
-                pickle.dump(
-                    (CACHE_VERSION, result.spec.backend, result),
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            # Don't litter the (possibly long-lived, shared) directory
-            # with half-written temp files on ENOSPC, pickling errors or
-            # cancellation; a process killed mid-write still leaks one,
-            # which paranoid loading simply never reads.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            path,
+            pickle.dumps(
+                (CACHE_VERSION, result.spec.backend, result),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            ),
+        )
 
 
-__all__ = ["CACHE_VERSION", "ResultCache"]
+__all__ = ["CACHE_VERSION", "ResultCache", "write_atomic"]

@@ -14,10 +14,10 @@ ship:
   uses, and so are the faults: the cluster implements the same runtime
   primitives as the simulator, so ``fault.apply(cluster)`` and
   :func:`~repro.scenarios.engine.arm_adaptive` mean here what
-  :mod:`repro.scenarios.faults` says they mean.  Only the lossy
-  ``DelaySpec`` regimes are translated in this module (``arm_loss``:
-  probabilistic / periodic connection drop filters seeded from the
-  scenario hash).
+  :mod:`repro.scenarios.faults` says they mean.  Loss is not translated
+  either: a lossy spec hands the cluster ``spec.delay.build()``, the
+  model the simulator draws ``DROP`` from, seeded from the scenario
+  hash.
 
   Simulated milliseconds — fault timestamps and workload
   ``start_time_ms`` values alike — map to wall-clock seconds through
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List
 
@@ -113,8 +114,16 @@ class AsyncioBackend(ScenarioBackend):
         delivery_timeout_s: float = 20.0,
         connect_timeout_s: float = 10.0,
     ) -> None:
-        if time_scale <= 0:
-            raise ConfigurationError("time_scale must be positive")
+        for name, value in (
+            ("time_scale", time_scale),
+            ("delivery_timeout_s", delivery_timeout_s),
+            ("connect_timeout_s", connect_timeout_s),
+        ):
+            # ``not <`` also catches NaN.
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         self.host = host
         self.time_scale = time_scale
         self.delivery_timeout_s = delivery_timeout_s
@@ -147,38 +156,6 @@ class AsyncioBackend(ScenarioBackend):
             for broadcast in spec.broadcasts()
         ]
 
-    def arm_loss(self, cluster: AsyncioCluster, spec: ScenarioSpec) -> None:
-        """Install the spec's lossy delay regime as connection filters.
-
-        One probabilistic filter and/or one periodic burst per undirected
-        link of the cluster, with the loss-filter seeds derived from the
-        scenario hash and the link endpoints (so two scenarios, or two
-        links, never share a drop sequence — the drop sequence is fixed
-        per scenario even though wall-clock message ordering is not).
-        Burst times scale through ``time_scale`` like every other
-        timestamp.
-        """
-        delay = spec.delay
-        if not delay.is_lossy:
-            return
-        topology = cluster.topology
-        base_seed = int(spec.scenario_hash()[:16], 16)
-        for u in topology.nodes:
-            for v in sorted(topology.neighbors(u)):
-                if v <= u:
-                    continue
-                if delay.loss > 0.0:
-                    cluster.add_loss_filter(
-                        u, v, delay.loss, base_seed ^ (u * 0x9E3779B1 + v)
-                    )
-                if delay.burst_period_ms > 0.0 and delay.burst_len_ms > 0.0:
-                    cluster.add_periodic_drop_window(
-                        u,
-                        v,
-                        self._scale(delay.burst_period_ms),
-                        self._scale(delay.burst_len_ms),
-                    )
-
     # -- execution -----------------------------------------------------
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         return asyncio.run(self.run_async(spec))
@@ -198,10 +175,12 @@ class AsyncioBackend(ScenarioBackend):
             host=self.host,
             collector=collector,
             time_scale=self.time_scale,
+            # A lossless run never asks a model: the sockets time it.
+            delay_model=spec.delay.build() if spec.is_lossy else None,
+            seed=int(spec.scenario_hash()[:16], 16),
         )
         for fault in spec.faults:
             fault.apply(cluster)
-        self.arm_loss(cluster, spec)
         adaptive = arm_adaptive(cluster, spec, byzantine)
 
         schedule = self.plan_workload(spec)

@@ -24,6 +24,7 @@ from repro.network.asyncio_runtime.framing import (
     iter_frames,
 )
 from repro.network.asyncio_runtime.node import AsyncioNode
+from repro.network.simulation.delays import FixedDelay, LossyDelay
 
 PEERS = (1, 2, 3, 4)
 
@@ -382,12 +383,12 @@ class TestBackPressure:
 
 
 # ----------------------------------------------------------------------
-# Loss filters consume one RNG draw per consulted message, in order
+# A lossy model consumes one RNG draw per consulted message, in order
 # ----------------------------------------------------------------------
-class TestLossFilterDraws:
+class TestLossModelDraws:
     def test_drop_sequence_equals_a_per_send_replay_of_the_rng(self):
         probability = 0.4
-        seeds = {peer: 1000 + peer for peer in PEERS}
+        seed = 1000
         schedule = random.Random(7)
         sends = [(schedule.choice(PEERS), wire_message(index)) for index in range(200)]
         # Several command lists of uneven size: batching must not change
@@ -397,16 +398,20 @@ class TestLossFilterDraws:
         protocol = RelayProtocol(
             lambda sender, payload: [SendTo(dest, m) for dest, m in next(pending)]
         )
-        node, writers = hosted(protocol)
-        for peer, seed in seeds.items():
-            node.add_loss_filter(peer, probability, seed)
+        node, writers = hosted(
+            protocol,
+            delay_model=LossyDelay(FixedDelay(5.0), probability),
+            seed=seed,
+        )
 
         async def scenario():
             for _ in batches:
                 await node.broadcast(b"ignored")
 
         asyncio.run(scenario())
-        rngs = {peer: random.Random(seed) for peer, seed in seeds.items()}
+        # Node 0 is the lower endpoint of every link: each link's RNG is
+        # seeded ``seed ^ (0 * 0x9E3779B1 + peer)``.
+        rngs = {peer: random.Random(seed ^ peer) for peer in PEERS}
         expected = {peer: [] for peer in PEERS}
         lost = 0
         for dest, message in sends:

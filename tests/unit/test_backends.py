@@ -2,16 +2,30 @@
 
 Everything here runs without opening a socket: faults and loss are armed
 on a built (never started) cluster of stub protocols, and the node-level
-runtime actions (crash, dormancy, drop windows) are exercised directly.
+runtime actions (crash, dormancy, drop windows, loss) are exercised
+directly.
 """
 
 import asyncio
+import math
+import random
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
+from repro.core.events import SendTo
+from repro.core.messages import CrossLayerMessage, MessageType
+from repro.metrics.collector import MetricsCollector
 from repro.network.asyncio_runtime import AsyncioCluster, AsyncioNode
+from repro.network.asyncio_runtime.framing import iter_frames
+from repro.network.simulation.delays import (
+    DROP,
+    BurstyLossWindow,
+    DelayModel,
+    FixedDelay,
+    LossyDelay,
+)
 from repro.scenarios import (
     AsyncioBackend,
     CrashAt,
@@ -132,9 +146,18 @@ class TestApplyFaultsOnCluster:
         with pytest.raises(ConfigurationError):
             DelayedStart(pid=1, time_ms=-5.0)
 
-    def test_time_scale_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            AsyncioBackend(time_scale=0.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "argument", ["time_scale", "delivery_timeout_s", "connect_timeout_s"]
+    )
+    def test_bad_timing_arguments_rejected(self, argument, value):
+        with pytest.raises(ConfigurationError, match=argument):
+            AsyncioBackend(**{argument: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_cluster_rejects_a_bad_time_scale(self, value):
+        with pytest.raises(ConfigurationError, match="time_scale"):
+            self._cluster(time_scale=value)
 
 
 class TestValidate:
@@ -157,25 +180,38 @@ class TestValidate:
             asyncio.run(AsyncioBackend().run_async(self._capped_spec()))
 
 
-class RecordingCluster(AsyncioCluster):
-    """A real cluster that also records the loss filters installed on it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.losses = []  # (u, v, probability, seed)
-        self.bursts = []  # (u, v, period_s, burst_s)
-
-    def add_loss_filter(self, u, v, probability, seed):
-        self.losses.append((u, v, probability, seed))
-        super().add_loss_filter(u, v, probability, seed)
-
-    def add_periodic_drop_window(self, u, v, period_s, burst_s, offset_s=0.0):
-        self.bursts.append((u, v, period_s, burst_s))
-        super().add_periodic_drop_window(u, v, period_s, burst_s, offset_s)
+class _Started(Exception):
+    """Raised in place of opening the cluster's sockets."""
 
 
-class TestArmLossOnCluster:
-    """``arm_loss`` installs connection filters from the spec's delay regime."""
+def cluster_built_for(spec, monkeypatch, backend=None):
+    """The cluster ``AsyncioBackend.run_async`` builds for ``spec``,
+    stopped before it opens a socket."""
+    from repro.scenarios import backends
+
+    built = []
+
+    class CapturingCluster(AsyncioCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        async def start(self, *, connect_timeout=10.0):
+            raise _Started
+
+    monkeypatch.setattr(backends, "AsyncioCluster", CapturingCluster)
+    with pytest.raises(_Started):
+        asyncio.run((backend or AsyncioBackend()).run_async(spec))
+    (cluster,) = built
+    return cluster
+
+
+def drop_decisions(node, peer, count=64):
+    return [node.link_dropped(peer, 0.0) for _ in range(count)]
+
+
+class TestLossModelOnCluster:
+    """``run_async`` hands the cluster the spec's own delay model and seed."""
 
     def _spec(self, **delay_kwargs):
         return ScenarioSpec(
@@ -184,86 +220,249 @@ class TestArmLossOnCluster:
             delay=DelaySpec(kind="fixed", mean_ms=5.0, **delay_kwargs),
             f=0,
             seed=9,
+            backend="asyncio",
         )
 
-    def _armed(self, spec, backend=None):
-        cluster = stub_cluster(
-            spec.topology.build(spec.seed), f=0, cluster_type=RecordingCluster
-        )
-        (backend or AsyncioBackend()).arm_loss(cluster, spec)
-        return cluster
-
-    def test_lossless_spec_installs_nothing(self):
-        cluster = self._armed(self._spec())
-        assert cluster.losses == [] and cluster.bursts == []
+    def test_lossless_spec_installs_no_model(self, monkeypatch):
+        cluster = cluster_built_for(self._spec(), monkeypatch)
+        assert all(node.delay_model is None for node in cluster.nodes.values())
         assert not cluster.nodes[0].link_dropped(1, elapsed_s=0.0)
 
-    def test_one_loss_filter_per_undirected_link(self):
-        cluster = self._armed(self._spec(loss=0.2))
-        assert cluster.bursts == []
-        assert len(cluster.losses) == cluster.topology.edge_count
-        assert all(probability == 0.2 for _, _, probability, _ in cluster.losses)
-        assert all(u < v for u, v, _, _ in cluster.losses)
-
-    def test_loss_seeds_derive_from_the_scenario_hash(self):
+    def test_lossy_spec_installs_its_model_seeded_from_the_hash(self, monkeypatch):
         spec = self._spec(loss=0.2)
-        losses = self._armed(spec).losses
-        # Deterministic: re-arming yields identical seeds...
-        assert self._armed(spec).losses == losses
-        # ... distinct per link ...
-        seeds = {seed for _, _, _, seed in losses}
-        assert len(seeds) == len(losses)
-        # ... and distinct per scenario (same graph, different hash).
-        other = self._armed(spec.with_seed(10)).losses
-        assert seeds.isdisjoint({seed for _, _, _, seed in other})
+        cluster = cluster_built_for(spec, monkeypatch)
+        for node in cluster.nodes.values():
+            assert node.delay_model == spec.delay.build()
+            assert node.seed == int(spec.scenario_hash()[:16], 16)
 
-    def test_burst_windows_scale_through_time_scale(self):
+    def test_link_seeds_are_deterministic_and_differ_per_link_and_scenario(
+        self, monkeypatch
+    ):
+        spec = self._spec(loss=0.5)
+
+        def sequences(spec):
+            cluster = cluster_built_for(spec, monkeypatch)
+            return {
+                (u, v): tuple(drop_decisions(cluster.nodes[u], v))
+                for u in cluster.topology.nodes
+                for v in cluster.topology.neighbors(u)
+            }
+
+        first = sequences(spec)
+        # Deterministic: re-building yields identical drop sequences...
+        assert sequences(spec) == first
+        # ... distinct per directed link ...
+        assert len(set(first.values())) == len(first)
+        # ... and distinct per scenario (same graph, different hash).
+        other = sequences(spec.with_seed(10))
+        assert set(first.values()).isdisjoint(other.values())
+
+    def test_burst_windows_scale_through_time_scale(self, monkeypatch):
         spec = self._spec(burst_period_ms=100.0, burst_len_ms=20.0)
-        cluster = self._armed(spec, AsyncioBackend(time_scale=2e-3))
-        assert cluster.losses == []
-        assert len(cluster.bursts) == cluster.topology.edge_count
-        _, _, period_s, burst_s = cluster.bursts[0]
-        assert period_s == pytest.approx(0.2)
-        assert burst_s == pytest.approx(0.04)
-        # Installed on both endpoints: down for the first 40 ms of every 200 ms.
+        cluster = cluster_built_for(
+            spec, monkeypatch, AsyncioBackend(time_scale=2e-3)
+        )
+        # Both directions: down for the first 40 ms of every 200 ms.
         assert cluster.nodes[0].link_dropped(1, elapsed_s=0.03)
         assert cluster.nodes[1].link_dropped(0, elapsed_s=0.23)
         assert not cluster.nodes[0].link_dropped(1, elapsed_s=0.05)
 
 
-class TestNodeLossFilters:
-    def test_loss_filter_is_seed_deterministic(self):
+class CountingDelay(DelayModel):
+    """Drops every third send and answers NaN otherwise."""
+
+    def __init__(self):
+        self.calls = []
+
+    def sample_event(self, rng, sender, dest, size_bytes, time_ms):
+        self.calls.append((rng, sender, dest, size_bytes, time_ms))
+        return DROP if len(self.calls) % 3 == 0 else math.nan
+
+
+class TestNodeLossModel:
+    def test_loss_is_seed_deterministic(self):
         decisions = []
         for _ in range(2):
-            node = AsyncioNode(StubProtocol())
-            node.add_loss_filter(1, 0.5, seed=1234)
-            decisions.append([node.link_dropped(1, 0.0) for _ in range(64)])
+            node = AsyncioNode(
+                StubProtocol(), delay_model=LossyDelay(FixedDelay(0.0), 0.5), seed=1234
+            )
+            decisions.append(drop_decisions(node, 1))
         assert decisions[0] == decisions[1]
         assert any(decisions[0]) and not all(decisions[0])
 
-    def test_loss_filter_probability_bounds(self):
-        node = AsyncioNode(StubProtocol())
-        with pytest.raises(ValueError):
-            node.add_loss_filter(1, 1.5, seed=0)
-        node.add_loss_filter(1, 0.0, seed=0)
-        assert not any(node.link_dropped(1, 0.0) for _ in range(16))
+    def test_zero_loss_never_drops(self):
+        node = AsyncioNode(StubProtocol(), delay_model=LossyDelay(FixedDelay(0.0), 0.0))
+        assert not any(drop_decisions(node, 1, count=16))
 
-    def test_periodic_drop_window_arithmetic(self):
-        node = AsyncioNode(StubProtocol())
-        node.add_periodic_drop_window(1, period_s=1.0, burst_s=0.25)
+    def test_periodic_burst_arithmetic(self):
+        node = AsyncioNode(
+            StubProtocol(),
+            delay_model=BurstyLossWindow(FixedDelay(0.0), period_ms=1000.0, burst_ms=250.0),
+        )
         assert node.link_dropped(1, 0.1)
         assert not node.link_dropped(1, 0.5)
         assert node.link_dropped(1, 2.2)  # bursts repeat every period
-        with pytest.raises(ValueError):
-            node.add_periodic_drop_window(1, period_s=0.0, burst_s=0.1)
-        with pytest.raises(ValueError):
-            node.add_periodic_drop_window(1, period_s=1.0, burst_s=2.0)
 
-    def test_filters_only_affect_their_peer(self):
-        node = AsyncioNode(StubProtocol())
-        node.add_loss_filter(1, 1.0, seed=0)
+    def test_drop_windows_precede_the_model(self):
+        model = CountingDelay()
+        node = AsyncioNode(StubProtocol(), delay_model=model)
+        node.add_drop_window(1, 0.0, None)
         assert node.link_dropped(1, 0.0)
-        assert not node.link_dropped(2, 0.0)
+        assert model.calls == []  # a window loss costs the model no draw
+        node.link_dropped(2, 0.0)
+        assert len(model.calls) == 1
+
+
+class SendingProtocol(StubProtocol):
+    """Answers a broadcast with one send per scripted destination."""
+
+    def __init__(self, dests, **kwargs):
+        super().__init__(**kwargs)
+        self.dests = dests
+
+    def broadcast(self, payload, bid=0):
+        message = CrossLayerMessage(
+            mtype=MessageType.ECHO, source=self.process_id, bid=bid, payload=payload
+        )
+        return [SendTo(dest, message) for dest in self.dests]
+
+
+class FakeWriter:
+    def __init__(self):
+        self.frames = 0
+
+    def write(self, data):
+        self.frames += len(list(iter_frames(bytearray(data))))
+
+    async def drain(self):
+        pass
+
+
+class TestNodeAsksTheModel:
+    def test_stub_model_drops_every_third_send_and_its_delay_is_unread(self):
+        dests = [1, 2, 1, 1, 2, 2, 1, 2, 1]
+        model = CountingDelay()
+        collector = MetricsCollector()
+        node = AsyncioNode(
+            SendingProtocol(dests, neighbors=(1, 2)),
+            collector=collector,
+            delay_model=model,
+            seed=5,
+            time_scale=2e-3,
+        )
+        writers = {1: FakeWriter(), 2: FakeWriter()}
+        node._writers.update(writers)
+
+        async def drive():
+            # The epoch opened 10 ms of wall clock ago: 5 spec ms at 2e-3.
+            node.set_epoch(asyncio.get_running_loop().time() - 0.01)
+            await node.broadcast(b"m")
+
+        asyncio.run(drive())
+
+        assert node.dropped_messages == 3
+        kept = [dest for index, dest in enumerate(dests, 1) if index % 3]
+        assert writers[1].frames == kept.count(1)
+        assert writers[2].frames == kept.count(2)
+        assert [(sender, dest) for _, sender, dest, _, _ in model.calls] == [
+            (0, dest) for dest in dests
+        ]
+        # One RNG per directed link; the size is what the collector charged.
+        rngs = {dest: rng for rng, _, dest, _, _ in model.calls}
+        assert rngs[1] is not rngs[2]
+        assert all(rng is rngs[dest] for rng, _, dest, _, _ in model.calls)
+        assert all(size > 0 for _, _, _, size, _ in model.calls)
+        # The send time is spec milliseconds since the epoch.
+        assert all(5.0 <= time_ms < 500.0 for *_, time_ms in model.calls)
+
+
+# Frozen copy of the per-connection filters and the seed derivation the
+# scenario backend installed before loss was delegated to the delay
+# model.  The model path must reproduce their decisions wherever the
+# base delay draws no randomness of its own before the loss draw.
+def frozen_loss_filter(probability, seed):
+    rng = random.Random(seed)
+    return lambda _elapsed_s: rng.random() < probability
+
+
+def frozen_periodic_filter(period_s, burst_s, offset_s=0.0):
+    return lambda elapsed_s: (elapsed_s - offset_s) % period_s < burst_s
+
+
+def frozen_link_filters(spec, topology, time_scale):
+    """(u, v) -> the filters the old translation put on the u→v direction."""
+    delay = spec.delay
+    base_seed = int(spec.scenario_hash()[:16], 16)
+    filters = {}
+    for u in topology.nodes:
+        for v in sorted(topology.neighbors(u)):
+            if v <= u:
+                continue
+            for src, dst in ((u, v), (v, u)):
+                filters[src, dst] = []
+            if delay.loss > 0.0:
+                seed = base_seed ^ (u * 0x9E3779B1 + v)
+                filters[u, v].append(frozen_loss_filter(delay.loss, seed))
+                filters[v, u].append(
+                    frozen_loss_filter(delay.loss, seed ^ 0x5DEECE66D)
+                )
+            if delay.burst_period_ms > 0.0 and delay.burst_len_ms > 0.0:
+                for link in ((u, v), (v, u)):
+                    filters[link].append(
+                        frozen_periodic_filter(
+                            delay.burst_period_ms * time_scale,
+                            delay.burst_len_ms * time_scale,
+                        )
+                    )
+    return filters
+
+
+BURSTS = dict(burst_period_ms=40.0, burst_len_ms=10.0)
+
+
+class TestLossDifferential:
+    @pytest.mark.parametrize("time_scale", [1e-3, 2e-3])
+    @pytest.mark.parametrize(
+        "delay",
+        [
+            DelaySpec(kind="fixed", mean_ms=5.0, loss=0.2),
+            DelaySpec(kind="fixed", mean_ms=5.0, **BURSTS),
+            DelaySpec(kind="fixed", mean_ms=5.0, loss=0.2, **BURSTS),
+            DelaySpec(kind="normal", **BURSTS),
+            DelaySpec(kind="uniform", **BURSTS),
+        ],
+        ids=["fixed-loss", "fixed-burst", "fixed-both", "normal-burst", "uniform-burst"],
+    )
+    def test_model_path_matches_the_old_filters(self, delay, time_scale):
+        spec = ScenarioSpec(
+            name="loss-differential",
+            topology=TopologySpec(kind="complete", n=6),
+            delay=delay,
+            f=1,
+            seed=3,
+            backend="asyncio",
+        )
+        topology = spec.topology.build(spec.seed)
+        model = spec.delay.build()
+        seed = int(spec.scenario_hash()[:16], 16)
+        frozen = frozen_link_filters(spec, topology, time_scale)
+        schedule = random.Random(11)
+        mismatches = draws = 0
+        for (u, v), filters in sorted(frozen.items()):
+            node = AsyncioNode(
+                StubProtocol(u, topology.neighbors(u)),
+                delay_model=model,
+                seed=seed,
+                time_scale=time_scale,
+            )
+            elapsed_s = 0.0
+            for _ in range(400):
+                elapsed_s += schedule.uniform(0.0, 3.0) * time_scale
+                old = any(drop(elapsed_s) for drop in filters)
+                mismatches += node.link_dropped(v, elapsed_s) != old
+                draws += 1
+        assert draws == 30 * 400
+        assert mismatches == 0
 
 
 class TestArmAdaptiveOnCluster:
@@ -401,10 +600,6 @@ class TestNodeRuntimeActions:
         node = AsyncioNode(StubProtocol())
         with pytest.raises(RuntimeAbort):
             node.port
-
-    def test_legacy_port_base_layout(self):
-        node = AsyncioNode(StubProtocol(process_id=3), port_base=9600)
-        assert node.port == 9603
 
 
 class TestBackendRegistry:

@@ -10,10 +10,12 @@ entry could satisfy a simulation cell with output labeled as another
 backend's.
 """
 
+import os
 import pickle
 
 import pytest
 
+from repro.fuzz.corpus import Corpus, CorpusRecord
 from repro.runner.cache import CACHE_VERSION, ResultCache
 from repro.runner.parallel import SweepExecutor
 from repro.scenarios import ScenarioSpec, TopologySpec, run_scenario
@@ -39,6 +41,31 @@ def test_store_load_round_trip(tmp_path, spec, result):
     assert cache.load(spec) is None
     cache.store(result)
     assert cache.load(spec) == result
+
+
+@pytest.mark.parametrize(
+    "site", ["ResultCache.store", "Corpus.add", "Corpus.write_manifest"]
+)
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, result, site):
+    cache = ResultCache(tmp_path / "cache")
+    corpus = Corpus(tmp_path / "corpus")
+    write = {
+        "ResultCache.store": lambda: cache.store(result),
+        "Corpus.add": lambda: corpus.add(
+            CorpusRecord(category="near_f_bound", spec=result.spec)
+        ),
+        "Corpus.write_manifest": corpus.write_manifest,
+    }[site]
+
+    def failing_replace(src, dst):
+        assert os.path.exists(src)  # the temp file was written ...
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    # ... and removed again: nothing is left behind, not even a .tmp.
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
 def test_disabled_cache_is_a_no_op(spec, result):
