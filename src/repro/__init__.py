@@ -36,7 +36,7 @@ from repro.core.modifications import ModificationSet
 from repro.core.sizes import FieldSizes, PAPER_FIELD_SIZES
 from repro.brb.bracha import BrachaBroadcast
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
-from repro.brb.dolev import DolevBroadcast, OptimizedDolevBroadcast
+from repro.brb.dolev import DolevBroadcast
 from repro.brb.optimized import CrossLayerBrachaDolev
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.network.simulation.delays import (
@@ -107,7 +107,6 @@ __all__ = [
     # protocols
     "BrachaBroadcast",
     "DolevBroadcast",
-    "OptimizedDolevBroadcast",
     "BrachaDolevBroadcast",
     "CrossLayerBrachaDolev",
     # topologies

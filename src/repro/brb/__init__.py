@@ -5,7 +5,7 @@
 * :class:`~repro.brb.dolev.DolevBroadcast` — Dolev's reliable
   communication on unknown, partially connected topologies
   (Algorithm 2), optionally with Bonomi et al.'s MD.1–5 optimizations
-  (:class:`~repro.brb.dolev.OptimizedDolevBroadcast`).
+  (``modifications=ModificationSet.dolev_optimized()``).
 * :class:`~repro.brb.bracha_dolev.BrachaDolevBroadcast` — the layered
   state-of-the-art combination of the two (*BD*), which becomes *BDopt*
   when the Dolev layer runs MD.1–5.
@@ -15,14 +15,13 @@
 """
 
 from repro.brb.bracha import BrachaBroadcast
-from repro.brb.dolev import DolevBroadcast, OptimizedDolevBroadcast
+from repro.brb.dolev import DolevBroadcast
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
 from repro.brb.optimized import CrossLayerBrachaDolev
 
 __all__ = [
     "BrachaBroadcast",
     "DolevBroadcast",
-    "OptimizedDolevBroadcast",
     "BrachaDolevBroadcast",
     "CrossLayerBrachaDolev",
 ]

@@ -65,24 +65,6 @@ class BrachaDolevBroadcast(BroadcastProtocol):
         )
 
     # ------------------------------------------------------------------
-    # Constructors matching the paper's terminology
-    # ------------------------------------------------------------------
-    @classmethod
-    def bd(cls, process_id: int, config: SystemConfig, neighbors: Iterable[int]):
-        """The unmodified Bracha-Dolev combination (*BD*)."""
-        return cls(process_id, config, neighbors, modifications=ModificationSet.none())
-
-    @classmethod
-    def bdopt(cls, process_id: int, config: SystemConfig, neighbors: Iterable[int]):
-        """Bracha over Dolev with MD.1–5 (*BDopt*)."""
-        return cls(
-            process_id,
-            config,
-            neighbors,
-            modifications=ModificationSet.dolev_optimized(),
-        )
-
-    # ------------------------------------------------------------------
     # Interface
     # ------------------------------------------------------------------
     def broadcast(self, payload: bytes, bid: int = 0) -> List[Command]:

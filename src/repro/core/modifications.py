@@ -69,9 +69,6 @@ class ModificationSet:
             md5_stop_after_delivery=True,
         )
 
-    # ``bdopt`` is the name used throughout the paper's evaluation.
-    bdopt = dolev_optimized
-
     @classmethod
     def bdopt_with_mbd1(cls) -> "ModificationSet":
         """*BDopt* plus MBD.1, the reference point for MBD.2–12 in Table 1."""

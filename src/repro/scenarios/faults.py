@@ -79,6 +79,7 @@ nothing in the runtimes, the backends or the engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -102,9 +103,10 @@ class _Fault:
 
     def _require_non_negative(self, **times: Optional[float]) -> None:
         for name, value in times.items():
-            if value is not None and value < 0:
+            if value is not None and not 0 <= value < math.inf:
                 raise SpecError(
-                    f"{type(self).__name__} {name} must be non-negative, got {value}"
+                    f"{type(self).__name__} {name} must be finite and "
+                    f"non-negative, got {value}"
                 )
 
 
@@ -124,7 +126,7 @@ class CrashAt(_Fault):
     joins_late = edits_graph = postpones_only = corrupts = False
 
     def __post_init__(self) -> None:
-        self._require_non_negative(time=self.time_ms)
+        self._require_non_negative(time_ms=self.time_ms)
 
     def apply(self, host) -> None:
         host.at(self.time_ms, host.crash, self.pid)
@@ -147,7 +149,7 @@ class LinkDropWindow(_Fault):
     silences = joins_late = edits_graph = postpones_only = corrupts = False
 
     def __post_init__(self) -> None:
-        self._require_non_negative(start=self.start_ms, end=self.end_ms)
+        self._require_non_negative(start_ms=self.start_ms, end_ms=self.end_ms)
         if self.end_ms is not None and self.end_ms < self.start_ms:
             raise SpecError(
                 f"LinkDropWindow ends before it starts: "
@@ -181,7 +183,7 @@ class DelayedStart(_Fault):
     silences = joins_late = edits_graph = corrupts = False
 
     def __post_init__(self) -> None:
-        self._require_non_negative(time=self.time_ms)
+        self._require_non_negative(time_ms=self.time_ms)
 
     def apply(self, host) -> None:
         host.hold_until(self.pid, self.time_ms, keep_inbound=True)
@@ -208,7 +210,7 @@ class JoinAt(_Fault):
     silences = postpones_only = corrupts = False
 
     def __post_init__(self) -> None:
-        self._require_non_negative(time=self.time_ms)
+        self._require_non_negative(time_ms=self.time_ms)
 
     def apply(self, host) -> None:
         host.hold_until(self.pid, self.time_ms, keep_inbound=False)
@@ -232,7 +234,7 @@ class LeaveAt(_Fault):
     joins_late = postpones_only = corrupts = False
 
     def __post_init__(self) -> None:
-        self._require_non_negative(time=self.time_ms)
+        self._require_non_negative(time_ms=self.time_ms)
 
     def apply(self, host) -> None:
         host.at(self.time_ms, self._leave, host)
@@ -267,7 +269,7 @@ class RewireLinkAt(_Fault):
     silences = joins_late = postpones_only = corrupts = False
 
     def __post_init__(self) -> None:
-        self._require_non_negative(time=self.time_ms)
+        self._require_non_negative(time_ms=self.time_ms)
         if self.old_peer == self.pid or self.new_peer == self.pid:
             raise SpecError(
                 f"RewireLinkAt peers must differ from pid {self.pid}"

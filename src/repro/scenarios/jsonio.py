@@ -1,102 +1,100 @@
-"""Human-readable JSON (de)serialization of scenario specs.
+"""The one JSON form of a scenario spec: corpus records and the scenario hash.
 
 The fuzzing farm (:mod:`repro.fuzz`) persists every interesting spec as
 a JSON record under ``corpus/`` so that corpus entries survive code
 refactors, diff cleanly in review, and can be pasted into regression
-tests.  Pickle (:mod:`repro.scenarios.serialize`) stays what the process
-pool and the result cache carry — it round-trips ``RunMetrics`` and is
-faster — but a corpus that outlives many code versions needs a format
-where a renamed module does not orphan every stored entry.
+tests.  The same walk keys every grid cell:
+:meth:`~repro.scenarios.spec.ScenarioSpec.scenario_hash` is the SHA-256
+of :func:`spec_to_jsonable`'s output dumped compactly with sorted keys,
+so a record's ``hash`` is a function of its ``spec`` document alone.
 
-The codec is intentionally closed-world: only the spec-level dataclasses
-listed in :data:`SPEC_TYPES` are encodable, each tagged with its class
-name (``{"__type__": "ScenarioSpec", ...}``).  Decoding an unknown tag
-or a malformed document raises :class:`SpecJSONError` instead of
-guessing.  Round-tripping preserves dataclass equality — and therefore
-:meth:`~repro.scenarios.spec.ScenarioSpec.scenario_hash`, which is what
-keys the corpus.
+Each spec dataclass is tagged with its class name
+(``{"__type__": "ScenarioSpec", ...}``).  A field still equal to its
+class's ``_HASH_SUPPRESS_DEFAULTS`` value is left out — that is how a
+field is added without changing the hash of any spec that does not use
+it.  ``bytes`` are written as plain hex strings and read back as bytes
+only for fields annotated ``bytes`` / ``Optional[bytes]``.
+
+The codec is closed-world: :data:`SPEC_TYPES` is every dataclass the
+annotations of :class:`ScenarioSpec` reach (faults included, through
+``FaultEvent`` and ``AdaptiveFault``), computed once at import, and no
+other class encodes or decodes.  An unknown tag or a malformed document
+raises :class:`SpecJSONError` instead of guessing.  Sequences decode to
+tuples, so a round trip restores dataclass equality — and therefore the
+scenario hash, which is what keys the corpus.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict
+import typing
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.errors import ReproError
-from repro.core.modifications import ModificationSet
-from repro.scenarios.faults import (
-    CrashAt,
-    CrashWhen,
-    CutLinkWhen,
-    DelayedStart,
-    JoinAt,
-    LeaveAt,
-    LinkDropWindow,
-    ObservationFilter,
-    RewireLinkAt,
-    TurnByzantineWhen,
-)
-from repro.scenarios.spec import (
-    AdversarySpec,
-    BroadcastSpec,
-    DelaySpec,
-    ScenarioSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
+from repro.scenarios.spec import ScenarioSpec
 
 
 class SpecJSONError(ReproError):
     """A spec could not be encoded to or decoded from JSON."""
 
 
-#: Every dataclass a :class:`ScenarioSpec` may transitively embed.
-SPEC_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        ScenarioSpec,
-        TopologySpec,
-        DelaySpec,
-        AdversarySpec,
-        BroadcastSpec,
-        WorkloadSpec,
-        ModificationSet,
-        CrashAt,
-        LinkDropWindow,
-        DelayedStart,
-        JoinAt,
-        LeaveAt,
-        RewireLinkAt,
-        ObservationFilter,
-        CrashWhen,
-        TurnByzantineWhen,
-        CutLinkWhen,
-    )
-}
+def _leaves(hint: Any) -> Tuple[Any, ...]:
+    """The types a (possibly nested) ``Optional`` / ``Union`` / ``Tuple`` names."""
+    args = typing.get_args(hint)
+    if not args:
+        return (hint,)
+    return tuple(leaf for arg in args for leaf in _leaves(arg))
+
+
+def _spec_types(root: type) -> Tuple[Dict[str, type], Dict[type, FrozenSet[str]]]:
+    """Every dataclass ``root``'s field annotations reach, by name, and the
+    fields of each that hold ``bytes``."""
+    types: Dict[str, type] = {}
+    bytes_fields: Dict[type, FrozenSet[str]] = {}
+    pending = [root]
+    while pending:
+        cls = pending.pop()
+        if cls.__name__ in types:
+            continue
+        types[cls.__name__] = cls
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        bytes_fields[cls] = frozenset(
+            field.name
+            for field in fields
+            if hints[field.name] in (bytes, Optional[bytes])
+        )
+        for field in fields:
+            leaves = _leaves(hints[field.name])
+            pending.extend(leaf for leaf in leaves if dataclasses.is_dataclass(leaf))
+    return types, bytes_fields
+
+
+#: Every dataclass a :class:`ScenarioSpec` may transitively embed, by name.
+SPEC_TYPES, _BYTES_FIELDS = _spec_types(ScenarioSpec)
 
 
 def spec_to_jsonable(value: Any) -> Any:
     """Recursively encode a spec (or nested spec value) to JSON-safe data."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if name not in SPEC_TYPES:
+        cls = type(value)
+        if SPEC_TYPES.get(cls.__name__) is not cls:
             raise SpecJSONError(
-                f"cannot encode {name}: not a registered spec type "
+                f"cannot encode {cls.__name__}: not a registered spec type "
                 f"(expected one of {sorted(SPEC_TYPES)})"
             )
-        encoded: Dict[str, Any] = {"__type__": name}
-        for field in dataclasses.fields(value):
-            if not field.init:
-                continue
-            encoded[field.name] = spec_to_jsonable(getattr(value, field.name))
+        suppress = getattr(cls, "_HASH_SUPPRESS_DEFAULTS", {})
+        encoded: Dict[str, Any] = {"__type__": cls.__name__}
+        for field in dataclasses.fields(cls):
+            item = spec_to_jsonable(getattr(value, field.name))
+            if field.name not in suppress or item != suppress[field.name]:
+                encoded[field.name] = item
         return encoded
     if isinstance(value, (tuple, list)):
         return [spec_to_jsonable(item) for item in value]
     if isinstance(value, bytes):
-        # Tagged like spec types so a decoded document cannot confuse a
-        # payload with a mapping; hex keeps the record human-diffable.
-        return {"__bytes__": value.hex()}
+        return value.hex()
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise SpecJSONError(f"cannot encode value of type {type(value).__name__}")
@@ -107,32 +105,32 @@ def spec_from_jsonable(data: Any) -> Any:
 
     Sequences decode to tuples — every sequence-valued spec field
     (adversaries, faults, adaptive, workload broadcasts) is tuple-typed,
-    so the round trip restores dataclass equality exactly.
+    so the round trip restores dataclass equality exactly.  Omitted
+    fields take their defaults, which is what a suppressed field held.
     """
     if isinstance(data, dict):
-        if "__bytes__" in data and "__type__" not in data:
-            if len(data) != 1 or not isinstance(data["__bytes__"], str):
-                raise SpecJSONError(f"malformed __bytes__ value: {sorted(data)}")
-            try:
-                return bytes.fromhex(data["__bytes__"])
-            except ValueError as exc:
-                raise SpecJSONError(f"malformed __bytes__ hex: {exc}") from exc
         if "__type__" not in data:
             raise SpecJSONError(f"spec document lacks a __type__ tag: {sorted(data)}")
         name = data["__type__"]
         cls = SPEC_TYPES.get(name)
         if cls is None:
             raise SpecJSONError(f"unknown spec type tag {name!r}")
-        fields = {
-            field.name: field for field in dataclasses.fields(cls) if field.init
-        }
+        fields = [field.name for field in dataclasses.fields(cls)]
+        unknown = data.keys() - fields - {"__type__"}
+        if unknown:
+            raise SpecJSONError(f"{name} has no field {min(unknown)!r}")
         kwargs = {}
-        for key, value in data.items():
-            if key == "__type__":
+        for key in fields:
+            if key not in data:
                 continue
-            if key not in fields:
-                raise SpecJSONError(f"{name} has no field {key!r}")
-            kwargs[key] = spec_from_jsonable(value)
+            value = data[key]
+            if key in _BYTES_FIELDS[cls] and value is not None:
+                try:
+                    kwargs[key] = bytes.fromhex(value)
+                except (TypeError, ValueError) as exc:
+                    raise SpecJSONError(f"{name}.{key} is not hex: {exc}") from exc
+            else:
+                kwargs[key] = spec_from_jsonable(value)
         try:
             return cls(**kwargs)
         except ReproError:

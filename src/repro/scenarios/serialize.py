@@ -1,10 +1,13 @@
 """Validated pickling of scenario specs and results.
 
+Pickle is the format of two things only, and neither leaves the host:
 :class:`~repro.runner.parallel.SweepExecutor`'s process pool pickles
 every :class:`ScenarioSpec` it dispatches and every
 :class:`ScenarioResult` a worker returns, and the result cache stores
-results as pickles.  These helpers do that step on its own (the
-observatory benchmark times it with them).  Pickle fits the objects —
+results as pickles.  A spec's other form — the corpus record and the
+scenario hash — is JSON (:mod:`repro.scenarios.jsonio`).  These helpers
+do the pickling step on its own (the observatory benchmark times it
+with them).  Pickle fits the objects —
 specs embed :class:`~repro.core.modifications.ModificationSet`,
 fault-event and workload (:class:`~repro.scenarios.spec.WorkloadSpec`)
 dataclasses, and results carry full

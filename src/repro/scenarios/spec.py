@@ -17,13 +17,12 @@ stable cache key with :meth:`ScenarioSpec.scenario_hash`.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, get_args
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
@@ -149,8 +148,9 @@ class DelaySpec:
     burst_len_ms: float = 0.0
 
     _KINDS = ("fixed", "normal", "uniform")
-    # Lossless defaults are omitted from the canonical hash form (see
-    # ``_canonical``) so pre-loss scenario hashes stay valid.
+    # Lossless defaults are left out of the spec's JSON form, and so of
+    # the scenario hash (see :mod:`repro.scenarios.jsonio`), so pre-loss
+    # scenario hashes stay valid.
     _HASH_SUPPRESS_DEFAULTS = {
         "loss": 0.0,
         "burst_period_ms": 0.0,
@@ -291,9 +291,10 @@ class BroadcastSpec:
     _HASH_SUPPRESS_DEFAULTS = {"successor": None}
 
     def __post_init__(self) -> None:
-        if self.start_time_ms < 0:
+        if not 0 <= self.start_time_ms < math.inf:
             raise ConfigurationError(
-                f"broadcast start time must be non-negative, got {self.start_time_ms}"
+                "broadcast start_time_ms must be finite and non-negative, "
+                f"got {self.start_time_ms}"
             )
         if self.successor is not None and self.successor < 0:
             raise ConfigurationError(
@@ -534,10 +535,10 @@ class ScenarioSpec:
     #: from the scenario hash so pre-adaptive hashes stay valid.
     adaptive: Tuple[AdaptiveFault, ...] = ()
 
-    # Defaults omitted from the canonical hash form (see ``_canonical``
-    # and :meth:`scenario_hash`): hashes of specs predating each field
-    # stay valid, which the golden files pin.  Values are compared
-    # post-canonicalization (tuples become lists).
+    # Defaults left out of the spec's JSON form (see
+    # :mod:`repro.scenarios.jsonio`), and so of :meth:`scenario_hash`:
+    # hashes of specs predating each field stay valid, which the golden
+    # files pin.  Values are compared in JSON form (tuples are lists).
     _HASH_SUPPRESS_DEFAULTS = {
         "backend": "simulation",
         "workload": None,
@@ -545,12 +546,31 @@ class ScenarioSpec:
     }
 
     def __post_init__(self) -> None:
-        for fault in self.adaptive:
-            if not isinstance(fault, ADAPTIVE_FAULT_TYPES):
-                raise ConfigurationError(
-                    f"unknown adaptive fault {fault!r}; expected one of "
-                    f"{tuple(t.__name__ for t in ADAPTIVE_FAULT_TYPES)}"
-                )
+        for kind, faults, types in (
+            ("fault", self.faults, get_args(FaultEvent)),
+            ("adaptive fault", self.adaptive, ADAPTIVE_FAULT_TYPES),
+        ):
+            for fault in faults:
+                if not isinstance(fault, types):
+                    raise ConfigurationError(
+                        f"unknown {kind} {fault!r}; expected one of "
+                        f"{tuple(t.__name__ for t in types)}"
+                    )
+        if self.payload_size < 0:
+            raise ConfigurationError(
+                f"payload_size must be non-negative, got {self.payload_size}"
+            )
+        if self.max_events is not None and self.max_events < 1:
+            raise ConfigurationError(
+                f"max_events must be None or at least 1, got {self.max_events}"
+            )
+        if self.shared_bandwidth_bps is not None and not (
+            0 < self.shared_bandwidth_bps < math.inf
+        ):
+            raise ConfigurationError(
+                "shared_bandwidth_bps must be None or finite and positive, "
+                f"got {self.shared_bandwidth_bps}"
+            )
         if self.byzantine_requested > self.f:
             raise ConfigurationError(
                 f"{self.byzantine_requested} Byzantine processes requested (static "
@@ -666,14 +686,17 @@ class ScenarioSpec:
     def scenario_hash(self) -> str:
         """Stable hex digest identifying this scenario.
 
-        Used as the parallel executor's cache key: two specs with equal
-        fields hash identically across processes and interpreter runs
-        (unlike ``hash()``, which is salted per interpreter).  Every
+        The SHA-256 of the spec's JSON form
+        (:func:`~repro.scenarios.jsonio.spec_to_jsonable`, the corpus
+        codec) dumped with sorted keys and no whitespace.  Used as the
+        parallel executor's cache key: two specs with equal fields hash
+        identically across processes and interpreter runs (unlike
+        ``hash()``, which is salted per interpreter).  Every
         discriminating field is part of the key — the backend (an
         asyncio cell never shadows the simulation cell of the same
         scenario), the workload, the delay-loss fields and the adaptive
         faults — but fields still at the value they had before they
-        existed are omitted from the canonical form (see the
+        existed are left out of the JSON form (see the
         ``_HASH_SUPPRESS_DEFAULTS`` maps on the spec classes), so hashes
         of specs predating each feature stay valid.  The golden files
         pin them; the executor's pickle cache is still invalidated by
@@ -681,15 +704,19 @@ class ScenarioSpec:
 
         Computed once per instance (the spec is frozen).  The memo is an
         instance attribute, not a field: ``==``, ``repr``, ``replace``
-        copies and the canonical form never see it, and
+        copies and the JSON form never see it, and
         :meth:`__getstate__` keeps it out of pickles.
         """
         digest = self.__dict__.get("_scenario_hash")
         if digest is None:
-            canonical = json.dumps(
-                _canonical(self), sort_keys=True, separators=(",", ":")
+            # jsonio imports this module, so it is imported here, at the
+            # first hash, rather than at load.
+            from repro.scenarios.jsonio import spec_to_jsonable
+
+            document = json.dumps(
+                spec_to_jsonable(self), sort_keys=True, separators=(",", ":")
             )
-            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_scenario_hash", digest)
         return digest
 
@@ -697,38 +724,6 @@ class ScenarioSpec:
         state = dict(self.__dict__)
         state.pop("_scenario_hash", None)
         return state
-
-
-def _canonical(value):
-    """Recursively convert a spec to JSON-serializable canonical form.
-
-    Dataclasses may declare a ``_HASH_SUPPRESS_DEFAULTS`` class attribute
-    mapping field names to their canonicalized historical default: a
-    field still holding that default is dropped from the canonical form,
-    which is how new spec fields are introduced without invalidating the
-    hashes (and therefore golden files and cache slots) of every spec
-    that does not use them.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields_dict = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.compare
-        }
-        suppress = getattr(type(value), "_HASH_SUPPRESS_DEFAULTS", None)
-        if suppress:
-            for name, default in sorted(suppress.items()):
-                if name in fields_dict and fields_dict[name] == default:
-                    del fields_dict[name]
-        return {"__type__": type(value).__name__, **fields_dict}
-    if isinstance(value, (tuple, list)):
-        return [_canonical(item) for item in value]
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, dict):
-        # repro-lint: allow[DET002] -- keys may be mixed-type (unsortable); json.dumps(sort_keys=True) canonicalizes the order downstream
-        return {str(key): _canonical(val) for key, val in value.items()}
-    return value
 
 
 __all__ = [

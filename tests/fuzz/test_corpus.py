@@ -2,19 +2,37 @@
 hashes, records validate against the schema, the manifest hash is a
 stable cache key, and replay re-runs a stored spec exactly."""
 
+import dataclasses
+import hashlib
 import json
+from itertools import islice
+from typing import get_args
 
 import pytest
 
+from repro.core.modifications import ModificationSet
+from repro.fuzz.sample import stream_fuzz_specs
 from repro.scenarios import (
+    AdversarySpec,
+    BroadcastSpec,
+    CrashAt,
     CrashWhen,
+    CutLinkWhen,
+    DelayedStart,
     DelaySpec,
+    JoinAt,
+    LeaveAt,
+    LinkDropWindow,
     ObservationFilter,
+    RewireLinkAt,
     ScenarioSpec,
     TopologySpec,
+    TurnByzantineWhen,
     WorkloadSpec,
 )
+from repro.scenarios.faults import ADAPTIVE_FAULT_TYPES, FaultEvent
 from repro.scenarios.jsonio import (
+    SPEC_TYPES,
     SpecJSONError,
     dumps_spec_json,
     loads_spec_json,
@@ -91,6 +109,185 @@ class TestSpecJSON:
 
         with pytest.raises(SpecJSONError, match="not a registered spec type"):
             spec_to_jsonable(Rogue())
+
+
+def _frozen_canonical(value):
+    """The scenario-hash walk as it was before the JSON codec took it over.
+
+    A frozen copy, so the differential below pins every hash to the form
+    that keyed the goldens, cache slots and corpus records.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields_dict = {
+            f.name: _frozen_canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.compare
+        }
+        suppress = getattr(type(value), "_HASH_SUPPRESS_DEFAULTS", None)
+        if suppress:
+            for name, default in sorted(suppress.items()):
+                if name in fields_dict and fields_dict[name] == default:
+                    del fields_dict[name]
+        return {"__type__": type(value).__name__, **fields_dict}
+    if isinstance(value, (tuple, list)):
+        return [_frozen_canonical(item) for item in value]
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(key): _frozen_canonical(val) for key, val in value.items()}
+    return value
+
+
+def _frozen_digest(spec):
+    canonical = json.dumps(
+        _frozen_canonical(spec), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _hand_specs():
+    """Specs that set every field of every spec class off its default."""
+    every_field = ScenarioSpec(
+        name="every-field",
+        topology=TopologySpec(kind="torus", rows=3, cols=4, min_connectivity=3),
+        delay=DelaySpec(
+            kind="uniform",
+            mean_ms=7.0,
+            std_ms=3.0,
+            low_ms=2.0,
+            high_ms=9.0,
+            loss=0.05,
+            burst_period_ms=80.0,
+            burst_len_ms=8.0,
+        ),
+        protocol="bracha_dolev",
+        modifications=ModificationSet.all_enabled(),
+        f=3,
+        payload_size=48,
+        source=1,
+        bid=2,
+        seed=11,
+        adversaries=(
+            AdversarySpec(
+                behaviour="equivocate",
+                count=1,
+                placement="max_degree",
+                drop_probability=0.25,
+                conflicting_payload=b"\x00evil\xff",
+            ),
+        ),
+        faults=(
+            CrashAt(pid=5, time_ms=12.5),
+            LinkDropWindow(u=0, v=1, start_ms=1.0, end_ms=30.0),
+            DelayedStart(pid=6, time_ms=4.0),
+            JoinAt(pid=7, time_ms=9.0),
+            LeaveAt(pid=8, time_ms=20.0),
+            RewireLinkAt(pid=9, old_peer=10, new_peer=11, time_ms=15.0),
+        ),
+        max_events=None,
+        shared_bandwidth_bps=1e6,
+        backend="asyncio",
+        workload=WorkloadSpec.causal_chain((0, 3, 0), interval_ms=25.0),
+        adaptive=(
+            CrashWhen(
+                pid=2,
+                after=ObservationFilter(
+                    kind="send", pid=0, dest=2, mtype="ECHO", source=0, bid=0
+                ),
+                count=3,
+            ),
+            TurnByzantineWhen(
+                pid=4, after=ObservationFilter(kind="deliver"), count=2,
+                behaviour="forge", drop_probability=0.75,
+            ),
+            CutLinkWhen(u=1, v=2, count=4, duration_ms=6.0),
+        ),
+    )
+    return (
+        every_field,
+        ScenarioSpec(),
+        ScenarioSpec(
+            workload=WorkloadSpec(
+                broadcasts=(
+                    BroadcastSpec(
+                        source=2, bid=1, payload_seed=3, start_time_ms=5.0, successor=4
+                    ),
+                    BroadcastSpec(source=4, bid=0, start_time_ms=9.0),
+                )
+            ),
+            adversaries=(
+                AdversarySpec(behaviour="equivocate", conflicting_payload=b""),
+            ),
+            f=1,
+        ),
+    )
+
+
+class TestOneWalk:
+    """The corpus codec is the scenario-hash walk: same digests as before."""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        return (
+            tuple(islice(stream_fuzz_specs(seed=1), 2000))
+            + sample_lossy_adaptive_specs(300)
+            + _hand_specs()
+        )
+
+    def test_no_digest_moved(self, specs):
+        mismatches = [
+            spec for spec in specs if spec.scenario_hash() != _frozen_digest(spec)
+        ]
+        assert len(specs) == 2303
+        assert mismatches == []
+
+    def test_every_spec_round_trips(self, specs):
+        for spec in specs:
+            assert loads_spec_json(dumps_spec_json(spec)) == spec
+
+    def test_hash_is_the_compact_document(self):
+        spec = _hand_specs()[0]
+        document = json.dumps(
+            spec_to_jsonable(spec), sort_keys=True, separators=(",", ":")
+        )
+        assert spec.scenario_hash() == hashlib.sha256(document.encode()).hexdigest()
+
+    def test_spec_types_are_the_annotation_closure(self):
+        expected = {
+            ScenarioSpec,
+            TopologySpec,
+            DelaySpec,
+            AdversarySpec,
+            BroadcastSpec,
+            WorkloadSpec,
+            ModificationSet,
+            ObservationFilter,
+            *get_args(FaultEvent),
+            *ADAPTIVE_FAULT_TYPES,
+        }
+        assert set(SPEC_TYPES.values()) == expected
+        assert all(SPEC_TYPES[cls.__name__] is cls for cls in expected)
+
+    @pytest.mark.parametrize(
+        "cls",
+        sorted(
+            (c for c in SPEC_TYPES.values() if hasattr(c, "_HASH_SUPPRESS_DEFAULTS")),
+            key=lambda c: c.__name__,
+        ),
+        ids=lambda c: c.__name__,
+    )
+    def test_suppressed_defaults_are_absent(self, cls):
+        document = spec_to_jsonable(cls())
+        assert document["__type__"] == cls.__name__
+        for name in cls._HASH_SUPPRESS_DEFAULTS:
+            assert name not in document
+        assert spec_from_jsonable(document) == cls()
+
+    def test_set_suppressed_fields_are_written(self):
+        document = spec_to_jsonable(_hand_specs()[0])
+        assert {"backend", "workload", "adaptive"} <= document.keys()
+        assert {"loss", "burst_period_ms", "burst_len_ms"} <= document["delay"].keys()
+        assert document["adversaries"][0]["conflicting_payload"] == "006576696cff"
 
 
 class TestCorpusRecord:

@@ -6,6 +6,7 @@ from repro.core.config import SystemConfig
 from repro.core.modifications import ModificationSet
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
 from repro.network.adversary import EquivocatingSource, MuteProcess
+from repro.runner.configs import modification_set_for
 from repro.topology.generators import harary_topology, random_regular_topology
 
 from tests.conftest import run_broadcast
@@ -42,10 +43,10 @@ class TestLayeredCombination:
         assert bdopt.message_count < bd.message_count
         assert bdopt.total_bytes < bd.total_bytes
 
-    def test_factory_constructors(self):
+    def test_named_configurations(self):
         config = SystemConfig.for_system(7, 1)
-        bd = BrachaDolevBroadcast.bd(0, config, [1, 2, 3])
-        bdopt = BrachaDolevBroadcast.bdopt(0, config, [1, 2, 3])
+        bd = layered_builder(modification_set_for("bd"))(0, config, [1, 2, 3])
+        bdopt = layered_builder(modification_set_for("bdopt"))(0, config, [1, 2, 3])
         assert not bd.modifications.md1_deliver_from_source
         assert bdopt.modifications.md1_deliver_from_source
 

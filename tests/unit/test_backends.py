@@ -622,7 +622,7 @@ class TestBackendRegistry:
         )
 
     def test_default_backend_hash_is_stable(self):
-        # The "simulation" default is suppressed from the canonical form
+        # The "simulation" default is left out of the JSON form
         # so pre-backend hashes (pinned by the golden files) stay valid.
         spec = ScenarioSpec(topology=TopologySpec(kind="harary", n=5, k=3), f=1)
         assert spec.with_backend("simulation").scenario_hash() == spec.scenario_hash()

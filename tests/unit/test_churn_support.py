@@ -28,7 +28,6 @@ from repro.scenarios import (
     spec_to_jsonable,
 )
 from repro.scenarios.reduce import reduction_candidates
-from repro.scenarios.spec import _canonical
 from repro.topology.analysis import connectivity_under_churn
 from repro.topology.generators import harary_topology, ring_topology
 
@@ -47,10 +46,11 @@ def ring_spec(n=6, **kwargs):
 class TestHashSuppression:
     def test_default_conflicting_payload_is_suppressed(self):
         # The field was appended after the hash freeze: at its default it
-        # must be absent from the canonical form, so every pre-existing
-        # scenario hash (goldens, cache slots, corpus keys) is unchanged.
-        canonical = _canonical(AdversarySpec(behaviour="equivocate"))
-        assert "conflicting_payload" not in canonical
+        # must be absent from the JSON form the hash is taken of, so every
+        # pre-existing scenario hash (goldens, cache slots, corpus keys)
+        # is unchanged.
+        document = spec_to_jsonable(AdversarySpec(behaviour="equivocate"))
+        assert "conflicting_payload" not in document
 
     def test_pinned_conflicting_payload_changes_the_hash(self):
         base = ring_spec(f=1, adversaries=(AdversarySpec(behaviour="equivocate"),))
@@ -91,15 +91,27 @@ class TestChurnSpecJSON:
         assert restored == spec
         assert restored.adversaries[0].conflicting_payload == b"\x00\xffevil"
 
-    def test_bytes_marker_is_hex_encoded(self):
+    def test_bytes_are_plain_hex(self):
         jsonable = spec_to_jsonable(
             AdversarySpec(behaviour="equivocate", conflicting_payload=b"\x01\x02")
         )
-        assert jsonable["conflicting_payload"] == {"__bytes__": "0102"}
+        assert jsonable["conflicting_payload"] == "0102"
 
-    def test_malformed_bytes_marker_rejected(self):
-        with pytest.raises(SpecJSONError):
-            spec_from_jsonable({"__bytes__": "not-hex"})
+    @pytest.mark.parametrize("value", ["not-hex", "012", 12, ["01"]])
+    def test_malformed_hex_in_a_bytes_field_rejected(self, value):
+        document = {
+            "__type__": "AdversarySpec",
+            "behaviour": "equivocate",
+            "conflicting_payload": value,
+        }
+        with pytest.raises(SpecJSONError, match="conflicting_payload is not hex"):
+            spec_from_jsonable(document)
+
+    def test_hex_in_a_str_field_stays_a_str(self):
+        spec = ring_spec(name="0102")
+        restored = loads_spec_json(dumps_spec_json(spec))
+        assert restored.name == "0102"
+        assert restored == spec
 
 
 class TestConnectivityUnderChurn:

@@ -9,7 +9,6 @@ from repro.core.modifications import ModificationSet
 from repro.brb.dolev import (
     DolevBroadcast,
     DolevDisseminator,
-    OptimizedDolevBroadcast,
     content_origin,
 )
 
@@ -183,9 +182,11 @@ class TestDolevBroadcastProtocol:
         assert deliveries[0].payload == b"payload"
         assert protocol.delivered[(0, 2)] == b"payload"
 
-    def test_optimized_subclass_enables_md(self):
+    def test_dolev_optimized_modifications_enable_md(self):
         config = SystemConfig.for_system(5, 1)
-        protocol = OptimizedDolevBroadcast(0, config, [1, 2])
+        protocol = DolevBroadcast(
+            0, config, [1, 2], modifications=ModificationSet.dolev_optimized()
+        )
         assert protocol.modifications.md1_deliver_from_source
         assert protocol.modifications.md5_stop_after_delivery
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.modifications import MBD_FIELD_NAMES, MD_FIELD_NAMES, ModificationSet
+from repro.runner.configs import modification_set_for
 
 
 class TestPresets:
@@ -15,8 +16,8 @@ class TestPresets:
         mods = ModificationSet.dolev_optimized()
         assert set(mods.enabled_names()) == set(MD_FIELD_NAMES.values())
 
-    def test_bdopt_alias(self):
-        assert ModificationSet.bdopt() == ModificationSet.dolev_optimized()
+    def test_bdopt_configuration_is_dolev_optimized(self):
+        assert modification_set_for("bdopt") == ModificationSet.dolev_optimized()
 
     def test_bdopt_with_mbd1(self):
         mods = ModificationSet.bdopt_with_mbd1()

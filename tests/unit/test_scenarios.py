@@ -1,12 +1,14 @@
 """Unit tests for scenario specs, grids and adversary placement."""
 
+import math
 import pickle
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SpecError
 from repro.scenarios import (
     AdversarySpec,
+    BroadcastSpec,
     CrashAt,
     CrashWhen,
     DelaySpec,
@@ -133,9 +135,9 @@ class TestDelaySpec:
         assert copy.scenario_hash() == spec.scenario_hash()
 
     def test_lossless_defaults_keep_the_scenario_hash(self):
-        # The loss fields at their defaults are suppressed from the
-        # canonical hash form: pre-loss specs (pinned by the golden
-        # files) keep their hashes and cache slots.
+        # The loss fields at their defaults are left out of the JSON
+        # form the hash is taken of: pre-loss specs (pinned by the
+        # golden files) keep their hashes and cache slots.
         base = ScenarioSpec(topology=TopologySpec(kind="ring", n=6))
         explicit = ScenarioSpec(
             topology=TopologySpec(kind="ring", n=6),
@@ -199,6 +201,51 @@ class TestScenarioSpec:
         assert len(spec.payload()) == 100
         assert spec.payload() == spec.payload()
         assert ScenarioSpec(payload_size=0).payload() == b""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, error, field",
+        [
+            (CrashAt, {"pid": 3, "time_ms": math.nan}, SpecError, "time_ms"),
+            (CrashAt, {"pid": 3, "time_ms": math.inf}, SpecError, "time_ms"),
+            (LinkDropWindow, {"u": 0, "v": 1, "start_ms": math.nan}, SpecError, "start_ms"),
+            (LinkDropWindow, {"u": 0, "v": 1, "end_ms": math.inf}, SpecError, "end_ms"),
+            (BroadcastSpec, {"start_time_ms": math.nan}, ConfigurationError, "start_time_ms"),
+            (BroadcastSpec, {"start_time_ms": math.inf}, ConfigurationError, "start_time_ms"),
+            (ScenarioSpec, {"shared_bandwidth_bps": math.nan}, ConfigurationError, "bandwidth"),
+            (ScenarioSpec, {"shared_bandwidth_bps": math.inf}, ConfigurationError, "bandwidth"),
+            (ScenarioSpec, {"shared_bandwidth_bps": -5.0}, ConfigurationError, "bandwidth"),
+            (ScenarioSpec, {"shared_bandwidth_bps": 0.0}, ConfigurationError, "bandwidth"),
+            (ScenarioSpec, {"max_events": 0}, ConfigurationError, "max_events"),
+            (ScenarioSpec, {"payload_size": -3}, ConfigurationError, "payload_size"),
+        ],
+        ids=[
+            "crash-nan", "crash-inf", "drop-start-nan", "drop-end-inf",
+            "start-nan", "start-inf", "bandwidth-nan", "bandwidth-inf",
+            "bandwidth-negative", "bandwidth-zero", "max-events-zero",
+            "payload-negative",
+        ],
+    )
+    def test_non_finite_and_out_of_range_fields_rejected(self, cls, kwargs, error, field):
+        # Each of these used to build (and hash), then fail or misreport
+        # only once the run started.
+        with pytest.raises(error, match=field):
+            cls(**kwargs)
+
+    def test_edge_values_still_accepted(self):
+        ScenarioSpec(payload_size=0, max_events=1, shared_bandwidth_bps=1.0)
+        ScenarioSpec(max_events=None, faults=(CrashAt(pid=1, time_ms=0.0),))
+        BroadcastSpec(start_time_ms=0.0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [CrashWhen(pid=1), AdversarySpec(), "crash 3", None],
+        ids=["adaptive-fault", "adversary", "str", "none"],
+    )
+    def test_static_faults_are_type_checked(self, entry):
+        # An adaptive fault among the static ones used to fail mid-run
+        # (apply() takes a run), anything else with an AttributeError.
+        with pytest.raises(ConfigurationError, match="unknown fault"):
+            ScenarioSpec(faults=(entry,))
 
     def test_unknown_behaviour_and_placement_rejected(self):
         with pytest.raises(ConfigurationError):
