@@ -42,10 +42,7 @@ def fig6_layout():
     """Lay out every cell of the figure at the current scale.
 
     Returns ``(points, cells)``: each point is ``(series name, n, k,
-    reference slice, candidate slice)`` indexing into ``cells``.  The
-    bench ratchet reuses the same grid (fixed seeds, same topologies) so
-    its throughput numbers track exactly the workload this benchmark
-    times.
+    reference slice, candidate slice)`` indexing into ``cells``.
     """
     points = []  # (series name, n, k, slice of reference cells, slice of candidate cells)
     cells = []

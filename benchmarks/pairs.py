@@ -14,8 +14,9 @@ Per end-to-end metric of ``BENCHMARK.json`` it prints both medians and
 quartiles, the pairs the change won (ties count for neither side) and
 a verdict:
 
-* **gain** — the change won at least nine tenths of the pairs and the
-  medians lie further apart than the base's own quartiles;
+* **gain** — over at least ten pairs (``MIN_GAIN_PAIRS``), the change
+  won at least nine tenths of them and the medians lie further apart
+  than the base's own quartiles;
 * **regression** — the change's median is worse than the base's by more
   than the metric's bound;
 * **unresolved** — neither, and the base's quartile spread is wider than
@@ -23,6 +24,8 @@ a verdict:
 * **within bound** — neither, and the spread is narrower than the bound
   (**equal** when every run of both sides read the same value).
 
+The exit status is 1 when any metric's verdict is **regression** and 0
+otherwise; CI's ``bench-pairs`` job gates on it.
 The observatory already scales its timings to a reference host speed
 (``observatory/calibration.py``), so the values are compared as printed.
 ``--table`` adds every run as a Markdown table for the README.
@@ -42,7 +45,15 @@ from typing import Dict, List, Sequence
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "observatory" / "run.py"
 WIN_SHARE = 0.9
+MIN_GAIN_PAIRS = 10
 STDERR_TAIL = 20
+
+
+def export(ref: str, into: str) -> None:
+    """Unpack the committed files of ``ref`` into the directory ``into``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref],
+                             cwd=ROOT, check=True, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
 
 
 def run_once(side: str, checkout: Path, workload: str, seed: int,
@@ -95,7 +106,8 @@ def verdict(base: Sequence[float], change: Sequence[float], bound: float) -> str
         return "equal"
     low, base_median, high = quartiles(base)
     advance = statistics.median(change) - base_median
-    if pairs_won(base, change) >= WIN_SHARE * len(base) and advance > high - low:
+    if (len(base) >= MIN_GAIN_PAIRS and pairs_won(base, change) >= WIN_SHARE * len(base)
+            and advance > high - low):
         return "gain"
     if -advance > bound * abs(base_median):
         return "regression"
@@ -121,9 +133,7 @@ def main(argv: Sequence[str] = ()) -> int:
     seconds = manifest["run_seconds"]
     runs: Dict[str, List[Dict[str, float]]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="pairs-") as base_checkout:
-        archive = subprocess.run(["git", "archive", "--format=tar", args.base],
-                                 cwd=ROOT, check=True, stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", base_checkout], input=archive.stdout, check=True)
+        export(args.base, base_checkout)
         checkouts = {"base": Path(base_checkout), "change": ROOT}
         for pair in range(args.pairs):
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):

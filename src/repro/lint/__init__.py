@@ -1,7 +1,7 @@
 """``repro.lint`` — the determinism-contract linter.
 
 Every guarantee this reproduction makes — byte-identical golden traces,
-stable scenario hashes, cross-backend conformance, the bench ratchet —
+stable scenario hashes, cross-backend conformance, exact message counts —
 rests on a determinism contract that ordinary tests only enforce after
 the fact: protocol code must be sans-io, ordering must never depend on
 ``dict``/``set`` iteration order or ``id()``, randomness must flow from

@@ -520,10 +520,10 @@ class SlotsCoverage(Rule):
     rule_id = "SLT001"
     title = "hot-path classes declare covering __slots__"
     rationale = (
-        "The bench ratchet's ~5x hot-path win leans on __slots__; a class "
+        "The simulator's per-event path leans on __slots__; a class "
         "re-gaining a __dict__ (or assigning an attribute outside its "
         "slots) silently regresses memory and attribute-access time on "
-        "the per-event path."
+        "that path."
     )
 
     def check(
