@@ -61,18 +61,14 @@ from repro.scenarios import (
     DelaySpec,
     LinkDropWindow,
     ObservationFilter,
-    SafetyVerdict,
-    ScenarioBackend,
     ScenarioResult,
     ScenarioSpec,
-    SimulationBackend,
     TopologySpec,
     TurnByzantineWhen,
     WorkloadSpec,
     assert_safe,
     check_result,
     expand_grid,
-    get_backend,
     run_conformance,
     run_scenario,
     sample_lossy_adaptive_specs,
@@ -147,12 +143,8 @@ __all__ = [
     "SweepExecutor",
     "run_sweep",
     # execution backends and conformance
-    "ScenarioBackend",
-    "SimulationBackend",
     "AsyncioBackend",
-    "get_backend",
     "ConformanceReport",
-    "SafetyVerdict",
     "run_conformance",
     # safety oracle
     "assert_safe",

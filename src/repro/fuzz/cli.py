@@ -2,9 +2,10 @@
 
 One budgeted farm pass per invocation (CI's scheduled lanes re-invoke
 it; an operator loops it).  Exit status is the farm's verdict: ``0`` for
-an oracle-green run, ``2`` when violations were found (new or
-re-discovered), ``1`` for corpus-validation failures — so a cron lane
-turns red exactly when the oracle fires.  A usage error (no budget, a
+a green run, ``2`` when oracle violations or (with ``--conformance``)
+cross-backend divergences were found, new or re-discovered, ``1`` for
+corpus-validation failures — so a cron lane turns red exactly when the
+oracle fires or the backends disagree on it.  A usage error (no budget, a
 negative or NaN budget, fewer than one worker, a fraction outside
 ``[0, 1]``) exits through argparse with status ``2`` before anything
 runs.
@@ -84,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--conformance",
         action="store_true",
         help=(
-            "re-run violation-free cells on the other backend and record "
-            "diverging safety verdicts (expensive; nightly lane)"
+            "re-run violation-free cells on the other backend; a diverging "
+            "safety verdict is recorded and exits 2 (expensive; nightly lane)"
         ),
     )
     parser.add_argument(

@@ -9,9 +9,11 @@ cell budget, judges every result, and persists the interesting ones to a
 * **oracle violations** are shrunk on the spot
   (:mod:`repro.fuzz.shrink`) and recorded with their minimal reproducer
   and a regression test stub;
-* (optionally) **cross-backend conformance divergences** are shrunk
-  with the conformance evaluator — a candidate survives only while the
-  backends still disagree — and recorded with their minimal reproducer;
+* (optionally) **cross-backend conformance divergences** — the cell's
+  mirror run on another backend breaks a safety invariant differently
+  — are shrunk with the conformance evaluator (a candidate survives only
+  while the backends still disagree) and recorded with their minimal
+  reproducer;
 * **near-f-bound survivors** and **latency outliers** are recorded
   as-is, and their corpus tiers are bounded: after every run the farm
   ages out all but the first ``transient_cap`` records per transient
@@ -22,10 +24,11 @@ cell budget, judges every result, and persists the interesting ones to a
 Dedupe is layered: the shared scenario-hash
 :class:`~repro.runner.cache.ResultCache` keeps re-fuzzed cells from
 re-executing, and the corpus keys records by the same hash, so a
-re-discovered offender never produces a second record.  Everything is
-seed-deterministic — two farms with the same seed and cell budget judge
-the same cells and write the same records — which is what lets CI replay
-any finding.
+re-discovered offender never produces a second record (nor a second
+shrink).  Violations and divergences, new or re-discovered, both turn
+the run's exit status to 2.  Everything is seed-deterministic — two
+farms with the same seed and cell budget judge the same cells and write
+the same records — which is what lets CI replay any finding.
 
 Cells run through :meth:`~repro.runner.parallel.SweepExecutor.run_stream`
 (worker churn = process pool).
@@ -39,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.parallel import SweepExecutor
-from repro.scenarios.conformance import safety_verdict_of
+from repro.scenarios.conformance import verdict_of
 from repro.scenarios.engine import ScenarioResult, run_scenario
 from repro.scenarios.oracle import OracleViolation, check_result
 from repro.fuzz.corpus import DEFAULT_TRANSIENT_CAP, Corpus, CorpusRecord
@@ -66,7 +69,8 @@ class FuzzReport:
     elapsed_s: float = 0.0
     #: New corpus records written this run, hash by category.
     new_records: Dict[str, List[str]] = field(default_factory=dict)
-    #: Cells whose oracle violations were already in the corpus.
+    #: Cells whose oracle violation or conformance divergence was
+    #: already in the corpus.
     duplicate_violations: int = 0
     #: Shrink statistics of this run's violations.
     shrink_steps: int = 0
@@ -78,13 +82,16 @@ class FuzzReport:
 
     @property
     def violation_count(self) -> int:
-        return len(self.new_records.get("oracle_violation", [])) + (
-            self.duplicate_violations
+        """Oracle violations and conformance divergences, new or known."""
+        return (
+            len(self.new_records.get("oracle_violation", []))
+            + len(self.new_records.get("conformance_divergence", []))
+            + self.duplicate_violations
         )
 
     @property
     def exit_code(self) -> int:
-        """Process exit status: 0 = oracle green, 2 = violations found."""
+        """Process exit status: 0 = green, 2 = violations or divergences."""
         return 2 if self.violation_count else 0
 
     def record(self, category: str, scenario_hash: str) -> None:
@@ -142,8 +149,10 @@ class FuzzFarm:
         Execution backends the spec stream spreads cells over.
     conformance_backends:
         When set (e.g. ``("simulation", "asyncio")``), every violation-
-        free cell is re-run on the *other* backend and diverging safety
-        verdicts are recorded — expensive, meant for the nightly lane.
+        free cell is re-run on the *other* backend and a diverging safety
+        verdict (:func:`~repro.scenarios.conformance.verdict_of` in
+        ``"safety"`` mode) is recorded and fails the run — expensive,
+        meant for the nightly lane.
     shrink:
         Whether to delta-debug violations down to minimal reproducers
         (oracle violations via the farm's result checker, conformance
@@ -339,29 +348,30 @@ class FuzzFarm:
     def _check_conformance(
         self, spec: ScenarioSpec, result: ScenarioResult, report: FuzzReport
     ) -> None:
+        reference = verdict_of(result, "safety")
         others = [b for b in self.conformance_backends if b != spec.backend]
         for backend in others:
             mirrored = run_scenario(spec.with_backend(backend))
-            if safety_verdict_of(mirrored) != safety_verdict_of(result):
-                shrunk = self._shrink_divergence(spec, backend, report)
-                self._record(
-                    report,
-                    CorpusRecord(
-                        category="conformance_divergence",
-                        spec=spec,
-                        stats={
-                            **self._stats(result),
-                            "diverging_backend": backend,
-                        },
-                        shrunk_spec=None if shrunk is None else shrunk.minimal,
-                        shrunk_violations=()
-                        if shrunk is None
-                        else tuple(
-                            (v.invariant, v.detail) for v in shrunk.violations
-                        ),
-                        discovery=self._discovery(spec),
-                    ),
-                )
+            if verdict_of(mirrored, "safety") == reference:
+                continue
+            if spec.scenario_hash() in self.corpus:
+                report.duplicate_violations += 1
+                return
+            shrunk = self._shrink_divergence(spec, backend, report)
+            self._record(
+                report,
+                CorpusRecord(
+                    category="conformance_divergence",
+                    spec=spec,
+                    stats={**self._stats(result), "diverging_backend": backend},
+                    shrunk_spec=None if shrunk is None else shrunk.minimal,
+                    shrunk_violations=()
+                    if shrunk is None
+                    else tuple((v.invariant, v.detail) for v in shrunk.violations),
+                    discovery=self._discovery(spec),
+                ),
+            )
+            return
 
     def _shrink_divergence(
         self, spec: ScenarioSpec, backend: str, report: FuzzReport

@@ -6,13 +6,12 @@ primitive.  :class:`~repro.rco.protocol.CausalOrderBroadcast` wraps any
 BRB implementation through the sans-io protocol interface, so the same
 wrapper runs unchanged on the discrete-event simulator and the asyncio
 TCP runtime; :mod:`repro.rco.causal` provides the trace-level causal
-delivery predicate the safety oracle and the cross-backend conformance
-verdicts assert.
+delivery predicate the safety oracle asserts (and cross-backend
+conformance compares through the oracle).
 """
 
 from repro.rco.causal import (
     causal_dependencies,
-    causal_order_holds,
     causal_order_violations,
 )
 from repro.rco.protocol import (
@@ -29,5 +28,4 @@ __all__ = [
     "decode_rco_envelope",
     "causal_dependencies",
     "causal_order_violations",
-    "causal_order_holds",
 ]

@@ -32,8 +32,8 @@ they happen on both backends), never from timestamp comparisons, so
 wall-clock jitter cannot produce false positives.
 
 This module deliberately imports nothing from :mod:`repro.scenarios`:
-the oracle and the conformance verdicts both build on it, so it sits
-below them in the import graph.
+the safety oracle builds on it (and cross-backend conformance compares
+the oracle's output), so it sits below them in the import graph.
 """
 
 from __future__ import annotations
@@ -112,17 +112,9 @@ def causal_order_violations(result) -> List[str]:
     return problems
 
 
-def causal_order_holds(result) -> bool:
-    """Loss-tolerant causal-order verdict (vacuously true off RCO)."""
-    if not is_rco_result(result):
-        return True
-    return not causal_order_violations(result)
-
-
 __all__ = [
     "Key",
     "is_rco_result",
     "causal_dependencies",
     "causal_order_violations",
-    "causal_order_holds",
 ]

@@ -33,23 +33,14 @@ Scenario cells are plain picklable data, which is what lets
 pool while guaranteeing results identical to a serial run.
 """
 
-from repro.scenarios.backends import (
-    BACKENDS,
-    AsyncioBackend,
-    ScenarioBackend,
-    SimulationBackend,
-    get_backend,
-)
+from repro.scenarios.backends import AsyncioBackend
 from repro.scenarios.conformance import (
     BackendVerdict,
     BroadcastVerdict,
     ConformanceReport,
-    SafetyVerdict,
     broadcast_verdict_of,
     conformance_mode_for,
-    no_forged_deliveries,
     run_conformance,
-    safety_verdict_of,
     verdict_of,
 )
 from repro.scenarios.engine import (
@@ -159,20 +150,13 @@ __all__ = [
     "freeze_result",
     "freeze_broadcast_outcome",
     # backends
-    "ScenarioBackend",
-    "SimulationBackend",
     "AsyncioBackend",
-    "BACKENDS",
-    "get_backend",
     # conformance
     "BackendVerdict",
     "BroadcastVerdict",
-    "SafetyVerdict",
     "ConformanceReport",
     "verdict_of",
     "broadcast_verdict_of",
-    "safety_verdict_of",
-    "no_forged_deliveries",
     "conformance_mode_for",
     "run_conformance",
     # safety oracle

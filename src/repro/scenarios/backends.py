@@ -1,17 +1,16 @@
-"""Pluggable execution backends for the scenario engine.
+"""The asyncio execution backend of the scenario engine.
 
-A :class:`ScenarioBackend` turns one declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` into a
-:class:`~repro.scenarios.engine.ScenarioResult`.  Two implementations
-ship:
+A spec runs on one of two backends, named by ``spec.backend``:
 
-* :class:`SimulationBackend` — the discrete-event simulator, fully
+* ``"simulation"`` — the discrete-event simulator,
+  :func:`~repro.scenarios.engine.simulate_scenario`, fully
   deterministic (bit-identical results per seed);
-* :class:`AsyncioBackend` — the same protocol objects over real TCP
-  sockets on localhost (:mod:`repro.network.asyncio_runtime`).  The
-  deterministic parts of the expansion — topology generation, adversary
-  placement, protocol wiring — are byte-for-byte the ones the simulator
-  uses, and so are the faults: the cluster implements the same runtime
+* ``"asyncio"`` — :class:`AsyncioBackend`, the same protocol objects
+  over real TCP sockets on localhost
+  (:mod:`repro.network.asyncio_runtime`).  The deterministic parts of
+  the expansion — topology generation, adversary placement, protocol
+  wiring — are byte-for-byte the ones the simulator uses, and so are
+  the faults: the cluster implements the same runtime
   primitives as the simulator, so ``fault.apply(cluster)`` and
   :func:`~repro.scenarios.engine.arm_adaptive` mean here what
   :mod:`repro.scenarios.faults` says they mean.  Loss is not translated
@@ -26,6 +25,8 @@ ship:
   delivery/safety verdicts are, and
   :mod:`repro.scenarios.conformance` asserts they match the simulation.
 
+:func:`~repro.scenarios.engine.run_scenario` dispatches between them.
+
 Grid cells declare their backend via ``spec.backend`` (also a grid axis:
 ``expand_grid(base, {"backend": ["simulation", "asyncio"]})``), and the
 scenario hash — the sweep executor's cache key — includes it, so results
@@ -34,11 +35,10 @@ from different backends never shadow each other in the cache.
 
 from __future__ import annotations
 
-import abc
 import asyncio
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List
+from typing import List
 
 from repro.core.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
@@ -49,33 +49,9 @@ from repro.scenarios.engine import (
     build_protocols,
     freeze_result,
     place_byzantine,
-    simulate_scenario,
     validate_topology,
 )
-from repro.scenarios.spec import BACKEND_NAMES, BroadcastSpec, ScenarioSpec
-
-
-class ScenarioBackend(abc.ABC):
-    """Executes one :class:`ScenarioSpec` and freezes its result."""
-
-    #: Registry key; must match the spec's ``backend`` field values.
-    name: ClassVar[str]
-
-    @abc.abstractmethod
-    def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        """Run ``spec`` end to end."""
-
-    def validate(self, spec: ScenarioSpec) -> None:
-        """Reject spec features this backend cannot express (no-op here)."""
-
-
-class SimulationBackend(ScenarioBackend):
-    """The discrete-event simulator (default, fully deterministic)."""
-
-    name = "simulation"
-
-    def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        return simulate_scenario(spec)
+from repro.scenarios.spec import BroadcastSpec, ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -87,7 +63,7 @@ class ScheduledBroadcast:
     payload: bytes
 
 
-class AsyncioBackend(ScenarioBackend):
+class AsyncioBackend:
     """Runs a scenario on the asyncio TCP runtime (localhost sockets).
 
     Parameters
@@ -103,8 +79,6 @@ class AsyncioBackend(ScenarioBackend):
     connect_timeout_s:
         Readiness-barrier budget for cluster startup.
     """
-
-    name = "asyncio"
 
     def __init__(
         self,
@@ -131,6 +105,7 @@ class AsyncioBackend(ScenarioBackend):
 
     # -- translation ---------------------------------------------------
     def validate(self, spec: ScenarioSpec) -> None:
+        """Reject spec features real sockets cannot express."""
         if spec.shared_bandwidth_bps is not None:
             raise ConfigurationError(
                 "the asyncio backend runs over real sockets and cannot "
@@ -245,30 +220,8 @@ class AsyncioBackend(ScenarioBackend):
         )
 
 
-#: Registered backends, keyed by the spec's ``backend`` field values.
-BACKENDS: Dict[str, type] = {
-    SimulationBackend.name: SimulationBackend,
-    AsyncioBackend.name: AsyncioBackend,
-}
-
-assert tuple(BACKENDS) == BACKEND_NAMES, "spec.BACKEND_NAMES out of sync"
-
-
-def get_backend(name: str) -> ScenarioBackend:
-    """A default-configured backend instance for ``name``."""
-    try:
-        return BACKENDS[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; expected one of {tuple(BACKENDS)}"
-        ) from None
-
 
 __all__ = [
-    "ScenarioBackend",
-    "SimulationBackend",
     "AsyncioBackend",
     "ScheduledBroadcast",
-    "BACKENDS",
-    "get_backend",
 ]

@@ -2,24 +2,25 @@
 
 The simulation backend is deterministic down to the timestamp; the
 asyncio backend runs over real sockets and its timings are wall-clock.
-What *must* agree between them — and what CI asserts — are the
-delivery/safety verdicts: which processes are correct, which delivered,
-what they delivered, and whether the BRB predicates (totality,
-agreement, validity) hold.  :class:`BackendVerdict` captures exactly
-that timing-free projection of a
-:class:`~repro.scenarios.engine.ScenarioResult`, and
-:func:`run_conformance` runs one spec on several backends and compares.
+What *must* agree between them — and what CI asserts — is how the
+safety oracle judges each run, plus (for reliable scenarios) the
+timing-free delivery outcome.  Conformance judges nothing itself:
+:func:`verdict_of` projects a
+:class:`~repro.scenarios.engine.ScenarioResult` onto a
+:class:`BackendVerdict` whose ``safety`` field is the
+:func:`~repro.scenarios.oracle.check_safety` violation list, and
+:func:`run_conformance` runs one spec on several backends and compares
+the verdicts field by field.
 
-Lossy and adaptive scenarios are compared differently.  Which messages a
-lossy link loses — and therefore which processes deliver, and whether an
-adaptive trigger fires at all — legitimately differs between a seeded
-simulation and real sockets, so comparing delivery traces would fail for
-reasons the paper's claims say nothing about.  What must *still* agree
-is every safety outcome: no correct process delivered a forged message,
-no two correct processes disagreed on a payload, no correct deliverer
-got anything but what the source sent.  :class:`SafetyVerdict` is that
-projection, and ``run_conformance``'s default ``mode="auto"`` selects it
-exactly when the spec is lossy or adaptive.
+The comparison has two modes.  ``"full"`` compares the safety
+violations *and* the delivery outcome: the correct/crashed/Byzantine
+rosters and one :class:`BroadcastVerdict` per broadcast (who delivered,
+what, and whether every correct process did).  ``"safety"`` compares
+the safety violations only.  Which messages a lossy link loses — and
+therefore which processes deliver, and whether an adaptive trigger
+fires at all — legitimately differs between a seeded simulation and
+real sockets, so ``run_conformance``'s default ``mode="auto"`` selects
+``"safety"`` exactly when the spec is lossy, adaptive or churned.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.rco.causal import causal_order_holds
 from repro.scenarios.engine import BroadcastOutcome, ScenarioResult, run_scenario
+from repro.scenarios.oracle import check_safety
 from repro.scenarios.spec import ScenarioSpec
 
 #: Verdict-comparison modes of :func:`run_conformance`.
@@ -38,7 +39,7 @@ CONFORMANCE_MODES = ("auto", "full", "safety")
 
 @dataclass(frozen=True)
 class BroadcastVerdict:
-    """Timing-free delivery/safety projection of one broadcast outcome."""
+    """Timing-free delivery projection of one broadcast outcome."""
 
     source: int
     bid: int
@@ -47,39 +48,31 @@ class BroadcastVerdict:
     #: (pid, payload_hex) for every correct process that delivered it.
     payloads: Tuple[Tuple[int, str], ...]
     all_correct_delivered: bool
-    agreement_holds: bool
-    validity_holds: bool
 
 
 @dataclass(frozen=True)
 class BackendVerdict:
-    """Timing-free delivery/safety projection of one scenario result.
+    """What conformance compares of one scenario result.
 
-    The run-level fields describe the primary broadcast and the
-    aggregated predicates (every broadcast must satisfy them);
-    ``broadcasts`` carries one :class:`BroadcastVerdict` per workload
-    broadcast, sorted by ``(source, bid)``, so multi-broadcast workloads
-    are compared broadcast by broadcast.
+    ``safety`` is filled in both modes; the rosters and ``broadcasts``
+    only in ``"full"`` mode (empty in ``"safety"`` mode, where an
+    adaptive conversion may fire on one backend and not the other).
     """
 
-    correct_processes: Tuple[int, ...]
-    crashed: Tuple[int, ...]
-    byzantine: Tuple[Tuple[int, str], ...]
-    #: Correct processes that delivered the primary broadcast, sorted.
-    delivered_correct: Tuple[int, ...]
-    #: (pid, payload_hex) for every correct process that delivered it.
-    payloads: Tuple[Tuple[int, str], ...]
-    all_correct_delivered: bool
-    agreement_holds: bool
-    validity_holds: bool
-    #: Per-broadcast verdicts, sorted by (source, bid).
+    #: :func:`~repro.scenarios.oracle.check_safety`'s
+    #: ``(invariant, detail)`` pairs, in the oracle's order.
+    safety: Tuple[Tuple[str, str], ...]
+    correct_processes: Tuple[int, ...] = ()
+    crashed: Tuple[int, ...] = ()
+    byzantine: Tuple[Tuple[int, str], ...] = ()
+    #: Per-broadcast delivery verdicts, sorted by ``(source, bid)``.
     broadcasts: Tuple[BroadcastVerdict, ...] = ()
 
 
 def broadcast_verdict_of(
     outcome: BroadcastOutcome, correct: frozenset
 ) -> BroadcastVerdict:
-    """Project one broadcast outcome onto its comparable verdict fields."""
+    """Project one broadcast outcome onto its comparable delivery fields."""
     return BroadcastVerdict(
         source=outcome.source,
         bid=outcome.bid,
@@ -94,99 +87,27 @@ def broadcast_verdict_of(
             )
         ),
         all_correct_delivered=outcome.all_correct_delivered,
-        agreement_holds=outcome.agreement_holds,
-        validity_holds=outcome.validity_holds,
     )
 
 
-@dataclass(frozen=True)
-class SafetyVerdict:
-    """Loss-tolerant safety projection of one scenario result.
+def verdict_of(result: ScenarioResult, mode: str) -> BackendVerdict:
+    """Project a result onto the verdict compared in ``mode``.
 
-    Everything here must hold — and match across backends — *whatever*
-    messages the lossy links lost and *whether or not* the adaptive
-    triggers fired: the predicates quantify over the processes each run
-    itself considers correct, and none of them depends on which subset
-    of messages survived.  Deliberately absent: delivered sets, payload
-    traces, totality, and the byzantine/crashed rosters (an adaptive
-    conversion may fire on one backend and not the other).
+    ``mode`` is a resolved mode, ``"full"`` or ``"safety"`` (see
+    :func:`conformance_mode_for`).
     """
-
-    agreement_holds: bool
-    validity_holds: bool
-    no_forged_deliveries: bool
-    #: Per scheduled broadcast: (source, bid, agreement, validity).
-    broadcast_safety: Tuple[Tuple[int, int, bool, bool], ...]
-    #: Causal delivery order (RCO protocols; vacuously true otherwise).
-    #: Loss-tolerant like the rest: the predicate only constrains
-    #: processes that actually delivered the causally-later broadcast.
-    causal_order_holds: bool = True
-
-
-def no_forged_deliveries(result: ScenarioResult) -> bool:
-    """No correct process delivered a broadcast its correct source never made.
-
-    A *forged* delivery is one whose ``(source, bid)`` key is not in the
-    scenario's schedule while ``source`` is a correct process — i.e. the
-    adversary manufactured a broadcast and pinned it on an honest
-    process, which the authenticated-channel / disjoint-path machinery
-    must prevent.  Keys attributed to Byzantine processes are fine (a
-    Byzantine source may broadcast anything), as are reliable-
-    communication deliveries with no encoded originator (source ``-1``).
-    """
-    scheduled = {broadcast.key for broadcast in result.spec.broadcasts()}
-    byzantine = {pid for pid, _ in result.byzantine}
-    correct = set(result.correct_processes)
-    for pid, key in result.metrics.delivery_times:
-        if pid not in correct or key in scheduled:
-            continue
-        source = key[0]
-        if source in byzantine or source == -1:
-            continue
-        return False
-    return True
-
-
-def safety_verdict_of(result: ScenarioResult) -> SafetyVerdict:
-    """Project a result onto the loss-tolerant safety verdict fields."""
-    return SafetyVerdict(
-        agreement_holds=result.agreement_holds,
-        validity_holds=result.validity_holds,
-        no_forged_deliveries=no_forged_deliveries(result),
-        broadcast_safety=tuple(
-            (
-                outcome.source,
-                outcome.bid,
-                outcome.agreement_holds,
-                outcome.validity_holds,
-            )
-            for outcome in result.outcomes
-        ),
-        causal_order_holds=causal_order_holds(result),
+    safety = tuple(
+        (violation.invariant, violation.detail)
+        for violation in check_safety(result)
     )
-
-
-def verdict_of(result: ScenarioResult) -> BackendVerdict:
-    """Project a result onto the backend-comparable verdict fields."""
+    if mode == "safety":
+        return BackendVerdict(safety=safety)
     correct = frozenset(result.correct_processes)
-    payloads = tuple(
-        sorted(
-            (pid, payload)
-            for _, pid, _, _, payload in result.delivery_trace
-            if pid in correct
-        )
-    )
     return BackendVerdict(
-        correct_processes=tuple(sorted(result.correct_processes)),
+        safety=safety,
+        correct_processes=tuple(sorted(correct)),
         crashed=result.crashed,
         byzantine=result.byzantine,
-        delivered_correct=tuple(
-            sorted(pid for pid in result.delivered_processes if pid in correct)
-        ),
-        payloads=payloads,
-        all_correct_delivered=result.all_correct_delivered,
-        agreement_holds=result.agreement_holds,
-        validity_holds=result.validity_holds,
         broadcasts=tuple(
             broadcast_verdict_of(outcome, correct) for outcome in result.outcomes
         ),
@@ -199,8 +120,7 @@ class ConformanceReport:
 
     spec_name: str
     scenario_hashes: Tuple[Tuple[str, str], ...]
-    #: Per-backend verdicts: :class:`BackendVerdict` in full mode,
-    #: :class:`SafetyVerdict` in safety mode (see ``mode``).
+    #: Per-backend verdicts, projected in ``mode``.
     verdicts: Tuple[Tuple[str, object], ...]
     #: Per-backend latency until all correct processes delivered (None if
     #: some did not).  Informational only — simulated vs wall-clock
@@ -264,16 +184,16 @@ def run_conformance(
     """Run one spec on every listed backend and compare the verdicts.
 
     ``overrides`` optionally maps a backend name to a configured
-    :class:`~repro.scenarios.backends.ScenarioBackend` instance (e.g. an
-    ``AsyncioBackend`` with a shorter delivery timeout for CI).
-    ``mode`` selects the verdict projection compared across backends —
-    ``"full"`` (delivery + safety), ``"safety"`` (loss-tolerant safety
-    outcomes only) or ``"auto"`` (safety exactly when the spec is lossy
-    or adaptive; see :func:`conformance_mode_for`).
+    backend instance (e.g. an
+    :class:`~repro.scenarios.backends.AsyncioBackend` with a shorter
+    delivery timeout for CI).  ``mode`` selects the verdict projection
+    compared across backends — ``"full"`` (safety violations + delivery
+    outcome), ``"safety"`` (safety violations only) or ``"auto"``
+    (safety exactly when the spec is lossy, adaptive or churned; see
+    :func:`conformance_mode_for`).
     """
     overrides = overrides or {}
     resolved = conformance_mode_for(spec, mode)
-    project = safety_verdict_of if resolved == "safety" else verdict_of
     results: List[Tuple[str, ScenarioResult]] = []
     for name in backends:
         result = run_scenario(spec.with_backend(name), backend=overrides.get(name))
@@ -283,7 +203,9 @@ def run_conformance(
         scenario_hashes=tuple(
             (name, result.scenario_hash) for name, result in results
         ),
-        verdicts=tuple((name, project(result)) for name, result in results),
+        verdicts=tuple(
+            (name, verdict_of(result, resolved)) for name, result in results
+        ),
         latencies_ms=tuple((name, result.latency_ms) for name, result in results),
         mode=resolved,
     )
@@ -293,12 +215,9 @@ __all__ = [
     "CONFORMANCE_MODES",
     "BroadcastVerdict",
     "BackendVerdict",
-    "SafetyVerdict",
     "ConformanceReport",
     "broadcast_verdict_of",
     "verdict_of",
-    "safety_verdict_of",
-    "no_forged_deliveries",
     "conformance_mode_for",
     "run_conformance",
 ]

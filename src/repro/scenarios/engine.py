@@ -1,9 +1,8 @@
 """Scenario engine: build and run one :class:`ScenarioSpec`.
 
 :func:`run_scenario` is the single entry point the sweep executor's
-serial and pool paths share.  It dispatches on ``spec.backend`` to a
-:class:`~repro.scenarios.backends.ScenarioBackend`; the default
-``"simulation"`` backend (:func:`simulate_scenario`, kept here) expands
+serial and pool paths share.  It dispatches on ``spec.backend``: the
+default ``"simulation"`` backend (:func:`simulate_scenario`) expands
 the spec into a topology, a set of protocol instances (with Byzantine
 behaviours placed by the spec's strategies) and a
 :class:`SimulatedNetwork` with the spec's fault events armed, runs the
@@ -573,17 +572,18 @@ def run_scenario(spec: ScenarioSpec, backend=None) -> ScenarioResult:
     """Run one scenario end to end on its declared execution backend.
 
     ``backend`` optionally overrides the dispatch with a configured
-    :class:`~repro.scenarios.backends.ScenarioBackend` instance (e.g. an
+    backend instance (e.g. an
     :class:`~repro.scenarios.backends.AsyncioBackend` with a custom
-    delivery timeout).
+    delivery timeout); otherwise ``"asyncio"`` specs run on a default
+    one.
     """
     if backend is None:
         if spec.backend == "simulation":
             return simulate_scenario(spec)
         # Imported lazily: backends depends on this module.
-        from repro.scenarios.backends import get_backend
+        from repro.scenarios.backends import AsyncioBackend
 
-        backend = get_backend(spec.backend)
+        backend = AsyncioBackend()
     return backend.run(spec)
 
 

@@ -15,13 +15,18 @@ change (Sec. 3 of the paper):
 property: it additionally needs the network to stay ``(2f + 1)``-
 connected and the links to actually carry the messages, so the oracle
 only asserts it for cells where delivery is guaranteed — no loss, no
-adaptive triggers, no static fault events (see
-:func:`totality_expected`).
+adaptive triggers, and no static fault event that can keep a message
+from a correct process (a delayed start, which only postpones, is
+admitted; see :func:`totality_expected`).
 
-The oracle is the reusable test layer every execution backend must pass:
-:func:`check_result` turns one
-:class:`~repro.scenarios.engine.ScenarioResult` into a list of
-:class:`OracleViolation` (empty = the invariants held), and
+The oracle is the one judge of a run every execution backend must pass:
+:func:`check_safety` turns one
+:class:`~repro.scenarios.engine.ScenarioResult` into its safety
+:class:`OracleViolation` list (plus causal order on RCO protocols),
+:func:`check_result` adds totality where it is expected (empty = the
+invariants held), and cross-backend conformance
+(:mod:`repro.scenarios.conformance`) compares :func:`check_safety`'s
+output between backends rather than judging the run a second time.
 :func:`sample_lossy_adaptive_specs` draws the randomized lossy/adaptive
 scenario grids the ``tests/oracles`` suite sweeps on both backends.
 """
@@ -33,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from repro.rco.causal import causal_order_violations, is_rco_result
-from repro.scenarios.conformance import no_forged_deliveries
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.faults import (
     CrashWhen,
@@ -61,9 +65,16 @@ class OracleViolation:
 # Invariant checks
 # ----------------------------------------------------------------------
 def check_no_forgery(result: ScenarioResult) -> List[OracleViolation]:
-    """No correct process delivered a forged broadcast."""
-    if no_forged_deliveries(result):
-        return []
+    """No correct process delivered a forged broadcast.
+
+    A *forged* delivery is one whose ``(source, bid)`` key is not in the
+    scenario's schedule while ``source`` is a correct process — the
+    adversary manufactured a broadcast and pinned it on an honest
+    process, which the authenticated-channel / disjoint-path machinery
+    must prevent.  Keys attributed to Byzantine processes are fine (a
+    Byzantine source may broadcast anything), as are reliable-
+    communication deliveries with no encoded originator (source ``-1``).
+    """
     scheduled = {broadcast.key for broadcast in result.spec.broadcasts()}
     byzantine = {pid for pid, _ in result.byzantine}
     correct = set(result.correct_processes)
@@ -187,19 +198,29 @@ def check_causal_order(result: ScenarioResult) -> List[OracleViolation]:
     ]
 
 
-def check_result(result: ScenarioResult) -> List[OracleViolation]:
-    """Every violated invariant of one run (empty = the oracle is green).
+def check_safety(result: ScenarioResult) -> List[OracleViolation]:
+    """The safety invariants of one run, asserted on every cell.
 
-    The safety invariants (no forgery, agreement, validity) are always
-    asserted — plus causal order on RCO protocols; totality only where
-    :func:`totality_expected` says delivery is guaranteed.
+    No forgery, agreement and validity — plus causal order on RCO
+    protocols.  None depends on which messages a lossy link lost or
+    whether an adaptive trigger fired, so these are also what
+    cross-backend conformance compares in its ``safety`` mode.
     """
-    violations = (
+    return (
         check_no_forgery(result)
         + check_agreement(result)
         + check_validity(result)
         + check_causal_order(result)
     )
+
+
+def check_result(result: ScenarioResult) -> List[OracleViolation]:
+    """Every violated invariant of one run (empty = the oracle is green).
+
+    :func:`check_safety`, plus totality where
+    :func:`totality_expected` says delivery is guaranteed.
+    """
+    violations = check_safety(result)
     if totality_expected(result.spec):
         violations += check_totality(result)
     return violations
@@ -357,6 +378,7 @@ __all__ = [
     "check_validity",
     "check_totality",
     "check_causal_order",
+    "check_safety",
     "check_result",
     "assert_safe",
     "totality_expected",

@@ -336,7 +336,8 @@ class TestConformanceDivergence:
     ):
         """The mirror run "diverges", but the conformance evaluator's
         honest baseline re-run is green: the farm must keep the raw
-        offender instead of crashing on the failed shrink."""
+        offender instead of crashing on the failed shrink, and the
+        divergence fails the run although no oracle violation did."""
         from repro.fuzz import farm as farm_module
 
         real_run = farm_module.run_scenario
@@ -353,6 +354,8 @@ class TestConformanceDivergence:
         report = farm.run(max_cells=2)
         hashes = report.new_records.get("conformance_divergence", [])
         assert hashes, "every mirrored cell diverges under the forge"
+        assert "oracle_violation" not in report.new_records
+        assert report.exit_code == 2
         corpus = Corpus(tmp_path / "corpus")
         for scenario_hash in hashes:
             record = corpus.load(scenario_hash)
@@ -398,6 +401,50 @@ class TestConformanceDivergence:
             record = corpus.load(scenario_hash)
             assert record.shrunk_spec is not None
             assert ("conformance", "fake") in record.shrunk_violations
+
+    def test_known_divergence_is_counted_not_reshrunk(
+        self, tmp_path, monkeypatch, cell_cache
+    ):
+        """A divergence already in the corpus still fails the run, but is
+        neither recorded nor shrunk a second time."""
+        from repro.scenarios.oracle import OracleViolation
+        from repro.fuzz import farm as farm_module
+
+        real_run = farm_module.run_scenario
+        monkeypatch.setattr(
+            farm_module, "run_scenario", lambda spec: self._forge(real_run(spec))
+        )
+        shrunk_specs = []
+
+        def fake_evaluator(backends, *, mode="auto", overrides=None, run=None):
+            def evaluate(spec):
+                shrunk_specs.append(spec)
+                return (OracleViolation(invariant="conformance", detail="fake"),)
+
+            return evaluate
+
+        monkeypatch.setattr(farm_module, "conformance_evaluator", fake_evaluator)
+
+        def farm():
+            return FuzzFarm(
+                tmp_path / "corpus",
+                cache_dir=cell_cache,
+                check=lambda result: (),
+                seed=0,
+                conformance_backends=("simulation", "asyncio"),
+            )
+
+        first = farm().run(max_cells=2)
+        known = first.new_records["conformance_divergence"]
+        assert shrunk_specs
+        shrunk_specs.clear()
+
+        second = farm().run(max_cells=2)
+        assert "conformance_divergence" not in second.new_records
+        assert second.duplicate_violations == len(known)
+        assert shrunk_specs == []
+        assert second.shrink_attempts == 0
+        assert second.exit_code == 2
 
 
 class TestCLI:

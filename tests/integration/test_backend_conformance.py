@@ -2,9 +2,9 @@
 
 The same declarative :class:`ScenarioSpec` is executed on the
 discrete-event simulator and on the asyncio TCP runtime (real localhost
-sockets), and the delivery/safety verdicts — who is correct, who
-delivered what, and whether totality/agreement/validity hold — must be
-identical.  Timings are intentionally excluded: the simulator's clock is
+sockets), and the verdicts — who is correct, who delivered what,
+whether every correct process did, and the safety oracle's violations —
+must be identical.  Timings are intentionally excluded: the simulator's clock is
 virtual, the runtime's is the wall.
 
 These tests open dozens of real sockets per scenario and are marked
@@ -209,9 +209,9 @@ class TestWorkloadConformance:
 class TestRCOConformance:
     """The causal wrapper's verdicts agree across backends.
 
-    The causal-order field of the safety verdict rides along, so a
-    backend that delivered out of causal order would fail conformance,
-    not just the oracle.
+    Every verdict, full mode included, carries the oracle's causal-order
+    violations, so a backend that delivered out of causal order would
+    fail conformance, not just the oracle.
     """
 
     def test_causal_chain_conforms(self):

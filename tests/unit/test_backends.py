@@ -32,9 +32,7 @@ from repro.scenarios import (
     DelayedStart,
     LinkDropWindow,
     ScenarioSpec,
-    SimulationBackend,
     TopologySpec,
-    get_backend,
 )
 from repro.scenarios import CrashWhen, DelaySpec, ObservationFilter, TurnByzantineWhen
 from repro.scenarios.engine import arm_adaptive
@@ -603,14 +601,6 @@ class TestNodeRuntimeActions:
 
 
 class TestBackendRegistry:
-    def test_get_backend_round_trip(self):
-        assert isinstance(get_backend("simulation"), SimulationBackend)
-        assert isinstance(get_backend("asyncio"), AsyncioBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("grpc")
-
     def test_spec_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError):
             ScenarioSpec(backend="grpc")

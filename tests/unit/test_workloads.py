@@ -271,7 +271,7 @@ class TestMultiBroadcastEngine:
 
     def test_verdict_carries_per_broadcast_projections(self):
         spec = harary_spec(workload=WorkloadSpec.repeated(0, 3, interval_ms=30.0))
-        verdict = verdict_of(run_scenario(spec))
+        verdict = verdict_of(run_scenario(spec), "full")
         assert len(verdict.broadcasts) == 3
         assert all(b.all_correct_delivered for b in verdict.broadcasts)
         assert [(b.source, b.bid) for b in verdict.broadcasts] == [
