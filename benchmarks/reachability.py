@@ -24,6 +24,7 @@ but ``benchmarks/results/``, as the benchmarks themselves do.
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -160,6 +161,11 @@ def run(scratch: Path) -> Tuple[Set[Key], List[str]]:
 
 
 def main() -> int:
+    # No options: ``--help`` prints this module's docstring, anything else
+    # is a usage error, and both exit before a workload starts.
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
     table = defined()
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
         reached, failed = run(Path(scratch))

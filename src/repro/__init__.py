@@ -25,7 +25,7 @@ Quickstart
 """
 
 from repro.core.config import SystemConfig
-from repro.core.events import BRBDeliver, RCDeliver, SendTo
+from repro.core.events import BRBDeliver, SendTo
 from repro.core.messages import (
     BrachaMessage,
     CrossLayerMessage,
@@ -99,7 +99,6 @@ __all__ = [
     "CrossLayerMessage",
     "SendTo",
     "BRBDeliver",
-    "RCDeliver",
     # protocols
     "BrachaBroadcast",
     "DolevBroadcast",

@@ -62,10 +62,6 @@ class BrachaQuorumState:
     sent_echo: bool = False
     sent_ready: bool = False
     delivered: bool = False
-    #: Whether echo amplification (f+1 ECHOs ⇒ own ECHO) is enabled.  It is
-    #: not part of Algorithm 1 but is required by the cross-layer protocol
-    #: (MBD.2) and harmless otherwise.
-    echo_amplification: bool = False
     values: Dict[bytes, _PerValueState] = field(default_factory=dict)
 
     def _value_state(self, payload: bytes) -> _PerValueState:
@@ -87,18 +83,10 @@ class BrachaQuorumState:
         if sender in state.echo_senders:
             return []
         state.echo_senders.add(sender)
-        actions: List[BrachaAction] = []
-        if (
-            self.echo_amplification
-            and not self.sent_echo
-            and len(state.echo_senders) >= self.config.echo_amplification_threshold
-        ):
-            self.sent_echo = True
-            actions.append(BrachaAction("echo", payload))
         if not self.sent_ready and len(state.echo_senders) >= self.config.echo_quorum:
             self.sent_ready = True
-            actions.append(BrachaAction("ready", payload))
-        return actions
+            return [BrachaAction("ready", payload)]
+        return []
 
     def on_ready(self, sender: int, payload: bytes) -> List[BrachaAction]:
         """A ``READY`` created by ``sender`` has been received."""
@@ -144,14 +132,11 @@ class BrachaBroadcast(BroadcastProtocol):
         process_id: int,
         config: SystemConfig,
         neighbors=None,
-        *,
-        echo_amplification: bool = False,
     ) -> None:
         if neighbors is None:
             neighbors = [p for p in config.processes if p != process_id]
         super().__init__(process_id, config, neighbors)
         config.require_bracha_resilience()
-        self._echo_amplification = echo_amplification
         self._states: Dict[BroadcastKey, BrachaQuorumState] = {}
 
     # ------------------------------------------------------------------
@@ -183,9 +168,7 @@ class BrachaBroadcast(BroadcastProtocol):
     def _state(self, key: BroadcastKey) -> BrachaQuorumState:
         state = self._states.get(key)
         if state is None:
-            state = BrachaQuorumState(
-                config=self.config, echo_amplification=self._echo_amplification
-            )
+            state = BrachaQuorumState(config=self.config)
             self._states[key] = state
         return state
 

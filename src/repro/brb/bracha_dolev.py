@@ -36,9 +36,6 @@ class BrachaDolevBroadcast(BroadcastProtocol):
         The MD.1–5 toggles applied to the Dolev layer.  Use
         :meth:`ModificationSet.none` for the unmodified *BD* combination
         and :meth:`ModificationSet.dolev_optimized` for *BDopt*.
-    echo_amplification:
-        Enable the ``f + 1`` ECHOs ⇒ own ECHO rule (not part of the
-        baseline; provided for comparison with the cross-layer protocol).
     """
 
     def __init__(
@@ -48,14 +45,12 @@ class BrachaDolevBroadcast(BroadcastProtocol):
         neighbors: Iterable[int],
         *,
         modifications: Optional[ModificationSet] = None,
-        echo_amplification: bool = False,
     ) -> None:
         super().__init__(process_id, config, neighbors)
         config.require_bracha_resilience()
         self.modifications = (
             modifications if modifications is not None else ModificationSet.none()
         )
-        self._echo_amplification = echo_amplification
         self._states: Dict[BroadcastKey, BrachaQuorumState] = {}
         self._disseminator = DolevDisseminator(
             process_id=process_id,
@@ -95,9 +90,7 @@ class BrachaDolevBroadcast(BroadcastProtocol):
     def _state(self, key: BroadcastKey) -> BrachaQuorumState:
         state = self._states.get(key)
         if state is None:
-            state = BrachaQuorumState(
-                config=self.config, echo_amplification=self._echo_amplification
-            )
+            state = BrachaQuorumState(config=self.config)
             self._states[key] = state
         return state
 

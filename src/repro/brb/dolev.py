@@ -1,10 +1,11 @@
 """Dolev's reliable communication on unknown topologies (Algorithm 2).
 
-Dolev's protocol floods a content through the network while accumulating,
-in each message, the path of processes it traversed.  A process delivers
-a content once it has received it through ``f + 1`` node-disjoint paths,
-which is guaranteed to happen when the communication graph is at least
-``2f + 1``-vertex-connected (Menger's theorem + pigeonhole).
+Dolev's protocol floods a content — always a Bracha message — through the
+network while accumulating, in each message, the path of processes it
+traversed.  A process delivers a content once it has received it through
+``f + 1`` node-disjoint paths, which is guaranteed to happen when the
+communication graph is at least ``2f + 1``-vertex-connected (Menger's
+theorem + pigeonhole).
 
 Two classes are provided:
 
@@ -12,10 +13,12 @@ Two classes are provided:
   manages the per-content path bookkeeping, the relaying rules and
   Bonomi et al.'s MD.1–5 optimizations.  The layered Bracha-Dolev
   combination (:mod:`repro.brb.bracha_dolev`) reuses it for each
-  Bracha message it disseminates.
+  SEND, ECHO and READY it disseminates.
 * :class:`DolevBroadcast` — the reliable-communication protocol exposed
   through the standard :class:`~repro.core.protocol.BroadcastProtocol`
-  interface (honest-dealer broadcast); pass
+  interface (honest-dealer broadcast): it floods a SEND carrying the
+  source and broadcast id and delivers it as a
+  :class:`~repro.core.events.BRBDeliver` of that ``(source, bid)``; pass
   ``modifications=ModificationSet.dolev_optimized()`` for MD.1–5.
 
 Reception order
@@ -34,10 +37,10 @@ MD.5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import SystemConfig
-from repro.core.events import Command, RCDeliver, SendTo
+from repro.core.events import Command, SendTo
 from repro.core.messages import BrachaMessage, DolevMessage, MessageType, Path
 from repro.core.modifications import ModificationSet
 from repro.core.protocol import BroadcastProtocol
@@ -45,16 +48,13 @@ from repro.paths.disjoint import DisjointPathVerifier
 from repro.paths.pathset import path_to_bits
 
 
-def content_origin(content) -> Optional[int]:
+def content_origin(content: BrachaMessage) -> int:
     """The process that created a disseminated content.
 
-    For a :class:`BrachaMessage` this is the ``creator`` field when
-    present (ECHO/READY messages) and the ``source`` otherwise (SEND
-    messages).  Raw byte contents have no known origin.
+    The ``creator`` field when present (ECHO/READY messages), the
+    ``source`` otherwise (SEND messages).
     """
-    if isinstance(content, BrachaMessage):
-        return content.creator if content.creator is not None else content.source
-    return None
+    return content.creator if content.creator is not None else content.source
 
 
 @dataclass
@@ -84,10 +84,6 @@ class DolevDisseminator:
         Number of node-disjoint paths required for delivery (``f + 1``).
     modifications:
         The MD.1–5 (and MBD.10) toggles honoured by the disseminator.
-    extra_exclusions:
-        Optional hook returning additional neighbors to exclude when
-        relaying a given content; the layered combination uses it for the
-        cross-layer exclusions (e.g. MBD.9).
     """
 
     def __init__(
@@ -96,14 +92,11 @@ class DolevDisseminator:
         neighbors: Iterable[int],
         required_paths: int,
         modifications: Optional[ModificationSet] = None,
-        *,
-        extra_exclusions: Optional[Callable[[object], Set[int]]] = None,
     ) -> None:
         self.process_id = process_id
         self.neighbors: Tuple[int, ...] = tuple(sorted(set(neighbors)))
         self.required_paths = required_paths
         self.mods = modifications if modifications is not None else ModificationSet.none()
-        self.extra_exclusions = extra_exclusions
         self._contents: Dict[object, ContentState] = {}
 
     # ------------------------------------------------------------------
@@ -145,7 +138,7 @@ class DolevDisseminator:
         state.delivered = True
         state.relayed_empty = True
         self._settle(state)
-        targets = self._relay_targets(content, state, content_origin(content), ())
+        targets = self._relay_targets(state, content_origin(content), ())
         sends = [SendTo(dest=q, message=DolevMessage(content=content, path=())) for q in targets]
         return sends, [content]
 
@@ -234,7 +227,7 @@ class DolevDisseminator:
         state: ContentState,
         sender: int,
         wire_path: Path,
-        origin: Optional[int],
+        origin: int,
         path_stored: bool,
         newly_delivered: bool,
         direct: bool,
@@ -255,30 +248,27 @@ class DolevDisseminator:
             relay_path = wire_path + (sender,)
 
         # Never back along the path: the relayed path is the exclusion.
-        targets = self._relay_targets(content, state, origin, relay_path)
+        targets = self._relay_targets(state, origin, relay_path)
         if not targets:
             return []
         message = DolevMessage(content=content, path=relay_path)
         return [SendTo(dest=q, message=message) for q in targets]
 
     def _relay_targets(
-        self, content, state: ContentState, origin: Optional[int], relay_path: Path
+        self, state: ContentState, origin: int, relay_path: Path
     ) -> List[int]:
-        # ``origin`` may be None (raw bytes), which is no neighbor's id.
         excluded = {self.process_id, origin, *relay_path}
         if self.mods.md3_skip_delivered_neighbors:
             excluded |= state.neighbors_delivered
-        if self.extra_exclusions is not None:
-            excluded.update(self.extra_exclusions(content))
         return [q for q in self.neighbors if q not in excluded]
 
 
 class DolevBroadcast(BroadcastProtocol):
     """Reliable communication (honest-dealer broadcast) on generic networks.
 
-    The broadcast content carries its source and broadcast identifier (as
-    required by Bonomi et al.'s optimized variant, Sec. 3), so deliveries
-    report the claimed source of the payload.
+    The broadcast content is a SEND carrying its source and broadcast
+    identifier (as required by Bonomi et al.'s optimized variant, Sec. 3),
+    so each delivery is recorded under the ``(source, bid)`` it claims.
     """
 
     def __init__(
@@ -321,14 +311,14 @@ class DolevBroadcast(BroadcastProtocol):
         commands.extend(self._deliver_contents(delivered))
         return commands
 
-    def _deliver_contents(self, contents: List[object]) -> List[Command]:
+    def _deliver_contents(self, contents: List[BrachaMessage]) -> List[Command]:
         commands: List[Command] = []
         for content in contents:
-            key = (content.source, content.bid)
-            if key in self.delivered:
+            if (content.source, content.bid) in self.delivered:
                 continue
-            self.delivered[key] = content.payload
-            commands.append(RCDeliver(payload=content.payload, source=content.source))
+            commands.append(
+                self._record_delivery(content.source, content.bid, content.payload)
+            )
         return commands
 
     def state_size_estimate(self) -> int:

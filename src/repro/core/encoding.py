@@ -22,7 +22,7 @@ from repro.core.messages import (
 )
 
 _KIND_BRACHA = 1
-_KIND_DOLEV_RAW = 2
+# Kind 2, a Dolev envelope of raw bytes, is retired: it decodes to EncodingError.
 _KIND_DOLEV_BRACHA = 3
 _KIND_CROSS_LAYER = 4
 
@@ -84,14 +84,12 @@ def encode_message(message: AnyMessage) -> bytes:
     """Serialize a protocol message to bytes."""
     if isinstance(message, BrachaMessage):
         return bytes([_KIND_BRACHA]) + _encode_bracha(message)
-    if isinstance(message, DolevMessage):
-        if isinstance(message.content, BrachaMessage):
-            body = _encode_bracha(message.content)
-            kind = _KIND_DOLEV_BRACHA
-        else:
-            body = _pack_payload(message.content)
-            kind = _KIND_DOLEV_RAW
-        return bytes([kind]) + body + _pack_path(message.path)
+    if isinstance(message, DolevMessage) and isinstance(message.content, BrachaMessage):
+        return (
+            bytes([_KIND_DOLEV_BRACHA])
+            + _encode_bracha(message.content)
+            + _pack_path(message.path)
+        )
     if isinstance(message, CrossLayerMessage):
         return bytes([_KIND_CROSS_LAYER]) + _encode_cross_layer(message)
     raise EncodingError(f"cannot encode object of type {type(message).__name__}")
@@ -163,11 +161,8 @@ def decode_message(data: bytes) -> AnyMessage:
             message, offset = _decode_cross_layer(data, 1)
         elif kind == _KIND_BRACHA:
             message, offset = _decode_bracha(data, 1)
-        elif kind == _KIND_DOLEV_BRACHA or kind == _KIND_DOLEV_RAW:
-            if kind == _KIND_DOLEV_BRACHA:
-                content, offset = _decode_bracha(data, 1)
-            else:
-                content, offset = _unpack_payload(data, 1)
+        elif kind == _KIND_DOLEV_BRACHA:
+            content, offset = _decode_bracha(data, 1)
             path, offset = _unpack_path(data, offset)
             message = DolevMessage(content=content, path=path)
         else:

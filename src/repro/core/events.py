@@ -5,7 +5,8 @@ socket or a scheduler.  Every entry point (``on_start``, ``broadcast``,
 ``on_message``) returns a list of :class:`Command` objects describing what
 the hosting runtime should do — put a message on an authenticated link
 (:class:`SendTo`) or hand a payload to the application
-(:class:`BRBDeliver` / :class:`RCDeliver`).  Both the discrete-event
+(:class:`BRBDeliver`, the one delivery command of every protocol, plain
+Dolev's reliable communication included).  Both the discrete-event
 simulation runtime and the asyncio runtime interpret the same commands.
 """
 
@@ -34,11 +35,13 @@ class SendTo:
 
 @dataclass(frozen=True, slots=True)
 class BRBDeliver:
-    """Byzantine-reliable-broadcast delivery of a payload to the application.
+    """Delivery of a broadcast payload to the application.
 
     ``source`` and ``bid`` identify the broadcast; all correct processes
     delivering the same ``(source, bid)`` deliver the same ``payload``
-    (BRB-Agreement).
+    (BRB-Agreement).  Plain Dolev (:class:`repro.brb.dolev.DolevBroadcast`)
+    emits it too, with the source and bid its SEND content carries; its
+    guarantees there are those of reliable communication (honest source).
     """
 
     source: int
@@ -46,19 +49,7 @@ class BRBDeliver:
     payload: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class RCDeliver:
-    """Reliable-communication delivery (honest-dealer broadcast).
-
-    Emitted by the Dolev layer.  ``source`` may be ``None`` for raw
-    contents whose originator is not encoded in the payload.
-    """
-
-    payload: Any
-    source: Optional[int] = None
-
-
-Command = Union[SendTo, BRBDeliver, RCDeliver]
+Command = Union[SendTo, BRBDeliver]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,15 +80,14 @@ def sends(commands) -> Tuple[SendTo, ...]:
     return tuple(c for c in commands if isinstance(c, SendTo))
 
 
-def deliveries(commands) -> Tuple[Union[BRBDeliver, RCDeliver], ...]:
+def deliveries(commands) -> Tuple[BRBDeliver, ...]:
     """Return only the delivery commands of a command list."""
-    return tuple(c for c in commands if isinstance(c, (BRBDeliver, RCDeliver)))
+    return tuple(c for c in commands if isinstance(c, BRBDeliver))
 
 
 __all__ = [
     "SendTo",
     "BRBDeliver",
-    "RCDeliver",
     "Command",
     "Observation",
     "sends",

@@ -6,8 +6,8 @@ Three message families are defined:
   protocol (Algorithm 1).  On a fully connected network they are sent
   directly over authenticated links; in the layered Bracha-Dolev
   combination they travel as the content of a :class:`DolevMessage`.
-* :class:`DolevMessage` — a content plus the path of process identifiers
-  it has traversed (Algorithm 2).
+* :class:`DolevMessage` — a Bracha message plus the path of process
+  identifiers it has traversed (Algorithm 2).
 * :class:`CrossLayerMessage` — the message format of the paper's
   cross-layer combination (Sec. 5 and 6), with optional fields so that the
   wire cost of MBD.1 (local payload identifiers) and MBD.5 (optional
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.core.sizes import FieldSizes, PAPER_FIELD_SIZES
 
@@ -109,26 +109,22 @@ class BrachaMessage:
 
 @dataclass(frozen=True, slots=True)
 class DolevMessage:
-    """A content and the path of intermediary processes it traversed.
+    """A Bracha message and the path of intermediary processes it traversed.
 
-    The content is either raw application ``bytes`` (plain reliable
-    communication) or a :class:`BrachaMessage` (layered Bracha-Dolev
-    combination).  The path lists the identifiers of the processes the
-    content has been relayed through, excluding the creator of the content
-    and the receiving process.
+    The content is always a :class:`BrachaMessage`: the SEND, ECHO or
+    READY of the layered Bracha-Dolev combination, or the SEND that plain
+    Dolev (:class:`repro.brb.dolev.DolevBroadcast`) floods, whose
+    ``source`` and ``bid`` identify the broadcast.  The path lists the
+    identifiers of the processes the content has been relayed through,
+    excluding the creator of the content and the receiving process.
     """
 
-    content: Union[bytes, BrachaMessage]
+    content: BrachaMessage
     path: Path = ()
 
     def wire_size(self, sizes: FieldSizes = PAPER_FIELD_SIZES) -> int:
         """Number of bytes this message occupies on a link."""
-        if isinstance(self.content, BrachaMessage):
-            content_size = self.content.wire_size(sizes)
-        else:
-            content_size = sizes.mtype + sizes.source + sizes.bid
-            content_size += sizes.payload_size + len(self.content)
-        return content_size + sizes.path_cost(len(self.path))
+        return self.content.wire_size(sizes) + sizes.path_cost(len(self.path))
 
     def extended(self, relay: int) -> "DolevMessage":
         """Return a copy with ``relay`` appended to the path."""

@@ -3,9 +3,10 @@
 One record per scenario hash, written atomically to
 ``<corpus_dir>/<scenario_hash>.json`` — the hash *is* the dedupe key, so
 a spec rediscovered by a later fuzz round (or another worker sharing the
-directory) is recorded once.  A ``manifest.json`` summarizing the
-records (and hashed into the CI corpus cache key) is rewritten after
-every farm run.
+directory) is recorded once; a violation or divergence on a cell stored
+as a transient record replaces that record.  A ``manifest.json``
+summarizing the records (and hashed into the CI corpus cache key) is
+rewritten after every farm run.
 
 Record categories (:data:`CATEGORIES`):
 
@@ -231,15 +232,28 @@ class Corpus:
             )
         )
 
+    def category(self, scenario_hash: str) -> Optional[str]:
+        """The stored record's category; ``None`` if absent or unreadable."""
+        try:
+            data = json.loads(self.path_for(scenario_hash).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            return None
+        return data.get("category") if isinstance(data, dict) else None
+
     def add(self, record: CorpusRecord) -> bool:
         """Persist ``record`` unless its hash is already present.
 
-        Returns whether a new file was written.  The write is atomic
+        A violation or divergence replaces a stored transient record of
+        the same hash, so :meth:`prune` cannot age out the only copy of a
+        bug.  Returns whether a file was written.  The write is atomic
         (unique temp file renamed into place), so corpora shared between
         concurrent farm processes never hold a half-written record.
         """
         path = self.path_for(record.scenario_hash)
-        if path.exists():
+        if path.exists() and (
+            record.category in TRANSIENT_CATEGORIES
+            or self.category(record.scenario_hash) not in TRANSIENT_CATEGORIES
+        ):
             return False
         write_atomic(path, _json_document(record.to_jsonable()))
         return True
@@ -289,13 +303,8 @@ class Corpus:
         kept_per_category: Dict[str, int] = {}
         removed: List[str] = []
         for scenario_hash in self.hashes():
-            try:
-                data = json.loads(
-                    self.path_for(scenario_hash).read_text(encoding="utf-8")
-                )
-                category = data.get("category")
-            except (OSError, json.JSONDecodeError):
-                continue  # leave anything unreadable for validate()
+            # Anything unreadable has no category: left for validate().
+            category = self.category(scenario_hash)
             if category not in categories:
                 continue
             kept = kept_per_category.get(category, 0)

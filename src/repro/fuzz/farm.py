@@ -25,7 +25,9 @@ Dedupe is layered: the shared scenario-hash
 :class:`~repro.runner.cache.ResultCache` keeps re-fuzzed cells from
 re-executing, and the corpus keys records by the same hash, so a
 re-discovered offender never produces a second record (nor a second
-shrink).  Violations and divergences, new or re-discovered, both turn
+shrink) — unless the stored record is a transient one, which the
+violation or divergence replaces, so pruning cannot age out the only
+copy of a bug.  Violations and divergences, new or re-discovered, both turn
 the run's exit status to 2.  Everything is seed-deterministic — two
 farms with the same seed and cell budget judge the same cells and write
 the same records — which is what lets CI replay any finding.
@@ -45,7 +47,12 @@ from repro.runner.parallel import SweepExecutor
 from repro.scenarios.conformance import verdict_of
 from repro.scenarios.engine import ScenarioResult, run_scenario
 from repro.scenarios.oracle import OracleViolation, check_result
-from repro.fuzz.corpus import DEFAULT_TRANSIENT_CAP, Corpus, CorpusRecord
+from repro.fuzz.corpus import (
+    DEFAULT_TRANSIENT_CAP,
+    TRANSIENT_CATEGORIES,
+    Corpus,
+    CorpusRecord,
+)
 from repro.fuzz.sample import stream_fuzz_specs
 from repro.fuzz.shrink import (
     ShrinkResult,
@@ -315,7 +322,7 @@ class FuzzFarm:
         violations: Tuple[OracleViolation, ...],
         report: FuzzReport,
     ) -> None:
-        if spec.scenario_hash() in self.corpus:
+        if self._known_bug(spec):
             report.duplicate_violations += 1
             return
         shrunk: Optional[ShrinkResult] = None
@@ -354,7 +361,7 @@ class FuzzFarm:
             mirrored = run_scenario(spec.with_backend(backend))
             if verdict_of(mirrored, "safety") == reference:
                 continue
-            if spec.scenario_hash() in self.corpus:
+            if self._known_bug(spec):
                 report.duplicate_violations += 1
                 return
             shrunk = self._shrink_divergence(spec, backend, report)
@@ -401,6 +408,15 @@ class FuzzFarm:
     # ------------------------------------------------------------------
     # Record helpers
     # ------------------------------------------------------------------
+    def _known_bug(self, spec: ScenarioSpec) -> bool:
+        """Whether the corpus holds ``spec`` as a violation or divergence.
+
+        A transient record of the same cell is no known bug: the new
+        record replaces it (:meth:`Corpus.add`).
+        """
+        category = self.corpus.category(spec.scenario_hash())
+        return category is not None and category not in TRANSIENT_CATEGORIES
+
     def _record(self, report: FuzzReport, record: CorpusRecord) -> None:
         if self.corpus.add(record):
             report.record(record.category, record.scenario_hash)

@@ -149,7 +149,7 @@ class MetricsCollector:
             cell = self._memo_tcell
         else:
             size = message.wire_size(self.sizes) if hasattr(message, "wire_size") else 0
-            type_name = _message_type_name(message)
+            type_name = message_type_name(message)
             cell = self._type_counts.get(type_name)
             if cell is None:
                 cell = self._type_counts[type_name] = [0, 0]
@@ -285,17 +285,10 @@ def message_type_name(message) -> str:
     mtype = getattr(message, "mtype", None)
     if type(mtype) is MessageType:
         return _MTYPE_NAMES[mtype]
-    content = getattr(message, "content", None)
-    if content is not None:
-        inner = getattr(content, "mtype", None)
-        if type(inner) is MessageType:
-            return _DOLEV_NAMES[inner]
-        return "DOLEV[RAW]"
+    inner = getattr(getattr(message, "content", None), "mtype", None)
+    if type(inner) is MessageType:
+        return _DOLEV_NAMES[inner]
     return type(message).__name__
-
-
-#: Backwards-compatible alias (the collector used this privately first).
-_message_type_name = message_type_name
 
 
 __all__ = ["MetricsCollector", "RunMetrics", "BroadcastKey", "message_type_name"]

@@ -248,7 +248,7 @@ class SenderRewritingRelay(_Relay):
     def _outgoing(self, dest: int, message: Any) -> Any:
         if isinstance(message, BrachaMessage):
             return replace(message, source=self._fake_source(message.source))
-        if isinstance(message, DolevMessage) and isinstance(message.content, BrachaMessage):
+        if isinstance(message, DolevMessage):
             content = replace(
                 message.content, source=self._fake_source(message.content.source)
             )
@@ -278,16 +278,11 @@ class EmptyPayloadRelay(_Relay):
             return message
         if isinstance(message, DolevMessage):
             content = message.content
-            if isinstance(content, BrachaMessage):
-                if content.payload:
-                    self.emptied += 1
-                    return DolevMessage(
-                        content=replace(content, payload=b""), path=message.path
-                    )
-                return message
-            if isinstance(content, bytes) and content:
+            if content.payload:
                 self.emptied += 1
-                return DolevMessage(content=b"", path=message.path)
+                return DolevMessage(
+                    content=replace(content, payload=b""), path=message.path
+                )
             return message
         if isinstance(message, CrossLayerMessage) and message.payload:
             self.emptied += 1

@@ -75,7 +75,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.core.encoding import decode_message, encode_message
 from repro.core.errors import EncodingError, RuntimeAbort
-from repro.core.events import BRBDeliver, Command, Observation, RCDeliver, SendTo
+from repro.core.events import BRBDeliver, Command, Observation, SendTo
 from repro.metrics.collector import MetricsCollector, message_type_name
 from repro.network.asyncio_runtime.framing import (
     HELLO as _HELLO,
@@ -522,16 +522,6 @@ class AsyncioNode:
                 self._send(command.dest, command.message, encoded)
             elif isinstance(command, BRBDeliver):
                 self._record_delivery(command)
-            elif isinstance(command, RCDeliver):
-                self._record_delivery(
-                    BRBDeliver(
-                        source=command.source if command.source is not None else -1,
-                        bid=0,
-                        payload=command.payload
-                        if isinstance(command.payload, bytes)
-                        else b"",
-                    )
-                )
 
     def _record_delivery(self, delivery: BRBDeliver) -> None:
         self.deliveries.append(delivery)

@@ -60,7 +60,7 @@ from heapq import heappush
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, RuntimeAbort
-from repro.core.events import BRBDeliver, Command, Observation, RCDeliver, SendTo
+from repro.core.events import BRBDeliver, Command, Observation, SendTo
 from repro.metrics.collector import MetricsCollector, RunMetrics, message_type_name
 from repro.network.simulation.delays import DROP, DelayModel, FixedDelay
 from repro.network.simulation.scheduler import EventScheduler
@@ -448,8 +448,6 @@ class SimulatedNetwork:
                 launch(pid, message, dests)
                 if isinstance(command, BRBDeliver):
                     self._execute_delivery(pid, command)
-                elif isinstance(command, RCDeliver):
-                    self._execute_rc_delivery(pid, command)
                 else:  # pragma: no cover - defensive
                     raise RuntimeAbort(f"unknown command {command!r} from process {pid}")
         launch(pid, message, dests)
@@ -566,21 +564,6 @@ class SimulatedNetwork:
                     pid=pid,
                     source=command.source,
                     bid=command.bid,
-                )
-            )
-
-    def _execute_rc_delivery(self, pid: int, command: RCDeliver) -> None:
-        source = command.source if command.source is not None else -1
-        payload = command.payload if isinstance(command.payload, bytes) else b""
-        self.collector.record_delivery(self.scheduler.now, pid, source, 0, payload)
-        if self.observer is not None:
-            self.observer(
-                Observation(
-                    kind="deliver",
-                    time_ms=self.scheduler.now,
-                    pid=pid,
-                    source=source,
-                    bid=0,
                 )
             )
 

@@ -72,8 +72,9 @@ def check_no_forgery(result: ScenarioResult) -> List[OracleViolation]:
     adversary manufactured a broadcast and pinned it on an honest
     process, which the authenticated-channel / disjoint-path machinery
     must prevent.  Keys attributed to Byzantine processes are fine (a
-    Byzantine source may broadcast anything), as are reliable-
-    communication deliveries with no encoded originator (source ``-1``).
+    Byzantine source may broadcast anything).  Every protocol, plain
+    Dolev included, delivers under the ``(source, bid)`` its broadcast
+    carries, so no delivery is exempt.
     """
     scheduled = {broadcast.key for broadcast in result.spec.broadcasts()}
     byzantine = {pid for pid, _ in result.byzantine}
@@ -85,7 +86,6 @@ def check_no_forgery(result: ScenarioResult) -> List[OracleViolation]:
             if pid in correct
             and key not in scheduled
             and key[0] not in byzantine
-            and key[0] != -1
         }
     )
     return [

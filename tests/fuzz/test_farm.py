@@ -9,6 +9,7 @@ larger, and do both *identically* across two same-seed runs.
 """
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.scenarios.oracle import check_result
 from repro.scenarios.reduce import fault_event_count
 from repro.fuzz.cli import main
-from repro.fuzz.corpus import Corpus
+from repro.fuzz.corpus import Corpus, CorpusRecord
 from repro.fuzz.farm import FuzzFarm, FuzzReport
 from repro.fuzz.sample import stream_fuzz_specs
 
@@ -54,6 +55,17 @@ def forge_delivery_when_lossy(result):
         )
         result = dataclasses.replace(result, metrics=patched)
     return check_result(result)
+
+
+def store_as_near_f_bound(corpus_dir, count):
+    """Pre-store the first ``count`` seed-0 farm cells as transient
+    ``near_f_bound`` records; returns their hashes."""
+    corpus = Corpus(corpus_dir)
+    hashes = set()
+    for spec in itertools.islice(stream_fuzz_specs(seed=0), count):
+        assert corpus.add(CorpusRecord(category="near_f_bound", spec=spec))
+        hashes.add(spec.scenario_hash())
+    return hashes
 
 
 class TestStream:
@@ -193,6 +205,28 @@ class TestFarm:
             first.new_records["oracle_violation"]
         )
         assert second.exit_code == 2  # re-discovered violations still fail CI
+
+    def test_violation_replaces_a_transient_record(self, tmp_path, cell_cache):
+        """A cell kept earlier as a near-f-bound survivor that now violates
+        is a new bug, not a known one: its record becomes the violation,
+        and pruning the transient tiers to nothing keeps it."""
+        corpus_dir = tmp_path / "corpus"
+        stored = store_as_near_f_bound(corpus_dir, BUDGET)
+        report = FuzzFarm(
+            corpus_dir,
+            cache_dir=cell_cache,
+            check=forge_delivery_when_lossy,
+            seed=0,
+            shrink=False,
+            transient_cap=0,
+        ).run(max_cells=BUDGET)
+        hashes = report.new_records.get("oracle_violation", [])
+        assert hashes and set(hashes) <= stored
+        assert report.duplicate_violations == 0
+        assert report.exit_code == 2
+        corpus = Corpus(corpus_dir)
+        assert corpus.hashes() == tuple(sorted(hashes))
+        assert {corpus.category(h) for h in hashes} == {"oracle_violation"}
 
     def test_cache_is_shared_between_runs(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -401,6 +435,36 @@ class TestConformanceDivergence:
             record = corpus.load(scenario_hash)
             assert record.shrunk_spec is not None
             assert ("conformance", "fake") in record.shrunk_violations
+
+    def test_divergence_replaces_a_transient_record(
+        self, tmp_path, monkeypatch, cell_cache
+    ):
+        """A mirrored cell stored earlier as a near-f-bound survivor that
+        now diverges gets a divergence record, which pruning keeps."""
+        from repro.fuzz import farm as farm_module
+
+        real_run = farm_module.run_scenario
+        monkeypatch.setattr(
+            farm_module, "run_scenario", lambda spec: self._forge(real_run(spec))
+        )
+        corpus_dir = tmp_path / "corpus"
+        stored = store_as_near_f_bound(corpus_dir, 2)
+        report = FuzzFarm(
+            corpus_dir,
+            cache_dir=cell_cache,
+            check=lambda result: (),
+            seed=0,
+            conformance_backends=("simulation", "asyncio"),
+            shrink=False,
+            transient_cap=0,
+        ).run(max_cells=2)
+        hashes = report.new_records.get("conformance_divergence", [])
+        assert hashes and set(hashes) <= stored
+        assert report.duplicate_violations == 0
+        assert report.exit_code == 2
+        corpus = Corpus(corpus_dir)
+        assert corpus.hashes() == tuple(sorted(hashes))
+        assert {corpus.category(h) for h in hashes} == {"conformance_divergence"}
 
     def test_known_divergence_is_counted_not_reshrunk(
         self, tmp_path, monkeypatch, cell_cache

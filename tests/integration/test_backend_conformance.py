@@ -172,12 +172,14 @@ class TestWorkloadConformance:
     the aggregate predicates happen to match.
     """
 
-    def test_repeated_workload(self):
+    @pytest.mark.parametrize("protocol", ["cross_layer", "bracha_dolev", "dolev"])
+    def test_repeated_workload(self, protocol):
         spec = ScenarioSpec(
             name="conformance-workload-repeated",
             topology=TopologySpec(kind="harary", n=5, k=3),
             f=1,
             seed=17,
+            protocol=protocol,
             workload=WorkloadSpec.repeated(0, 3, interval_ms=30.0),
         )
         report = run_conformance(spec, overrides={"asyncio": FAST_ASYNCIO})

@@ -27,7 +27,7 @@ bracha_messages = st.builds(
 
 dolev_messages = st.builds(
     DolevMessage,
-    content=st.one_of(st.binary(min_size=0, max_size=128), bracha_messages),
+    content=bracha_messages,
     path=paths,
 )
 

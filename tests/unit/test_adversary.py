@@ -40,6 +40,10 @@ def sample_echo(path=()):
     )
 
 
+def dolev_send(path):
+    return DolevMessage(content=BrachaMessage(MessageType.SEND, 0, 0, b"x"), path=path)
+
+
 class _StaticInner:
     """A fake correct protocol replying with a fixed command batch."""
 
@@ -145,7 +149,7 @@ class TestPathForgingRelay:
 
         config = SystemConfig.for_system(5, 1)
         forger = PathForgingRelay(_Passthrough(), config, seed=1)
-        message = DolevMessage(content=b"x", path=(3, 4))
+        message = dolev_send(path=(3, 4))
         out = sends(forger.on_message(0, message))
         assert out and isinstance(out[0].message, DolevMessage)
 
@@ -225,9 +229,9 @@ class TestPathTruncatingRelay:
             assert path == (3, 4, 5)[: len(path)]
 
     def test_dolev_messages_also_truncated(self):
-        batch = [SendTo(dest=2, message=DolevMessage(content=b"x", path=(3, 4)))]
+        batch = [SendTo(dest=2, message=dolev_send(path=(3, 4)))]
         relay = PathTruncatingRelay(_StaticInner(commands=batch), seed=1)
-        out = sends(relay.on_message(0, DolevMessage(content=b"x", path=(3,))))
+        out = sends(relay.on_message(0, dolev_send(path=(3,))))
         assert out and isinstance(out[0].message, DolevMessage)
         assert len(out[0].message.path) < 2
 

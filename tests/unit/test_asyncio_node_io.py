@@ -154,7 +154,14 @@ class TestChunkedParse:
 # ----------------------------------------------------------------------
 # Malformed bodies and oversized prefixes
 # ----------------------------------------------------------------------
-MALFORMED_BODIES = [b"\x04", b"\x04\x01", b"\x04\x63\x00", b"\x01\x09\x00"]
+MALFORMED_BODIES = [
+    b"\x04",
+    b"\x04\x01",
+    b"\x04\x63\x00",
+    b"\x01\x09\x00",
+    # Retired kind 2: a raw-bytes Dolev envelope (empty content, empty path).
+    bytes.fromhex("02000000000000"),
+]
 
 
 class TestHostileFrames:

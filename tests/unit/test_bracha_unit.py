@@ -9,10 +9,8 @@ from repro.core.messages import BrachaMessage, MessageType
 from repro.brb.bracha import BrachaBroadcast, BrachaQuorumState
 
 
-def make_state(n=7, f=2, echo_amplification=False):
-    return BrachaQuorumState(
-        config=SystemConfig.for_system(n, f), echo_amplification=echo_amplification
-    )
+def make_state(n=7, f=2):
+    return BrachaQuorumState(config=SystemConfig.for_system(n, f))
 
 
 class TestQuorumState:
@@ -35,19 +33,14 @@ class TestQuorumState:
             state.on_echo(0, b"m")
         assert state.echo_count(b"m") == 1
 
-    def test_echo_amplification_disabled_by_default(self):
+    def test_no_echo_amplification(self):
+        # Algorithm 1 has no f+1 ECHOs => own ECHO rule (the cross-layer
+        # protocol's MBD.2 amplification lives in that protocol alone).
         state = make_state(n=7, f=2)
         state.on_echo(0, b"m")
         state.on_echo(1, b"m")
         actions = state.on_echo(2, b"m")  # f+1 = 3 echoes
         assert actions == []
-
-    def test_echo_amplification_when_enabled(self):
-        state = make_state(n=7, f=2, echo_amplification=True)
-        state.on_echo(0, b"m")
-        state.on_echo(1, b"m")
-        actions = state.on_echo(2, b"m")
-        assert [a.kind for a in actions] == ["echo"]
 
     def test_ready_amplification(self):
         state = make_state(n=7, f=2)

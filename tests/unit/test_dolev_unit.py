@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.events import RCDeliver
+from repro.core.events import BRBDeliver
 from repro.core.messages import BrachaMessage, DolevMessage, MessageType
 from repro.core.modifications import ModificationSet
 from repro.brb.dolev import (
@@ -23,9 +23,6 @@ class TestContentOrigin:
 
     def test_echo_origin_is_creator(self):
         assert content_origin(content(creator=7, mtype=MessageType.ECHO)) == 7
-
-    def test_raw_bytes_have_no_origin(self):
-        assert content_origin(b"raw") is None
 
 
 class TestPlainDisseminator:
@@ -153,17 +150,6 @@ class TestOptimizedDisseminator:
         _, second = d.on_message(2, DolevMessage(content=c, path=(5, 7)))
         assert first == [] and second == [c]
 
-    def test_extra_exclusions_hook(self):
-        d = DolevDisseminator(
-            5,
-            [0, 1, 2, 3],
-            required_paths=2,
-            modifications=ModificationSet.dolev_optimized(),
-            extra_exclusions=lambda c: {3},
-        )
-        out, _ = d.on_message(0, DolevMessage(content=content(source=0), path=()))
-        assert 3 not in {s.dest for s in out}
-
     def test_neighbors_that_delivered_accessor(self):
         d = self._disseminator()
         c = content(source=0)
@@ -177,9 +163,8 @@ class TestDolevBroadcastProtocol:
         config = SystemConfig.for_system(5, 1)
         protocol = DolevBroadcast(0, config, [1, 2, 3])
         commands = protocol.broadcast(b"payload", bid=2)
-        deliveries = [c for c in commands if isinstance(c, RCDeliver)]
-        assert len(deliveries) == 1
-        assert deliveries[0].payload == b"payload"
+        deliveries = [c for c in commands if isinstance(c, BRBDeliver)]
+        assert deliveries == [BRBDeliver(source=0, bid=2, payload=b"payload")]
         assert protocol.delivered[(0, 2)] == b"payload"
 
     def test_dolev_optimized_modifications_enable_md(self):
@@ -201,8 +186,8 @@ class TestDolevBroadcastProtocol:
         protocol = DolevBroadcast(
             1, config, [0, 2], modifications=ModificationSet.dolev_optimized()
         )
-        c = content(source=0)
+        c = content(source=0, bid=3)
         first = protocol.on_message(0, DolevMessage(content=c, path=()))
-        assert any(isinstance(cmd, RCDeliver) for cmd in first)
+        assert BRBDeliver(source=0, bid=3, payload=b"m") in first
         second = protocol.on_message(2, DolevMessage(content=c, path=(0,)))
-        assert not any(isinstance(cmd, RCDeliver) for cmd in second)
+        assert not any(isinstance(cmd, BRBDeliver) for cmd in second)

@@ -144,25 +144,23 @@ class TestBrachaMessageHashMemo:
         assert len(hashes) == 2  # the two children really hashed differently
 
 
-class TestDolevMessage:
-    def test_wire_size_with_raw_content(self):
-        message = DolevMessage(content=b"12345678", path=(1, 2))
-        expected = (1 + 4 + 4 + 4 + 8) + (2 + 2 * 4)
-        assert message.wire_size() == expected
+SEND_X = BrachaMessage(MessageType.SEND, 0, 0, b"x")
 
+
+class TestDolevMessage:
     def test_wire_size_with_bracha_content(self):
         inner = BrachaMessage(MessageType.ECHO, 1, 0, b"abc", creator=4)
         message = DolevMessage(content=inner, path=(5,))
         assert message.wire_size() == inner.wire_size() + 2 + 4
 
     def test_extended_appends_relay(self):
-        message = DolevMessage(content=b"x", path=(1,))
+        message = DolevMessage(content=SEND_X, path=(1,))
         assert message.extended(2).path == (1, 2)
 
     def test_with_empty_path(self):
-        message = DolevMessage(content=b"x", path=(1, 2, 3))
+        message = DolevMessage(content=SEND_X, path=(1, 2, 3))
         assert message.with_empty_path().path == ()
-        empty = DolevMessage(content=b"x", path=())
+        empty = DolevMessage(content=SEND_X, path=())
         assert empty.with_empty_path() is empty
 
 

@@ -61,12 +61,10 @@ class TestCollector:
         echo = BrachaMessage(MessageType.ECHO, 0, 0, b"x", creator=1)
         collector.record_send(0, 0, 1, echo)
         collector.record_send(0, 0, 1, DolevMessage(content=echo, path=(2,)))
-        collector.record_send(0, 0, 1, DolevMessage(content=b"raw", path=()))
         collector.record_send(0, 0, 1, CrossLayerMessage(mtype=MessageType.READY_ECHO))
         snapshot = collector.snapshot()
         assert snapshot.messages_by_type["ECHO"] == 1
         assert snapshot.messages_by_type["DOLEV[ECHO]"] == 1
-        assert snapshot.messages_by_type["DOLEV[RAW]"] == 1
         assert snapshot.messages_by_type["READY_ECHO"] == 1
 
     def test_first_delivery_wins(self):

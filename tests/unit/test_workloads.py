@@ -29,6 +29,7 @@ from repro.scenarios import (
     verdict_of,
 )
 from repro.scenarios.engine import freeze_result
+from repro.scenarios.oracle import check_result
 
 
 def harary_spec(**kwargs):
@@ -202,10 +203,17 @@ class TestCausalChain:
 
 
 class TestMultiBroadcastEngine:
-    def test_repeated_workload_delivers_every_broadcast(self):
-        """Tier-1 workload smoke test (simulation backend, fast)."""
-        spec = harary_spec(workload=WorkloadSpec.repeated(0, 4, interval_ms=40.0))
+    @pytest.mark.parametrize("protocol", ["cross_layer", "bracha_dolev", "dolev"])
+    def test_repeated_workload_delivers_every_broadcast(self, protocol):
+        """Tier-1 workload smoke test (simulation backend, fast).
+
+        Plain ``dolev`` included: it must record each delivery under the
+        bid its SEND carries."""
+        spec = harary_spec(
+            protocol=protocol, workload=WorkloadSpec.repeated(0, 4, interval_ms=40.0)
+        )
         result = run_scenario(spec)
+        assert check_result(result) == []
         assert result.broadcast_count == 4
         assert result.delivered_broadcast_count == 4
         assert result.all_correct_delivered
