@@ -269,6 +269,8 @@ class DolevBroadcast(BroadcastProtocol):
     The broadcast content is a SEND carrying its source and broadcast
     identifier (as required by Bonomi et al.'s optimized variant, Sec. 3),
     so each delivery is recorded under the ``(source, bid)`` it claims.
+    Any other content (an ECHO or READY, or a SEND whose creator is not its
+    source) is dropped on reception.
     """
 
     def __init__(
@@ -303,6 +305,13 @@ class DolevBroadcast(BroadcastProtocol):
         if not isinstance(message, DolevMessage) or not isinstance(
             message.content, BrachaMessage
         ):
+            return []
+        content = message.content
+        if content.mtype is not MessageType.SEND or (
+            content.creator is not None and content.creator != content.source
+        ):
+            # Only the source's own SEND is broadcast here; any other content
+            # would be delivered under a (source, bid) its creator does not own.
             return []
         sends, delivered = self._disseminator.on_message(sender, message)
         if not delivered:

@@ -28,7 +28,11 @@ select any other combination (including the plain *BDopt* baseline).
 There is one reception path (:meth:`~CrossLayerBrachaDolev._receive`,
 called once per content of a wire message) and one wire builder
 (:meth:`~CrossLayerBrachaDolev._finalize`), so every rule is written
-once.  A rule that acts on both directions has one site for each:
+once.  The one exception is MD.5: ``on_message`` applies it first, before
+the reception path, to the bulk of the traffic, the plain messages of
+contents this process is done with (an MBD.1 announcement and a merged
+kind go the whole way).  Sets of processes are node masks.  A rule that
+acts on both directions has one site for each:
 
 ========  ============================================================
 rule      site
@@ -37,9 +41,11 @@ MD.1      ``_receive``: a content straight from its creator is delivered
 MD.2      ``_plan_relay``: one empty-path announcement after delivery;
           ``_receive`` reads it back (an empty path means the sender
           has the content) and discards a delivered content's paths
-MD.3      ``_relay_targets``: skip neighbors that have the content
+MD.3      ``_relay_targets``: skip neighbors that have the content (mask)
 MD.4      ``_receive``: drop a path through such a neighbor
-MD.5      ``_receive``: drop a content already delivered and announced
+MD.5      ``_settle`` sets ``ContentRecord.done`` (delivered and
+          announced); ``on_message`` drops a plain SEND/ECHO/READY of
+          a done content first, ``_receive`` every other one
 MBD.1     out ``_finalize`` (id allocation, payload once per neighbor);
           in ``on_message`` (id → payload map, capped pending queues)
 MBD.2     ``_extract_send_path``: ECHO/READY paths certify the SEND
@@ -51,8 +57,10 @@ MBD.5     out ``_finalize`` (field selection); in the ``sender`` /
 MBD.6     ``_receive``: ECHO of a process whose READY is delivered
 MBD.7     ``_receive``: ECHO after BRB-delivery
 MBD.8     ``_relay_targets``: no ECHO to a neighbor whose READY is in
+          (mask)
 MBD.9     ``_relay_targets``: nothing to a neighbor that BRB-delivered
-          (``_receive`` counts its empty-path READYs)
+          (mask; ``_count_empty_ready`` counts its empty-path READYs,
+          from ``_receive`` and from ``on_message``'s MD.5 drop)
 MBD.10    ``_plan_relay``: a dominated path is not relayed
 MBD.11    ``_create_own_echo`` / ``_create_own_ready``: role check
 MBD.12    ``_origination_targets``: 2f + 1 neighbors, role holders first
@@ -135,6 +143,10 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         "_md4",
         "_md5",
         "_md2",
+        "_md3",
+        "_mbd8",
+        "_mbd9",
+        "_neighbor_mask",
     )
 
     def __init__(
@@ -183,6 +195,13 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         self._md4 = mods.md4_ignore_paths_with_delivered
         self._md5 = mods.md5_stop_after_delivery
         self._md2 = mods.md2_empty_path_after_delivery
+        self._md3 = mods.md3_skip_delivered_neighbors
+        self._mbd8 = mods.mbd8_skip_echo_to_ready_neighbors
+        self._mbd9 = mods.mbd9_skip_delivered_neighbors
+        neighbor_mask = 0
+        for q in self.neighbors:
+            neighbor_mask |= 1 << q
+        self._neighbor_mask = neighbor_mask
 
     # ------------------------------------------------------------------
     # Public protocol interface
@@ -198,6 +217,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         if not send_record.delivered:
             send_record.delivered = True
             send_record.relayed_empty = True
+            self._settle(send_record)
             targets = self._origination_targets(slot, record, MessageType.SEND)
             path: Optional[Tuple[int, ...]] = None if self.mods.mbd2_single_hop_send else ()
             groups.append((targets, MessageType.SEND, self.process_id, record, path, None))
@@ -235,29 +255,50 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
                 if len(queue) < _MAX_PENDING_PER_LOCAL_ID:
                     queue.append(message)
                 return []
+        else:
+            source = message.source if message.source is not None else sender
+            bid = message.bid if message.bid is not None else 0
+            if not self.config.is_process(source):
+                return []
+            slot = self._slot(source, bid)
+            record = slot.payload_record(message.payload)
+            local_id = message.local_payload_id
+            if local_id is not None:
+                # MBD.1: learn the sender's local id mapping and unblock
+                # whatever was queued on it.
+                mapping = self._neighbor_local_ids.setdefault(sender, {})
+                mapping.setdefault(local_id, (record, slot))
+                commands = self._process(sender, message, record, slot)
+                pending = self._pending_local.get(sender)
+                if pending and local_id in pending:
+                    if commands is _NO_COMMANDS:
+                        # _process returns a shared empty list; never mutate it.
+                        commands = []
+                    for queued in pending.pop(local_id):
+                        commands.extend(self._process(sender, queued, record, slot))
+                return commands
+        # MD.5 at the door: a plain content this process is done with is
+        # dropped before any frame or path validation.  Its creator was
+        # validated when the content was stored, and a dropped non-empty
+        # path changes nothing; an empty path still says the sender has the
+        # content (MD.2) and, for a READY, counts towards MBD.9.
+        mtype = message.mtype
+        if mtype is _SEND:
+            creator = record.source
+        elif mtype is _ECHO or mtype is _READY:
+            creator = message.creator
+            if creator is None:
+                creator = sender
+        else:
             return self._process(sender, message, record, slot)
-
-        source = message.source if message.source is not None else sender
-        bid = message.bid if message.bid is not None else 0
-        if not self.config.is_process(source):
-            return []
-        slot = self._slot(source, bid)
-        record = slot.payload_record(message.payload)
-        if message.local_payload_id is None:
+        content = record.contents.get((mtype, creator))
+        if content is None or not content.done:
             return self._process(sender, message, record, slot)
-        # MBD.1: learn the sender's local id mapping and unblock whatever
-        # was queued on it.
-        mapping = self._neighbor_local_ids.setdefault(sender, {})
-        mapping.setdefault(message.local_payload_id, (record, slot))
-        commands = self._process(sender, message, record, slot)
-        pending = self._pending_local.get(sender)
-        if pending and message.local_payload_id in pending:
-            if commands is _NO_COMMANDS:
-                # _process returns a shared empty list; never mutate it.
-                commands = []
-            for queued in pending.pop(message.local_payload_id):
-                commands.extend(self._process(sender, queued, record, slot))
-        return commands
+        if not message.path:
+            content.neighbors_delivered |= 1 << sender
+            if mtype is _READY:
+                self._count_empty_ready(slot, record, sender, creator)
+        return _NO_COMMANDS
 
     # ------------------------------------------------------------------
     # Message processing
@@ -269,19 +310,30 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         record: PayloadRecord,
         slot: BroadcastSlot,
     ) -> List[Command]:
-        """Receive the content(s) of one wire message, then finalize once."""
+        """Receive the content(s) of one wire message, then finalize once.
+
+        The wire path is validated and turned into a node mask here, once
+        for every content the message carries.
+        """
         mtype = message.mtype
         wire_path = message.path or ()
+        path_mask = 0
+        if wire_path:
+            if len(wire_path) > self._n or not self._process_set.issuperset(wire_path):
+                # A path of unknown processes or absurd length.
+                return _NO_COMMANDS
+            for hop in wire_path:
+                path_mask |= 1 << hop
         if mtype is _SEND:
             # A SEND is always created by the source of the broadcast.
-            self._receive(sender, slot, record, _SEND, record.source, wire_path)
+            self._receive(sender, slot, record, _SEND, record.source, wire_path, path_mask)
         else:
             creator = message.creator
             if creator is None:
                 # MBD.5: an omitted creator is the authenticated link's sender.
                 creator = sender
             if mtype is _ECHO or mtype is _READY:
-                self._receive(sender, slot, record, mtype, creator, wire_path)
+                self._receive(sender, slot, record, mtype, creator, wire_path, path_mask)
             else:
                 # MBD.3/4: a merged message is its outer content plus an
                 # ECHO that travelled through the outer content's creator.
@@ -290,10 +342,19 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
                     # A merged kind without its second creator, or no known type.
                     return _NO_COMMANDS
                 kind = _READY if mtype is _READY_ECHO else _ECHO
-                self._receive(sender, slot, record, kind, creator, wire_path)
-                self._receive(
-                    sender, slot, record, _ECHO, embedded, wire_path + (creator,)
-                )
+                self._receive(sender, slot, record, kind, creator, wire_path, path_mask)
+                # The embedded path ends in the outer creator: a forged
+                # creator or one hop too many drops the embedded content.
+                if creator in self._process_set and len(wire_path) < self._n:
+                    self._receive(
+                        sender,
+                        slot,
+                        record,
+                        _ECHO,
+                        embedded,
+                        wire_path + (creator,),
+                        path_mask | 1 << creator,
+                    )
         # The scratch lists are cleared after use, so a suppressed message
         # (the majority) leaves them untouched.
         groups = self._groups
@@ -317,29 +378,21 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         kind: MessageType,
         creator: int,
         wire_path: Tuple[int, ...],
+        path_mask: int,
     ) -> None:
         """Reception of the content ``(kind, creator)`` over ``wire_path``.
 
         The one reception path: validation, the suppression rules (which
         stop the vast majority of received messages), path accounting,
-        Dolev relay and Bracha transitions.  Relay groups and deliveries
+        Dolev relay and Bracha transitions.  ``path_mask`` is the node mask
+        of the (validated) ``wire_path``.  Relay groups and deliveries
         accumulate in the scratch lists :meth:`_process` finalizes.
         """
-        process_set = self._process_set
-        if creator not in process_set or (
-            wire_path
-            and (len(wire_path) > self._n or not process_set.issuperset(wire_path))
-        ):
-            # Forged creator, or a path of unknown processes or absurd length.
+        if creator not in self._process_set:
+            # Forged creator.
             return
-        # MBD.9 bookkeeping: READYs received with an empty path.
         if kind is _READY and not wire_path:
-            seen = record.neighbor_empty_readys.get(sender)
-            if seen is None:
-                seen = record.neighbor_empty_readys[sender] = set()
-            seen.add(creator)
-            if len(seen) >= self._delivery_quorum:
-                slot.neighbors_bd_delivered.add(sender)
+            self._count_empty_ready(slot, record, sender, creator)
         ckey = (kind, creator)
         content = record.contents.get(ckey)
         if content is None:
@@ -348,40 +401,29 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         if not wire_path:
             # MD.2: the sender created the content or relayed it after
             # delivering; either way it has the content.
-            content.neighbors_delivered.add(sender)
+            content.neighbors_delivered |= 1 << sender
         if kind is _ECHO and (
             # MBD.6: ignore ECHOs of a process whose READY has been delivered.
-            (self._mbd6 and creator in record.delivered_ready_creators)
+            (self._mbd6 and record.delivered_ready_creators >> creator & 1)
             # MBD.7: ignore ECHOs once the broadcast has been BRB-delivered.
             or (self._mbd7 and slot.delivered)
         ):
             return
         # MD.4: ignore paths that contain a neighbor that already delivered.
-        if (
-            wire_path
-            and self._md4
-            and not content.neighbors_delivered.isdisjoint(wire_path)
-        ):
+        if self._md4 and content.neighbors_delivered & path_mask:
             return
-        # MD.5: stop relaying a content once delivered and announced (or
-        # right after delivery when MD.2's empty-path relay is disabled).
-        if (
-            content.delivered
-            and self._md5
-            and (content.relayed_empty or not self._md2)
-        ):
+        # MD.5: the content is done (see :meth:`_settle`).
+        if content.done:
             return
 
         mods = self.mods
         groups = self._groups
         deliveries = self._deliveries
-        # Node mask of the intermediaries: sender and wire path, without
-        # the creator and this process (every id was validated above).
+        # Node masks of the route (wire path and sender) and of the
+        # intermediaries: the route without the creator and this process.
         direct = not wire_path and sender == creator
-        intermediaries = 1 << sender
-        for hop in wire_path:
-            intermediaries |= 1 << hop
-        intermediaries &= ~(1 << creator | 1 << self.process_id)
+        route = path_mask | 1 << sender
+        intermediaries = route & ~(1 << creator | 1 << self.process_id)
 
         result = content.verifier.add_path(intermediaries)
         newly_delivered = False
@@ -391,7 +433,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
                 newly_delivered = True
                 content.delivered = True
                 if kind is _READY:
-                    record.delivered_ready_creators.add(creator)
+                    record.delivered_ready_creators |= 1 << creator
                 # MD.2: a delivered content's paths are no longer needed.
                 if self._md2:
                     content.verifier.discard_paths()
@@ -413,12 +455,15 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             kind,
             creator,
             wire_path,
+            route,
             content,
             result.stored,
             newly_delivered,
             direct,
             groups,
         )
+        if newly_delivered:
+            self._settle(content)
 
         # Bracha phase transitions: a delivered SEND is answered by this
         # process's ECHO, ECHOs and READYs are counted towards the quorums.
@@ -455,9 +500,31 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         )
         if newly:
             send_record.delivered = True
-            if self.mods.md2_empty_path_after_delivery:
+            if self._md2:
                 send_record.verifier.discard_paths()
+            self._settle(send_record)
         return newly
+
+    def _settle(self, content: ContentRecord) -> None:
+        # MD.5, written once: stop relaying a content once it is delivered
+        # and announced (or right after delivery when MD.2's empty-path
+        # relay is disabled).  Called wherever ``delivered`` /
+        # ``relayed_empty`` change.
+        content.done = (
+            content.delivered
+            and self._md5
+            and (content.relayed_empty or not self._md2)
+        )
+
+    def _count_empty_ready(
+        self, slot: BroadcastSlot, record: PayloadRecord, sender: int, creator: int
+    ) -> None:
+        """MBD.9 bookkeeping: ``sender`` passed on ``creator``'s READY with
+        an empty path; 2f + 1 of them mean the sender BRB-delivered."""
+        seen = record.neighbor_empty_readys.get(sender, 0) | 1 << creator
+        record.neighbor_empty_readys[sender] = seen
+        if seen.bit_count() >= self._delivery_quorum:
+            slot.neighbors_bd_delivered |= 1 << sender
 
     # ------------------------------------------------------------------
     # Dolev relaying
@@ -470,7 +537,8 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         kind: MessageType,
         creator: int,
         wire_path: Tuple[int, ...],
-        content,
+        route: int,
+        content: ContentRecord,
         path_stored: bool,
         newly_delivered: bool,
         direct: bool,
@@ -480,14 +548,12 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         if kind is _SEND and self.mods.mbd2_single_hop_send:
             return
 
-        if newly_delivered and self.mods.md2_empty_path_after_delivery:
+        if newly_delivered and self._md2:
             # MD.2: announce the delivery once, with an empty path.  The
             # original sender is *not* excluded from the announcement.
             relay_path: Tuple[int, ...] = ()
             content.relayed_empty = True
-            targets = self._relay_targets(
-                slot, record, kind, creator, content.neighbors_delivered, (), None
-            )
+            excluded = 1 << creator
         else:
             # MBD.10: a dominated path adds no information — do not relay it.
             if (
@@ -498,9 +564,11 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             ):
                 return
             relay_path = wire_path + (sender,)
-            targets = self._relay_targets(
-                slot, record, kind, creator, content.neighbors_delivered, wire_path, sender
-            )
+            # Never back along the route.
+            excluded = route | 1 << creator
+        targets = self._relay_targets(
+            slot, record, kind, excluded, content.neighbors_delivered
+        )
         if targets:
             groups.append((targets, kind, creator, record, relay_path, None))
 
@@ -509,46 +577,32 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         slot: BroadcastSlot,
         record: PayloadRecord,
         kind: MessageType,
-        creator: int,
-        have_content: Iterable[int],
-        wire_path: Tuple[int, ...],
-        sender: Optional[int],
+        excluded: int,
+        have: int,
     ) -> List[int]:
         """Neighbors a content goes to: everyone it could still be news to.
 
-        Allocation-free: instead of building the union of the exclusion
-        sets per relay, each candidate neighbor is checked against the
-        (C-level) memberships directly.
+        ``excluded`` masks who the content never goes to (its creator and,
+        for a relayed path, the sender and the path); ``have`` masks the
+        neighbors known to have it.  Targets come out in ascending id
+        order, the order of ``self.neighbors``.
         """
-        mods = self.mods
-        pid = self.process_id
-        # MD.3: skip neighbors known to have the content (empty-path senders).
-        nd = have_content if mods.md3_skip_delivered_neighbors else ()
-        # MBD.9: skip neighbors known to have BRB-delivered the broadcast.
-        bd = slot.neighbors_bd_delivered if mods.mbd9_skip_delivered_neighbors else ()
-        # MBD.8: skip ECHOs to neighbors whose READY has been delivered.
-        rd = (
-            record.delivered_ready_creators
-            if kind is _ECHO and mods.mbd8_skip_echo_to_ready_neighbors
-            else ()
+        remaining = self._neighbor_mask & ~(
+            excluded
+            # MD.3: skip neighbors known to have the content (empty-path senders).
+            | (have if self._md3 else 0)
+            # MBD.9: skip neighbors known to have BRB-delivered the broadcast.
+            | (slot.neighbors_bd_delivered if self._mbd9 else 0)
+            # MBD.8: skip ECHOs to neighbors whose READY has been delivered.
+            | (record.delivered_ready_creators if kind is _ECHO and self._mbd8 else 0)
         )
-        return [
-            q
-            for q in self.neighbors
-            if q != creator
-            and q != pid
-            and q != sender
-            and q not in wire_path
-            and q not in nd
-            and q not in bd
-            and q not in rd
-        ]
+        return [q for q in self.neighbors if remaining >> q & 1]
 
     def _origination_targets(
         self, slot: BroadcastSlot, record: PayloadRecord, kind: MessageType
     ) -> List[int]:
         """Neighbors a message this process creates goes to (MBD.8/9, MBD.12)."""
-        targets = self._relay_targets(slot, record, kind, self.process_id, (), (), None)
+        targets = self._relay_targets(slot, record, kind, 1 << self.process_id, 0)
         # MBD.12: a created message goes to 2f + 1 neighbors only — with
         # MBD.11 those that hold a role for this source first.
         limit = self.config.delivery_quorum
@@ -631,6 +685,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         content = record.content(_ECHO, self.process_id, self._dpr)
         content.delivered = True
         content.relayed_empty = True
+        self._settle(content)
         targets = self._origination_targets(slot, record, MessageType.ECHO)
         groups.append((targets, MessageType.ECHO, self.process_id, record, (), None))
         self._bracha_on_echo(slot, record, self.process_id, groups, deliveries)
@@ -656,7 +711,8 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         content = record.content(_READY, self.process_id, self._dpr)
         content.delivered = True
         content.relayed_empty = True
-        record.delivered_ready_creators.add(self.process_id)
+        self._settle(content)
+        record.delivered_ready_creators |= 1 << self.process_id
         targets = self._origination_targets(slot, record, MessageType.READY)
         groups.append((targets, MessageType.READY, self.process_id, record, (), None))
         self._bracha_on_ready(slot, record, self.process_id, groups, deliveries)

@@ -11,6 +11,10 @@ The protocol tracks three levels of state:
 * one :class:`ContentRecord` per Dolev *content* — a (SEND/ECHO/READY,
   creator) pair of a payload — holding the disjoint-path verifier and the
   per-content dissemination flags of MD.1–5.
+
+Sets of processes are node masks (bit ``q`` set for process ``q``), the
+same representation as the verifier's paths, so the relay rules are one
+mask expression.
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ class ContentRecord:
     verifier: DisjointPathVerifier
     delivered: bool = False
     relayed_empty: bool = False
-    #: Neighbors that sent an empty path for this content (they have it).
-    neighbors_delivered: Set[int] = field(default_factory=set)
+    #: MD.5 reached: every later reception of the content is dropped.
+    done: bool = False
+    #: Mask of the neighbors that sent an empty path for this content
+    #: (they have it).
+    neighbors_delivered: int = 0
 
     def state_size_estimate(self) -> int:
-        return self.verifier.state_size_estimate() + len(self.neighbors_delivered)
+        return self.verifier.state_size_estimate() + self.neighbors_delivered.bit_count()
 
 
 @dataclass(slots=True)
@@ -56,13 +63,14 @@ class PayloadRecord:
     my_local_id: Optional[int] = None
     #: Neighbors that have been sent the payload together with our local id.
     announced_to: Set[int] = field(default_factory=set)
-    #: Per neighbor, the READY creators received with an empty path (MBD.9).
-    neighbor_empty_readys: Dict[int, Set[int]] = field(default_factory=dict)
-    #: Creators whose READY *content* is Dolev-delivered, maintained
-    #: incrementally as contents transition to delivered.  MBD.8 consults
-    #: this on every ECHO relay instead of probing the contents dict per
-    #: neighbor.
-    delivered_ready_creators: Set[int] = field(default_factory=set)
+    #: Per neighbor, the mask of the READY creators received with an empty
+    #: path (MBD.9).
+    neighbor_empty_readys: Dict[int, int] = field(default_factory=dict)
+    #: Mask of the creators whose READY *content* is Dolev-delivered,
+    #: maintained incrementally as contents transition to delivered.
+    #: MBD.8 consults this on every ECHO relay instead of probing the
+    #: contents dict per neighbor.
+    delivered_ready_creators: int = 0
     #: Interned wire messages, keyed by every field that varies between
     #: them (the payload bytes are fixed per record).  A fan-out of the
     #: same content to many neighbors reuses one frozen message object.
@@ -79,7 +87,7 @@ class PayloadRecord:
     def state_size_estimate(self) -> int:
         contents = sum(record.state_size_estimate() for record in self.contents.values())
         quorums = len(self.echo_creators) + len(self.ready_creators)
-        empties = sum(len(creators) for creators in self.neighbor_empty_readys.values())
+        empties = sum(creators.bit_count() for creators in self.neighbor_empty_readys.values())
         return contents + quorums + empties
 
 
@@ -94,8 +102,8 @@ class BroadcastSlot:
     delivered: bool = False
     #: Payload records keyed by the payload bytes.
     payloads: Dict[bytes, PayloadRecord] = field(default_factory=dict)
-    #: Neighbors that Bracha-delivered this broadcast (MBD.9).
-    neighbors_bd_delivered: Set[int] = field(default_factory=set)
+    #: Mask of the neighbors that Bracha-delivered this broadcast (MBD.9).
+    neighbors_bd_delivered: int = 0
 
     def payload_record(self, payload: bytes) -> PayloadRecord:
         """Get or create the record of one payload value."""

@@ -5,6 +5,8 @@ inspect the wire messages it produces, to check the field-level effects of
 MBD.1, MBD.2, MBD.3/4, MBD.5, MBD.11 and MBD.12.
 """
 
+import pytest
+
 from repro.brb.optimized import protocol as protocol_module
 from repro.core.config import SystemConfig
 from repro.core.events import sends
@@ -207,6 +209,126 @@ class TestMBD1LocalIds:
         protocol = make_protocol(mods=ModificationSet.dolev_optimized())
         commands = protocol.on_message(1, echo_from(1, path=()))
         assert all(c.message.payload is not None for c in sends(commands))
+
+
+def announce(kind, creator, local_id, path=()):
+    """A payload-carrying message that maps ``local_id`` to payload ``b"m"``."""
+    return CrossLayerMessage(
+        mtype=kind,
+        source=0,
+        bid=0,
+        creator=creator,
+        payload=b"m",
+        local_payload_id=local_id,
+        path=path,
+    )
+
+
+def bare(kind, creator, local_id, path=()):
+    """A payload-free message naming the payload by the sender's local id."""
+    return CrossLayerMessage(
+        mtype=kind, creator=creator, local_payload_id=local_id, path=path
+    )
+
+
+def forbid_processing(monkeypatch):
+    """Fail the test if a message goes past the MD.5 check in ``on_message``."""
+
+    def fail(*args):
+        raise AssertionError("a done content reached _process")
+
+    monkeypatch.setattr(CrossLayerBrachaDolev, "_process", fail)
+
+
+class TestDoneContentsDropAtTheDoor:
+    """MD.5 in ``on_message``: a mapped, payload-free message of a done
+    content is dropped before ``_process``, keeping MD.2 and MBD.9."""
+
+    def setup_method(self):
+        self.protocol = make_protocol(
+            pid=0,
+            n=7,
+            f=1,
+            neighbors=(1, 2, 3, 4),
+            mods=ModificationSet.bdopt_with_mbd1().with_enabled(
+                "mbd9_skip_delivered_neighbors"
+            ),
+        )
+
+    def record(self):
+        return self.protocol._slots[(0, 0)].payloads[b"m"]
+
+    def test_empty_path_from_a_new_neighbor_is_kept_for_md3(self, monkeypatch):
+        protocol = self.protocol
+        # Straight from its creator (MD.1), announced (MD.2): done.
+        protocol.on_message(1, announce(MessageType.ECHO, 1, local_id=10))
+        # Neighbor 2 maps its local id 20 with a content of its own.
+        protocol.on_message(2, announce(MessageType.ECHO, 2, local_id=20))
+        content = self.record().contents[(MessageType.ECHO, 1)]
+        assert content.done and not content.neighbors_delivered >> 2 & 1
+        size = protocol.state_size_estimate()
+
+        forbid_processing(monkeypatch)
+        assert protocol.on_message(2, bare(MessageType.ECHO, 1, local_id=20)) == []
+        assert content.neighbors_delivered >> 2 & 1
+        assert protocol.state_size_estimate() == size + 1
+        # MD.3: a relay of the content would skip neighbor 2 (and 1).
+        targets = protocol._relay_targets(
+            protocol._slots[(0, 0)],
+            self.record(),
+            MessageType.ECHO,
+            1 << 1,
+            content.neighbors_delivered,
+        )
+        assert targets == [3, 4]
+
+    def test_empty_path_readys_still_count_towards_mbd9(self, monkeypatch):
+        protocol = self.protocol
+        for creator in (1, 2, 3):
+            protocol.on_message(creator, announce(MessageType.READY, creator, creator))
+        record = self.record()
+        assert all(record.contents[(MessageType.READY, c)].done for c in (1, 2, 3))
+        # Neighbor 4's first empty-path READY maps its local id 40.
+        protocol.on_message(4, announce(MessageType.READY, 1, local_id=40))
+        slot = protocol._slots[(0, 0)]
+        assert not slot.neighbors_bd_delivered >> 4 & 1
+
+        forbid_processing(monkeypatch)
+        for creator in (2, 3):
+            assert protocol.on_message(4, bare(MessageType.READY, creator, 40)) == []
+        # 2f + 1 empty-path READYs: neighbor 4 BRB-delivered (MBD.9).
+        assert slot.neighbors_bd_delivered >> 4 & 1
+        assert 4 not in protocol._relay_targets(slot, record, MessageType.READY, 0, 0)
+
+    @pytest.mark.parametrize("path", [(77,), (-1,), (3,) * 8], ids=["unknown", "negative", "long"])
+    def test_forged_path_changes_nothing(self, monkeypatch, path):
+        protocol = self.protocol
+        protocol.on_message(1, announce(MessageType.ECHO, 1, local_id=10))
+        protocol.on_message(2, announce(MessageType.ECHO, 2, local_id=20))
+        size = protocol.state_size_estimate()
+
+        forbid_processing(monkeypatch)
+        assert protocol.on_message(2, bare(MessageType.ECHO, 1, 20, path=path)) == []
+        assert protocol.state_size_estimate() == size
+
+
+class TestRelayTargets:
+    def test_md3_off_targets_announced_neighbors_but_never_the_route(self):
+        # f = 2: two paths do not deliver, so the second one is relayed.
+        for md3, expected in ((True, [1, 5]), (False, [1, 5, 6])):
+            mods = ModificationSet.dolev_optimized()
+            if not md3:
+                mods = mods.with_disabled("md3_skip_delivered_neighbors")
+            protocol = make_protocol(
+                pid=0, n=7, f=2, neighbors=(1, 2, 3, 4, 5, 6), mods=mods
+            )
+            # Neighbor 6 announces creator 4's ECHO with an empty path.
+            protocol.on_message(6, echo_from(4, path=()))
+            commands = protocol.on_message(2, echo_from(4, path=(3,)))
+            relayed = [c.dest for c in sends(commands) if c.message.path == (3, 2)]
+            # Creator 4, sender 2 and path hop 3 never; neighbor 6 only
+            # when MD.3 is off.
+            assert relayed == expected
 
 
 class TestMBD5OptionalFields:

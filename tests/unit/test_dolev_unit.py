@@ -191,3 +191,24 @@ class TestDolevBroadcastProtocol:
         assert BRBDeliver(source=0, bid=3, payload=b"m") in first
         second = protocol.on_message(2, DolevMessage(content=c, path=(0,)))
         assert not any(isinstance(cmd, BRBDeliver) for cmd in second)
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            BrachaMessage(MessageType.ECHO, source=2, bid=5, payload=b"forged", creator=0),
+            BrachaMessage(MessageType.SEND, source=2, bid=5, payload=b"forged", creator=0),
+        ],
+        ids=["echo", "send-of-another-source"],
+    )
+    def test_only_the_sources_own_send_is_delivered(self, forged):
+        # MD.1 compares the sender with the content's origin (its creator),
+        # so a content the sender created but attributed to source 2 would
+        # be delivered at once under (2, 5).
+        protocol = DolevBroadcast(
+            1,
+            SystemConfig.for_system(7, 2),
+            [0, 2, 3],
+            modifications=ModificationSet.dolev_optimized(),
+        )
+        assert protocol.on_message(0, DolevMessage(content=forged, path=())) == []
+        assert protocol.delivered == {}
