@@ -146,7 +146,7 @@ class BrachaBroadcast(BroadcastProtocol):
         message = BrachaMessage(
             mtype=MessageType.SEND, source=self.process_id, bid=bid, payload=payload
         )
-        commands = self._send_to_all(message)
+        commands: List[Command] = [SendTo(self.neighbors, message)]
         # The source handles its own SEND locally (Algorithm 1 sends to
         # every process in Π, including the sender itself).
         commands.extend(self._handle(self.process_id, message))
@@ -196,14 +196,11 @@ class BrachaBroadcast(BroadcastProtocol):
             message = BrachaMessage(
                 mtype=mtype, source=source, bid=bid, payload=action.payload
             )
-            commands.extend(self._send_to_all(message))
+            commands.append(SendTo(self.neighbors, message))
             # Count the local copy as well: a process's own ECHO/READY
             # contributes to its quorums (it "sends to itself").
             commands.extend(self._handle(self.process_id, message))
         return commands
-
-    def _send_to_all(self, message: BrachaMessage) -> List[Command]:
-        return [SendTo(dest=q, message=message) for q in self.neighbors]
 
     def state_size_estimate(self) -> int:
         """Number of quorum entries stored (memory proxy)."""

@@ -76,10 +76,7 @@ class BrachaDolevBroadcast(BroadcastProtocol):
         content = message.content
         if not self.config.is_process(content.source):
             return []
-        sends, delivered = self._disseminator.on_message(sender, message)
-        if not delivered:
-            return sends
-        commands: List[Command] = list(sends)
+        commands, delivered = self._disseminator.on_message(sender, message)
         for item in delivered:
             commands.extend(self._on_content_delivered(item))
         return commands
@@ -96,8 +93,7 @@ class BrachaDolevBroadcast(BroadcastProtocol):
 
     def _originate(self, content: BrachaMessage) -> List[Command]:
         """Dolev-broadcast a locally created Bracha message."""
-        sends, delivered = self._disseminator.originate(content)
-        commands: List[Command] = list(sends)
+        commands, delivered = self._disseminator.originate(content)
         for item in delivered:
             commands.extend(self._on_content_delivered(item))
         return commands

@@ -126,7 +126,7 @@ class DolevDisseminator:
     # ------------------------------------------------------------------
     # Dissemination
     # ------------------------------------------------------------------
-    def originate(self, content) -> Tuple[List[SendTo], List[object]]:
+    def originate(self, content) -> Tuple[List[Command], List[object]]:
         """Start the dissemination of a locally created content.
 
         The creator delivers its own content immediately (Algorithm 2,
@@ -139,12 +139,12 @@ class DolevDisseminator:
         state.relayed_empty = True
         self._settle(state)
         targets = self._relay_targets(state, content_origin(content), ())
-        sends = [SendTo(dest=q, message=DolevMessage(content=content, path=())) for q in targets]
+        sends = [SendTo(targets, DolevMessage(content=content, path=()))] if targets else []
         return sends, [content]
 
     def on_message(
         self, sender: int, message: DolevMessage
-    ) -> Tuple[List[SendTo], List[object]]:
+    ) -> Tuple[List[Command], List[object]]:
         """Handle a Dolev message received from direct neighbor ``sender``.
 
         Returns the relays to emit and the contents newly Dolev-delivered
@@ -231,7 +231,7 @@ class DolevDisseminator:
         path_stored: bool,
         newly_delivered: bool,
         direct: bool,
-    ) -> List[SendTo]:
+    ) -> List[Command]:
         if newly_delivered and self.mods.md2_empty_path_after_delivery:
             # MD.2: announce the delivery once, with an empty path.
             relay_path: Path = ()
@@ -251,16 +251,15 @@ class DolevDisseminator:
         targets = self._relay_targets(state, origin, relay_path)
         if not targets:
             return []
-        message = DolevMessage(content=content, path=relay_path)
-        return [SendTo(dest=q, message=message) for q in targets]
+        return [SendTo(targets, DolevMessage(content=content, path=relay_path))]
 
     def _relay_targets(
         self, state: ContentState, origin: int, relay_path: Path
-    ) -> List[int]:
+    ) -> Tuple[int, ...]:
         excluded = {self.process_id, origin, *relay_path}
         if self.mods.md3_skip_delivered_neighbors:
             excluded |= state.neighbors_delivered
-        return [q for q in self.neighbors if q not in excluded]
+        return tuple(q for q in self.neighbors if q not in excluded)
 
 
 class DolevBroadcast(BroadcastProtocol):
@@ -296,10 +295,8 @@ class DolevBroadcast(BroadcastProtocol):
         content = BrachaMessage(
             mtype=MessageType.SEND, source=self.process_id, bid=bid, payload=payload
         )
-        sends, delivered = self._disseminator.originate(content)
-        commands: List[Command] = list(sends)
-        commands.extend(self._deliver_contents(delivered))
-        return commands
+        commands, delivered = self._disseminator.originate(content)
+        return commands + self._deliver_contents(delivered)
 
     def on_message(self, sender: int, message: DolevMessage) -> List[Command]:
         if not isinstance(message, DolevMessage) or not isinstance(
@@ -313,12 +310,8 @@ class DolevBroadcast(BroadcastProtocol):
             # Only the source's own SEND is broadcast here; any other content
             # would be delivered under a (source, bid) its creator does not own.
             return []
-        sends, delivered = self._disseminator.on_message(sender, message)
-        if not delivered:
-            return sends
-        commands: List[Command] = list(sends)
-        commands.extend(self._deliver_contents(delivered))
-        return commands
+        commands, delivered = self._disseminator.on_message(sender, message)
+        return commands + self._deliver_contents(delivered)
 
     def _deliver_contents(self, contents: List[BrachaMessage]) -> List[Command]:
         commands: List[Command] = []

@@ -78,6 +78,7 @@ path can only delay delivery, but it costs that content's MD.2
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
@@ -725,8 +726,10 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
 
         A group is ``(dests, kind, creator, record, path, embedded_creator)``
         and yields at most two wire variants (payload announcement vs.
-        local id only), each built or fetched from the record's cache once
-        and shared by every destination it is byte-identical for.
+        local id only), built once in the record's cache and shared by
+        every destination they are byte-identical for.  Each run of
+        consecutive destinations that share a variant becomes one
+        ``SendTo``, so the destination order is the group's.
         """
         if self._can_merge and len(groups) > 1:
             groups = self._merge_groups(groups)
@@ -760,35 +763,32 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
                     creator_field = creator
             wire_cache = record.wire_cache
             announced = record.announced_to
-            variants = [None, None]  # payload-carrying, bare
-            for dest in dests:
-                # MBD.1: the payload goes to each neighbor once, with the
-                # local id that stands for it afterwards.
-                bare = mbd1 and dest in announced
-                wire = variants[bare]
+            # MBD.1: the payload goes to each neighbor once, with the local id
+            # that stands for it afterwards (a group's dests are distinct).
+            runs = groupby(dests, announced.__contains__) if mbd1 else ((False, dests),)
+            for bare, run in runs:
+                run = tuple(run)
+                # The key omits what is constant per record (payload, local
+                # id) or a function of the rest (source, bid).
+                key = (mtype, creator_field, embedded, not bare, path)
+                wire = wire_cache.get(key)
                 if wire is None:
-                    # The key omits what is constant per record (payload,
-                    # local id) or a function of the rest (source, bid).
-                    key = (mtype, creator_field, embedded, not bare, path)
-                    wire = wire_cache.get(key)
-                    if wire is None:
-                        # MBD.5: no source/bid next to a local id, and no
-                        # source on a single-hop SEND (the link names it).
-                        linked = kind is _SEND and mods.mbd2_single_hop_send
-                        wire = wire_cache[key] = CrossLayerMessage(
-                            mtype=mtype,
-                            source=None if mbd5 and (bare or linked) else record.source,
-                            bid=None if mbd5 and bare else record.bid,
-                            creator=creator_field,
-                            embedded_creator=embedded,
-                            payload=None if bare else record.payload,
-                            local_payload_id=local_id,
-                            path=path,
-                        )
-                    variants[bare] = wire
+                    # MBD.5: no source/bid next to a local id, and no source
+                    # on a single-hop SEND (the link names it).
+                    linked = kind is _SEND and mods.mbd2_single_hop_send
+                    wire = wire_cache[key] = CrossLayerMessage(
+                        mtype=mtype,
+                        source=None if mbd5 and (bare or linked) else record.source,
+                        bid=None if mbd5 and bare else record.bid,
+                        creator=creator_field,
+                        embedded_creator=embedded,
+                        payload=None if bare else record.payload,
+                        local_payload_id=local_id,
+                        path=path,
+                    )
                 if mbd1 and not bare:
-                    announced.add(dest)
-                commands.append(SendTo(dest, wire))
+                    announced.update(run)
+                commands.append(SendTo(run, wire))
         return commands
 
     def _merge_groups(self, groups: List[tuple]) -> List[tuple]:

@@ -3,11 +3,12 @@
 Protocols in :mod:`repro.brb` are written *sans-io*: they never touch a
 socket or a scheduler.  Every entry point (``on_start``, ``broadcast``,
 ``on_message``) returns a list of :class:`Command` objects describing what
-the hosting runtime should do — put a message on an authenticated link
-(:class:`SendTo`) or hand a payload to the application
-(:class:`BRBDeliver`, the one delivery command of every protocol, plain
-Dolev's reliable communication included).  Both the discrete-event
-simulation runtime and the asyncio runtime interpret the same commands.
+the hosting runtime should do — put one message on the authenticated
+links to a set of neighbours (:class:`SendTo`, one command per fan-out)
+or hand a payload to the application (:class:`BRBDeliver`, the one
+delivery command of every protocol, plain Dolev's reliable communication
+included).  Both the discrete-event simulation runtime and the asyncio
+runtime interpret the same commands.
 """
 
 from __future__ import annotations
@@ -16,20 +17,17 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(frozen=True, slots=True)
 class SendTo:
-    """Ask the runtime to send ``message`` to neighbor ``dest``.
+    """Ask the runtime to send ``message`` to each neighbor in ``dests``.
 
-    The link between the emitting process and ``dest`` is assumed to be an
+    ``dests`` is a tuple of neighbor ids in send order: one command is one
+    fan-out of one message object, which the runtimes treat as that many
+    sends, one after the other.  Each link is assumed to be an
     authenticated, reliable point-to-point channel (Sec. 3).
-
-    Not ``frozen``: a frozen dataclass routes every ``__init__`` store
-    through ``object.__setattr__``, which roughly doubles construction
-    cost, and this is the one command allocated per link transmission.
-    Treat instances as immutable regardless.
     """
 
-    dest: int
+    dests: Tuple[int, ...]
     message: Any
 
 
@@ -75,9 +73,9 @@ class Observation:
     bid: Optional[int] = None
 
 
-def sends(commands) -> Tuple[SendTo, ...]:
-    """Return only the :class:`SendTo` commands of a command list."""
-    return tuple(c for c in commands if isinstance(c, SendTo))
+def sends(commands) -> Tuple[Tuple[int, Any], ...]:
+    """Return the sends of a command list as ``(dest, message)`` pairs, in order."""
+    return tuple((d, c.message) for c in commands if isinstance(c, SendTo) for d in c.dests)
 
 
 def deliveries(commands) -> Tuple[BRBDeliver, ...]:

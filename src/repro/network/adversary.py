@@ -101,10 +101,25 @@ class CrashingProcess(ByzantineBehavior):
         commands = self.inner.on_message(sender, message)
         if self.crashed:
             # The process crashes *while* handling this message: it gets the
-            # first half (floor) of its outgoing commands onto the wire, then
+            # first half (floor) of its outgoing sends onto the wire, then
             # stops for good.
-            return commands[: len(commands) // 2]
+            return _first_half(commands)
         return commands
+
+
+def _first_half(commands: List[Command]) -> List[Command]:
+    """The first ⌊n/2⌋ of ``commands``' n sends (one per destination) and deliveries."""
+    widths = [len(c.dests) if isinstance(c, SendTo) else 1 for c in commands]
+    keep = sum(widths) // 2
+    kept: List[Command] = []
+    for command, width in zip(commands, widths):
+        if keep < width:
+            if keep:
+                kept.append(SendTo(command.dests[:keep], command.message))
+            break
+        kept.append(command)
+        keep -= width
+    return kept
 
 
 class _Relay(ByzantineBehavior):
@@ -127,13 +142,20 @@ class _Relay(ByzantineBehavior):
     def _relay(self, commands: List[Command]) -> List[Command]:
         relayed: List[Command] = []
         for command in commands:
-            if isinstance(command, SendTo):
-                message = self._outgoing(command.dest, command.message)
+            if not isinstance(command, SendTo):
+                relayed.append(command)
+                continue
+            # Consecutive destinations given the same message share a command.
+            runs: List[Tuple[Any, List[int]]] = []
+            for dest in command.dests:
+                message = self._outgoing(dest, command.message)
                 if message is None:
                     continue
-                if message is not command.message:
-                    command = SendTo(dest=command.dest, message=message)
-            relayed.append(command)
+                if runs and runs[-1][0] is message:
+                    runs[-1][1].append(dest)
+                else:
+                    runs.append((message, [dest]))
+            relayed.extend(SendTo(tuple(dests), message) for message, dests in runs)
         return relayed
 
     def on_start(self) -> List[Command]:
@@ -397,19 +419,16 @@ class EquivocatingSource(ByzantineBehavior):
         other = self.conflicting_payload
         if other is None:
             other = self._derive_conflicting(payload)
-        if len(self.neighbors) == 1:
-            # No split is possible with a single witness: send the genuine
-            # payload so the equivocator degenerates to a correct source.
-            return [SendTo(dest=self.neighbors[0], message=self._craft_send(payload, bid))]
-        commands: List[Command] = []
         # Ceil/floor split: the genuine payload goes to the first
         # ceil(n/2) neighbors, the conflicting one to the remaining
-        # floor(n/2) — both non-empty for every degree >= 2.
+        # floor(n/2) — both non-empty for every degree >= 2.  A single
+        # witness gets the genuine payload: no split is possible.
         half = (len(self.neighbors) + 1) // 2
-        for index, neighbor in enumerate(self.neighbors):
-            chosen = payload if index < half else other
-            commands.append(SendTo(dest=neighbor, message=self._craft_send(chosen, bid)))
-        return commands
+        commands = [
+            SendTo(self.neighbors[:half], self._craft_send(payload, bid)),
+            SendTo(self.neighbors[half:], self._craft_send(other, bid)),
+        ]
+        return [command for command in commands if command.dests]
 
 
 #: Behaviour names accepted by :func:`build_behaviour` (and therefore by

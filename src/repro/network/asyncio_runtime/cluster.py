@@ -287,7 +287,7 @@ class AsyncioCluster:
 
     @property
     def dropped_messages(self) -> int:
-        """Messages lost to link-drop windows across all nodes."""
+        """Messages lost across all nodes (see ``AsyncioNode.dropped_messages``)."""
         return sum(node.dropped_messages for node in self.nodes.values())
 
     def io_counters(self) -> Dict[str, int]:

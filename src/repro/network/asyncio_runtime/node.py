@@ -15,14 +15,15 @@ partial frame waits for the next chunk.  A frame whose body does not
 decode is dropped and counted (:attr:`AsyncioNode.malformed_frames`) —
 its length prefix was valid, so the framing is intact — while an
 oversized prefix closes the link.  *Outbound*, interpreting a command
-list never touches a socket: each send is checked against the crash
-flag, recorded in the collector, checked against the drop windows, the
-delay model and the severed set (in that order), and its frame is
-appended to a per-destination outbox.  A message object is encoded once
-per command list however many neighbors it goes to.  The outbox is
-flushed — one ``write`` of the concatenated frames per destination, then
-one ``drain`` each — after every chunk, every :meth:`broadcast`, every
-:meth:`handle_message` and every ``on_start``/:meth:`wake` replay step.
+list never touches a socket: each destination of a ``SendTo`` is
+checked against the crash flag, recorded in the collector if it has an
+open channel, checked against the drop windows, the delay model and
+the channel (in that order), and its frame is appended to a
+per-destination outbox.  A command's message is encoded once however
+many neighbors it goes to.  The outbox is flushed — one ``write`` of the
+concatenated frames per destination, then one ``drain`` each — after
+every chunk, every :meth:`broadcast`, every :meth:`handle_message` and
+every ``on_start``/:meth:`wake` replay step.
 Back-pressure is therefore paid per batch: a read loop does not take its
 next chunk while a destination it relayed to is not draining, and the
 loops of other peers keep running.  Frames queued before a crash are
@@ -89,11 +90,6 @@ from repro.network.simulation.delays import DROP, DelayModel
 #: handled before the next read, so this also bounds how much inbound
 #: traffic one flush (and one back-pressure wait) covers.
 READ_CHUNK_BYTES = 64 * 1024
-
-# One batch's encoded frames by message identity; the entry holds the
-# message so its id cannot be recycled while the batch is interpreted.
-_EncodedFrames = Dict[int, Tuple[object, bytes]]
-
 
 class AsyncioNode:
     """Hosts one sans-io protocol instance over TCP.
@@ -164,7 +160,8 @@ class AsyncioNode:
         #: Observer of protocol events (sends/deliveries); set by the
         #: scenario backend to feed adaptive adversaries.
         self.observer: Optional[Callable[[Observation], None]] = None
-        #: Outgoing messages lost to drop windows or the delay model.
+        #: Outgoing messages lost to drop windows, the delay model or a
+        #: missing channel, and inbound ones a pending joiner missed.
         self.dropped_messages = 0
         #: Frames handed to a socket, and the ``write`` calls that carried
         #: them; ``frames_sent / writes`` is the coalescing factor.
@@ -331,8 +328,9 @@ class AsyncioNode:
         """Tear the channel to ``peer`` down (this endpoint of a cut edge).
 
         Outgoing messages to a severed peer are lost (counted in
-        :attr:`dropped_messages`) and its redials are rejected, mirroring
-        the simulator dropping sends on a removed edge.
+        :attr:`dropped_messages`, not charged to the metrics) and its
+        redials are rejected, mirroring the simulator dropping sends on a
+        removed edge.
         """
         self._severed.add(peer)
         self._close_link(peer)
@@ -514,12 +512,11 @@ class AsyncioNode:
 
     def _execute(self, commands: Iterable[Command]) -> None:
         """Interpret one command batch; sends are queued for :meth:`_flush`."""
-        encoded: _EncodedFrames = {}
         for command in commands:
             if self._crashed:
                 return
             if isinstance(command, SendTo):
-                self._send(command.dest, command.message, encoded)
+                self._send(command.dests, command.message)
             elif isinstance(command, BRBDeliver):
                 self._record_delivery(command)
 
@@ -547,46 +544,55 @@ class AsyncioNode:
                 )
             )
 
-    def _send(self, dest: int, message, encoded: _EncodedFrames) -> None:
-        elapsed_s = self._elapsed_s()
-        size = 0
-        if self.collector is not None:
-            size = self.collector.record_send(
-                elapsed_s * 1000.0, self.process_id, dest, message
-            )
-        if self.link_dropped(dest, elapsed_s, size) or dest in self._severed:
-            self.dropped_messages += 1
-        elif dest in self._writers:
-            entry = encoded.get(id(message))
-            if entry is None:
-                try:
-                    frame = encode_frame(encode_message(message))
-                except FrameError as exc:
-                    # Outbound overflow is our own bug, not a peer
-                    # disconnect: surface it instead of letting
-                    # _read_loop's FrameError handling (meant for corrupt
-                    # *inbound* prefixes) eat it.
-                    raise RuntimeAbort(
-                        f"outbound message to {dest} exceeds the frame cap: {exc}"
-                    ) from exc
-                entry = encoded[id(message)] = (message, frame)
-            self._outbox.setdefault(dest, []).append(entry[1])
-        # Observed last, like the simulator: the message is queued for
-        # the wire (or provably lost) before an adaptive adversary
-        # reacts to it, and what is queued is written even if the
-        # reaction crashes this node.
-        if self.observer is not None:
-            self.observer(
-                Observation(
-                    kind="send",
-                    time_ms=elapsed_s * 1000.0,
-                    pid=self.process_id,
-                    dest=dest,
-                    mtype=message_type_name(message),
-                    source=getattr(message, "source", None),
-                    bid=getattr(message, "bid", None),
+    def _send(self, dests: Tuple[int, ...], message) -> None:
+        """Queue one fan-out destination by destination, encoding it at most once.
+
+        A destination without an open channel (severed, or no writer) is
+        lost and not charged, like a send onto a cut edge in the
+        simulator; its link's loss RNG still draws, as for any send.
+        """
+        frame = None
+        for dest in dests:
+            if self._crashed:
+                return
+            elapsed_s = self._elapsed_s()
+            channel = dest in self._writers and dest not in self._severed
+            size = 0
+            if channel and self.collector is not None:
+                size = self.collector.record_send(
+                    elapsed_s * 1000.0, self.process_id, dest, message
                 )
-            )
+            if self.link_dropped(dest, elapsed_s, size) or not channel:
+                self.dropped_messages += 1
+            else:
+                if frame is None:
+                    try:
+                        frame = encode_frame(encode_message(message))
+                    except FrameError as exc:
+                        # Outbound overflow is our own bug, not a peer
+                        # disconnect: surface it instead of letting
+                        # _read_loop's FrameError handling (meant for
+                        # corrupt *inbound* prefixes) eat it.
+                        raise RuntimeAbort(
+                            f"outbound message to {dest} exceeds the frame cap: {exc}"
+                        ) from exc
+                self._outbox.setdefault(dest, []).append(frame)
+            # Observed last, like the simulator: the message is queued for
+            # the wire (or provably lost) before an adaptive adversary
+            # reacts to it, and what is queued is written even if the
+            # reaction crashes this node.
+            if self.observer is not None:
+                self.observer(
+                    Observation(
+                        kind="send",
+                        time_ms=elapsed_s * 1000.0,
+                        pid=self.process_id,
+                        dest=dest,
+                        mtype=message_type_name(message),
+                        source=getattr(message, "source", None),
+                        bid=getattr(message, "bid", None),
+                    )
+                )
 
     async def _flush(self) -> None:
         """Write the outbox: one write per destination, then one drain each.

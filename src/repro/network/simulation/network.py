@@ -35,20 +35,21 @@ via :meth:`SimulatedNetwork.replace_protocol`).
 
 Flights
 -------
-A protocol reacting to one stimulus hands the *same* message object to
-many neighbours back to back.  The consecutive ``SendTo`` commands of
-one batch that carry the same message object form a **flight**
-``(sender, message, dests)``; :meth:`SimulatedNetwork._launch` charges
-it to the metrics once and, when every destination is bound to share
-the arrival time (:class:`FixedDelay`, no shared medium, no link-drop
-window), schedules it as one
+A protocol reacting to one stimulus sends one message object to a set
+of neighbours, and says so in one command: a ``SendTo(dests, message)``
+*is* a **flight** ``(sender, message, dests)``.
+:meth:`SimulatedNetwork._launch` charges it to the metrics once and,
+when every destination is bound to share the arrival time
+(:class:`FixedDelay`, no shared medium, no link-drop window), schedules
+it as one
 :meth:`~repro.network.simulation.scheduler.EventScheduler.schedule_flight`
 entry.  The contract is **equal to one-by-one**: metrics, delivery order
 and times, RNG draws, event counts and abort points are those of
-executing every send on its own — a flight only exists between two
-points where nothing else could have happened.  Whatever does depend on
-the destination or on the moment of delivery (crashed, held, the
-protocol instance) is still decided per destination in
+executing every send on its own — so a command is split into flights of
+one wherever something could happen between two of its sends (an
+observer is installed, or a destination has no channel).  Whatever does
+depend on the destination or on the moment of delivery (crashed, held,
+the protocol instance) is still decided per destination in
 :meth:`SimulatedNetwork._deliver`, at delivery time.
 """
 
@@ -380,19 +381,12 @@ class SimulatedNetwork:
     # Command execution
     # ------------------------------------------------------------------
     def _execute_commands(self, pid: int, commands: Iterable[Command]) -> None:
-        """Execute one protocol batch, gathering its sends into flights.
+        """Execute one protocol batch; each ``SendTo`` is one flight.
 
-        A protocol reacting to one stimulus fans the same interned
-        message object out to many neighbours back to back.  Consecutive
-        ``SendTo`` commands carrying the same message *object* are
-        gathered into one flight ``(pid, message, dests)`` and handed to
-        :meth:`_launch` when the flight closes: at a different message
-        object, at any other command (a delivery hook may broadcast
-        re-entrantly), at a send without a channel, at the end of the
-        batch — and after every single send while an observer is
-        installed, because an observer may crash the sender between two
-        sends.  Everything else happens in command order, as if each
-        send had been executed on its own.
+        A command's destinations go to :meth:`_launch` one by one only
+        while an observer is installed (it may crash the sender after any
+        send) or when one of them has no channel.  Everything happens in
+        command order, as if each send had been executed on its own.
         """
         crashed = self._crashed
         if pid in crashed:
@@ -400,60 +394,51 @@ class SimulatedNetwork:
         neighbors = self._adjacency[pid]
         observer = self.observer
         launch = self._launch
-        # The open flight: ``dests`` is empty while none is open, and
-        # ``message`` may then be stale — reopening on the same object is
-        # simply a new flight of it.
-        message = None
-        dests: List[int] = []
         for command in commands:
             if pid in crashed:
                 # An adaptive trigger crashed the process while this
                 # command batch was executing: the remaining commands
                 # are suppressed, exactly like the asyncio runtime.
                 break
-            if type(command) is SendTo or isinstance(command, SendTo):
-                dest = command.dest
-                if dest not in neighbors:
-                    launch(pid, message, dests)
-                    if self._churn:
-                        # A live graph edit severed the channel mid-run:
-                        # the transmission is lost, not a protocol bug.
-                        self.dropped_messages += 1
-                        continue
-                    raise RuntimeAbort(
-                        f"process {pid} tried to send to {dest} without a channel"
-                    )
-                if command.message is not message:
-                    launch(pid, message, dests)
-                    message = command.message
-                dests.append(dest)
-                # Observed last: the message is on the wire (or provably
-                # lost) before an adaptive adversary may react to it, so a
-                # triggered crash of the sender cannot retract this
-                # transmission.
-                if observer is not None:
-                    launch(pid, message, dests)
-                    observer(
-                        Observation(
-                            kind="send",
-                            time_ms=self.scheduler.now,
-                            pid=pid,
-                            dest=dest,
-                            mtype=message_type_name(message),
-                            source=getattr(message, "source", None),
-                            bid=getattr(message, "bid", None),
+            if isinstance(command, SendTo):
+                message = command.message
+                if observer is None and neighbors.issuperset(command.dests):
+                    launch(pid, message, list(command.dests))
+                    continue
+                for dest in command.dests:
+                    if pid in crashed:
+                        break
+                    if dest not in neighbors:
+                        if self._churn:
+                            # A live graph edit severed the channel mid-run:
+                            # the transmission is lost, not a protocol bug.
+                            self.dropped_messages += 1
+                            continue
+                        raise RuntimeAbort(
+                            f"process {pid} tried to send to {dest} without a channel"
                         )
-                    )
-            else:
-                launch(pid, message, dests)
-                if isinstance(command, BRBDeliver):
-                    self._execute_delivery(pid, command)
-                else:  # pragma: no cover - defensive
-                    raise RuntimeAbort(f"unknown command {command!r} from process {pid}")
-        launch(pid, message, dests)
+                    launch(pid, message, [dest])
+                    # Observed last: a crash the observer triggers cannot
+                    # retract a message already on the wire (or lost).
+                    if observer is not None:
+                        observer(
+                            Observation(
+                                kind="send",
+                                time_ms=self.scheduler.now,
+                                pid=pid,
+                                dest=dest,
+                                mtype=message_type_name(message),
+                                source=getattr(message, "source", None),
+                                bid=getattr(message, "bid", None),
+                            )
+                        )
+            elif isinstance(command, BRBDeliver):
+                self._execute_delivery(pid, command)
+            else:  # pragma: no cover - defensive
+                raise RuntimeAbort(f"unknown command {command!r} from process {pid}")
 
     def _launch(self, pid: int, message: object, dests: List[int]) -> None:
-        """Put the open flight on the wire and empty ``dests``.
+        """Put one flight on the wire.
 
         The one place a send is charged and scheduled.  The flight is
         charged to the metrics once; then, when the arrival time cannot
@@ -477,7 +462,6 @@ class SimulatedNetwork:
             # The dominant configuration (the paper's synchronous 50 ms
             # links) consumes no RNG and never drops.
             self.scheduler.schedule_flight(fixed, deliver, tuple(dests), pid, message)
-            dests.clear()
             return
         buckets = self._sched_buckets
         times = self._sched_times
@@ -518,7 +502,6 @@ class SimulatedNetwork:
                 bucket.append(entry)
             else:
                 buckets[time] = [bucket, entry]
-        dests.clear()
 
     def _link_dropped(self, u: int, v: int, time: float) -> bool:
         windows = self._link_drops.get((min(u, v), max(u, v)))

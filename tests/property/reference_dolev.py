@@ -122,7 +122,7 @@ class ReferenceDisseminator:
         state.delivered = True
         state.relayed_empty = True
         targets = self._relay_targets(content, state, exclude=set())
-        sends = [SendTo(dest=q, message=DolevMessage(content=content, path=())) for q in targets]
+        sends = [SendTo((q,), DolevMessage(content=content, path=())) for q in targets]
         return sends, [content]
 
     def on_message(
@@ -221,7 +221,7 @@ class ReferenceDisseminator:
 
         targets = self._relay_targets(content, state, exclude=exclude)
         message = DolevMessage(content=content, path=relay_path)
-        return [SendTo(dest=q, message=message) for q in targets]
+        return [SendTo((q,), message) for q in targets]
 
     def _relay_targets(self, content, state: ReferenceContentState, *, exclude: Set[int]) -> List[int]:
         origin = content_origin(content)

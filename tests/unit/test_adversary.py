@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.events import SendTo, sends
+from repro.core.events import BRBDeliver, SendTo, sends
 from repro.core.messages import (
     BrachaMessage,
     CrossLayerMessage,
@@ -93,13 +93,24 @@ class TestCrashingProcess:
         # ``max(0, len(commands) // 2)`` — the ``max`` guard was dead
         # (a floor-halved length is never negative).  Pin the intended
         # semantics: the crashing process gets exactly the first
-        # ``floor(n / 2)`` of its outgoing commands onto the wire.
+        # ``floor(n / 2)`` of its outgoing sends onto the wire, each
+        # destination of a fan-out counted as one send.
         for total in (1, 2, 3, 4, 5):
-            batch = [SendTo(dest=d, message=sample_echo()) for d in range(total)]
+            batch = [SendTo((d,), sample_echo()) for d in range(total)]
             crashing = CrashingProcess(_StaticInner(commands=batch), crash_after=1)
             out = crashing.on_message(0, sample_echo())
             assert out == batch[: total // 2]
             assert crashing.crashed
+        # One command naming 5 neighbours: exactly the first 2 go out.
+        message = sample_echo()
+        batch = [SendTo((0, 2, 3, 4, 5), message)]
+        crashing = CrashingProcess(_StaticInner(commands=batch), crash_after=1)
+        assert crashing.on_message(0, sample_echo()) == [SendTo((0, 2), message)]
+        # A delivery counts as one, as it always did.
+        delivery = BRBDeliver(0, 0, b"m")
+        batch = [SendTo((0, 2), message), delivery, SendTo((3, 4, 5), message)]
+        crashing = CrashingProcess(_StaticInner(commands=batch), crash_after=1)
+        assert crashing.on_message(0, sample_echo()) == [SendTo((0, 2), message), delivery]
 
 
 class TestMessageDroppingRelay:
@@ -128,8 +139,7 @@ class TestPathForgingRelay:
         commands = sends(forger.on_message(0, sample_echo(path=(4, 5))))
         assert commands
         assert forger.forged > 0
-        for command in commands:
-            message = command.message
+        for _, message in commands:
             if isinstance(message, CrossLayerMessage) and message.path is not None:
                 assert all(config.is_process(p) for p in message.path)
 
@@ -139,7 +149,7 @@ class TestPathForgingRelay:
             neighbors = (0, 2)
 
             def on_message(self, sender, message):
-                return [SendTo(dest=2, message=message)]
+                return [SendTo((2,), message)]
 
             def on_start(self):
                 return []
@@ -151,14 +161,14 @@ class TestPathForgingRelay:
         forger = PathForgingRelay(_Passthrough(), config, seed=1)
         message = dolev_send(path=(3, 4))
         out = sends(forger.on_message(0, message))
-        assert out and isinstance(out[0].message, DolevMessage)
+        assert out and isinstance(out[0][1], DolevMessage)
 
 
 class TestEquivocatingSource:
     def test_sends_conflicting_payloads(self):
         source = EquivocatingSource(0, [1, 2, 3, 4], family="cross_layer")
         commands = sends(source.broadcast(b"value-a", bid=0))
-        payloads = {c.message.payload for c in commands}
+        payloads = {m.payload for _, m in commands}
         assert len(commands) == 4
         assert len(payloads) == 2
 
@@ -167,12 +177,12 @@ class TestEquivocatingSource:
             0, [1, 2], family="bracha", conflicting_payload=b"evil"
         )
         commands = sends(source.broadcast(b"good", bid=0))
-        assert {c.message.payload for c in commands} == {b"good", b"evil"}
+        assert {m.payload for _, m in commands} == {b"good", b"evil"}
 
     def test_bracha_dolev_family_wraps_in_dolev_message(self):
         source = EquivocatingSource(0, [1, 2], family="bracha_dolev")
         commands = sends(source.broadcast(b"x", bid=0))
-        assert all(isinstance(c.message, DolevMessage) for c in commands)
+        assert all(isinstance(m, DolevMessage) for _, m in commands)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -192,14 +202,14 @@ class TestEquivocatingSource:
         )
         commands = sends(source.broadcast(b"good", bid=0))
         assert len(commands) == degree
-        payloads = [c.message.payload for c in commands]
+        payloads = [m.payload for _, m in commands]
         assert payloads.count(b"good") == (degree + 1) // 2
         assert payloads.count(b"evil") == degree // 2
 
     def test_single_neighbor_deterministically_gets_genuine_payload(self):
         source = EquivocatingSource(0, [1], family="cross_layer")
         commands = sends(source.broadcast(b"good", bid=0))
-        assert [(c.dest, c.message.payload) for c in commands] == [(1, b"good")]
+        assert [(d, m.payload) for d, m in commands] == [(1, b"good")]
 
     def test_seeded_conflicting_payload_is_deterministic_per_seed(self):
         payload = b"genuine"
@@ -207,7 +217,7 @@ class TestEquivocatingSource:
         def other(seed):
             source = EquivocatingSource(0, [1, 2], family="bracha", seed=seed)
             commands = sends(source.broadcast(payload, bid=0))
-            (conflicting,) = {c.message.payload for c in commands} - {payload}
+            (conflicting,) = {m.payload for _, m in commands} - {payload}
             return conflicting
 
         assert other(5) == other(5)  # same seed, same lie
@@ -219,42 +229,42 @@ class TestEquivocatingSource:
 
 class TestPathTruncatingRelay:
     def test_paths_are_truncated_to_a_proper_prefix(self):
-        batch = [SendTo(dest=2, message=sample_echo(path=(3, 4, 5)))]
+        batch = [SendTo((2,), sample_echo(path=(3, 4, 5)))]
         relay = PathTruncatingRelay(_StaticInner(commands=batch), seed=1)
         commands = sends(relay.on_message(0, sample_echo()))
         assert commands and relay.truncated > 0
-        for command in commands:
-            path = command.message.path
+        for _, message in commands:
+            path = message.path
             assert len(path) < 3
             assert path == (3, 4, 5)[: len(path)]
 
     def test_dolev_messages_also_truncated(self):
-        batch = [SendTo(dest=2, message=dolev_send(path=(3, 4)))]
+        batch = [SendTo((2,), dolev_send(path=(3, 4)))]
         relay = PathTruncatingRelay(_StaticInner(commands=batch), seed=1)
         out = sends(relay.on_message(0, dolev_send(path=(3,))))
-        assert out and isinstance(out[0].message, DolevMessage)
-        assert len(out[0].message.path) < 2
+        assert out and isinstance(out[0][1], DolevMessage)
+        assert len(out[0][1].path) < 2
 
     def test_empty_paths_are_left_alone(self):
-        batch = [SendTo(dest=2, message=sample_echo(path=()))]
+        batch = [SendTo((2,), sample_echo(path=()))]
         relay = PathTruncatingRelay(_StaticInner(commands=batch), seed=1)
         out = sends(relay.on_message(0, sample_echo()))
-        assert out[0].message.path == ()
+        assert out[0][1].path == ()
         assert relay.truncated == 0
 
     def test_same_seed_same_mutations(self):
-        batch = [SendTo(dest=2, message=sample_echo(path=(3, 4, 5, 6)))]
+        batch = [SendTo((2,), sample_echo(path=(3, 4, 5, 6)))]
         runs = []
         for _ in range(2):
             relay = PathTruncatingRelay(_StaticInner(commands=batch), seed=9)
             runs.append(
                 [
-                    c.message.path
-                    for c in sends(relay.on_message(0, sample_echo()))
+                    m.path
+                    for _, m in sends(relay.on_message(0, sample_echo()))
                 ]
                 + [
-                    c.message.path
-                    for c in sends(relay.on_message(0, sample_echo()))
+                    m.path
+                    for _, m in sends(relay.on_message(0, sample_echo()))
                 ]
             )
         assert runs[0] == runs[1]
@@ -268,41 +278,41 @@ class TestSenderRewritingRelay:
 
     def test_bracha_source_is_rewritten(self):
         config = SystemConfig.for_system(7, 1)
-        batch = [SendTo(dest=2, message=self._bracha(source=0))]
+        batch = [SendTo((2,), self._bracha(source=0))]
         relay = SenderRewritingRelay(_StaticInner(commands=batch), config, seed=3)
         commands = sends(relay.on_message(0, self._bracha()))
         assert commands and relay.rewritten > 0
-        for command in commands:
-            assert command.message.source != 0
-            assert config.is_process(command.message.source)
+        for _, message in commands:
+            assert message.source != 0
+            assert config.is_process(message.source)
 
     def test_dolev_wrapped_bracha_source_is_rewritten(self):
         config = SystemConfig.for_system(7, 1)
         batch = [
-            SendTo(dest=2, message=DolevMessage(content=self._bracha(), path=(4,)))
+            SendTo((2,), DolevMessage(content=self._bracha(), path=(4,)))
         ]
         relay = SenderRewritingRelay(_StaticInner(commands=batch), config, seed=3)
         commands = sends(relay.on_message(0, self._bracha()))
-        assert commands[0].message.content.source != 0
-        assert commands[0].message.path == (4,)  # the route itself is untouched
+        assert commands[0][1].content.source != 0
+        assert commands[0][1].path == (4,)  # the route itself is untouched
 
     def test_cross_layer_source_is_rewritten(self):
         config = SystemConfig.for_system(7, 1)
-        batch = [SendTo(dest=2, message=sample_echo(path=(4,)))]
+        batch = [SendTo((2,), sample_echo(path=(4,)))]
         relay = SenderRewritingRelay(_StaticInner(commands=batch), config, seed=3)
         commands = sends(relay.on_message(0, sample_echo()))
-        assert commands[0].message.source != 0
+        assert commands[0][1].source != 0
 
     def test_same_seed_same_fake_sources(self):
         config = SystemConfig.for_system(7, 1)
-        batch = [SendTo(dest=2, message=self._bracha())]
+        batch = [SendTo((2,), self._bracha())]
 
         def run():
             relay = SenderRewritingRelay(
                 _StaticInner(commands=batch), config, seed=5
             )
             return [
-                sends(relay.on_message(0, self._bracha()))[0].message.source
+                sends(relay.on_message(0, self._bracha()))[0][1].source
                 for _ in range(4)
             ]
 
@@ -311,10 +321,10 @@ class TestSenderRewritingRelay:
 
 class TestEmptyPayloadRelay:
     def test_cross_layer_payload_is_emptied(self):
-        batch = [SendTo(dest=2, message=sample_echo())]
+        batch = [SendTo((2,), sample_echo())]
         relay = EmptyPayloadRelay(_StaticInner(commands=batch))
         commands = sends(relay.on_message(0, sample_echo()))
-        assert commands[0].message.payload == b""
+        assert commands[0][1].payload == b""
         assert relay.emptied > 0
 
     def test_bracha_inside_dolev_is_emptied(self):
@@ -322,21 +332,21 @@ class TestEmptyPayloadRelay:
             mtype=MessageType.SEND, source=0, bid=0, payload=b"m"
         )
         batch = [
-            SendTo(dest=2, message=DolevMessage(content=inner_message, path=(3,)))
+            SendTo((2,), DolevMessage(content=inner_message, path=(3,)))
         ]
         relay = EmptyPayloadRelay(_StaticInner(commands=batch))
         commands = sends(relay.on_message(0, sample_echo()))
-        assert commands[0].message.content.payload == b""
-        assert commands[0].message.path == (3,)
+        assert commands[0][1].content.payload == b""
+        assert commands[0][1].path == (3,)
 
     def test_already_empty_payload_is_left_alone(self):
         message = CrossLayerMessage(
             mtype=MessageType.ECHO, source=0, bid=0, creator=0, payload=b"", path=()
         )
-        batch = [SendTo(dest=2, message=message)]
+        batch = [SendTo((2,), message)]
         relay = EmptyPayloadRelay(_StaticInner(commands=batch))
         commands = sends(relay.on_message(0, sample_echo()))
-        assert commands[0].message is message
+        assert commands[0][1] is message
         assert relay.emptied == 0
 
 
@@ -350,13 +360,47 @@ class TestLimitedBroadcastRelay:
 
     def test_sends_outside_the_subset_are_suppressed(self):
         neighbors = (0, 2, 3, 4)
-        batch = [SendTo(dest=d, message=sample_echo()) for d in neighbors]
+        batch = [SendTo((d,), sample_echo()) for d in neighbors]
         relay = LimitedBroadcastRelay(
             _StaticInner(neighbors=neighbors, commands=batch), seed=7
         )
         commands = sends(relay.on_message(0, sample_echo()))
-        assert {c.dest for c in commands} == set(relay.targets)
+        assert {d for d, _ in commands} == set(relay.targets)
         assert relay.suppressed == len(neighbors) - len(relay.targets) > 0
+
+    def test_a_fan_out_stays_one_command_over_the_kept_targets(self):
+        neighbors = (0, 2, 3, 4)
+        message = sample_echo()
+        relay = LimitedBroadcastRelay(
+            _StaticInner(neighbors=neighbors, commands=[SendTo(neighbors, message)]), seed=7
+        )
+        kept = tuple(d for d in neighbors if d in relay.targets)
+        assert relay.on_message(0, sample_echo()) == [SendTo(kept, message)]
+
+
+class TestRelayCommands:
+    def test_a_rewritten_message_per_destination_is_a_command_each(self):
+        batch = [SendTo((2, 3), sample_echo(path=(3, 4, 5)))]
+        relay = PathTruncatingRelay(_StaticInner(commands=batch), seed=1)
+        commands = relay.on_message(0, sample_echo())
+        assert [c.dests for c in commands] == [(2,), (3,)]
+        assert commands[0].message is not commands[1].message
+
+    def test_outgoing_is_asked_once_per_destination_in_order(self):
+        asked = []
+
+        class Recording(MessageDroppingRelay):
+            def _outgoing(self, dest, message):
+                asked.append(dest)
+                return super()._outgoing(dest, message)
+
+        message = sample_echo()
+        batch = [SendTo((2, 0), message), SendTo((4, 3), message)]
+        # Seed 37 drops the second draw only: destination 0.
+        relay = Recording(_StaticInner(commands=batch), drop_probability=0.5, seed=37)
+        commands = relay.on_message(0, sample_echo())
+        assert asked == [2, 0, 4, 3] and relay.dropped == 1
+        assert commands == [SendTo((2,), message), SendTo((4, 3), message)]
 
     def test_single_neighbor_is_kept(self):
         relay = LimitedBroadcastRelay(_StaticInner(neighbors=(0,)), seed=7)
@@ -417,7 +461,7 @@ class TestBuildBehaviour:
         assert behaviour.conflicting_payload == b"evil"
         assert behaviour.seed == 9
         commands = sends(behaviour.broadcast(b"good", bid=0))
-        assert {c.message.payload for c in commands} == {b"good", b"evil"}
+        assert {m.payload for _, m in commands} == {b"good", b"evil"}
 
     def test_unknown_behaviour_rejected(self):
         config = SystemConfig.for_system(7, 1)

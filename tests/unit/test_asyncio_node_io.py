@@ -182,7 +182,7 @@ class TestHostileFrames:
         # and the link is closed.
         before = [wire_message(1), wire_message(2)]
         after = wire_message(3)
-        protocol = RelayProtocol(lambda sender, message: [SendTo(2, message)])
+        protocol = RelayProtocol(lambda sender, message: [SendTo((2,), message)])
         node, writers = hosted(protocol)
         chunk = (
             b"".join(frame_of(message) for message in before)
@@ -204,8 +204,8 @@ class TestOutbox:
         inbound = [wire_message(index) for index in range(8)]
         protocol = RelayProtocol(
             lambda sender, message: [
-                SendTo(2, message),
-                SendTo(3, message.with_fields(creator=9)),
+                SendTo((2,), message),
+                SendTo((3,), message.with_fields(creator=9)),
             ]
         )
         node, writers = hosted(protocol)
@@ -221,7 +221,7 @@ class TestOutbox:
 
     def test_two_chunks_are_two_flushes(self):
         inbound = [wire_message(index) for index in range(4)]
-        protocol = RelayProtocol(lambda sender, message: [SendTo(2, message)])
+        protocol = RelayProtocol(lambda sender, message: [SendTo((2,), message)])
         node, writers = hosted(protocol)
         read_to_eof(
             node,
@@ -249,22 +249,30 @@ class TestOutbox:
         asyncio.run(node.broadcast(b"ignored"))
         return calls, writers
 
-    def test_an_interned_message_is_encoded_once_per_batch(self, monkeypatch):
+    def test_a_fan_out_is_encoded_once(self, monkeypatch):
         message = wire_message(5)
-        calls, writers = self.count_encodes(
-            monkeypatch, [SendTo(peer, message) for peer in PEERS]
-        )
+        calls, writers = self.count_encodes(monkeypatch, [SendTo(PEERS, message)])
         assert len(calls) == 1
         for peer in PEERS:
             assert writers[peer].chunks == [frame_of(message)]
 
-    def test_equal_but_distinct_messages_are_encoded_separately(self, monkeypatch):
-        first, second = wire_message(5), wire_message(5)
-        assert first == second and first is not second
-        calls, _ = self.count_encodes(
-            monkeypatch, [SendTo(1, first), SendTo(2, second), SendTo(3, first)]
+    def test_each_command_encodes_its_own_message(self, monkeypatch):
+        first, second = wire_message(5), wire_message(6)
+        calls, writers = self.count_encodes(
+            monkeypatch, [SendTo((1, 2), first), SendTo((3,), second), SendTo((4,), first)]
         )
-        assert len(calls) == 2
+        assert calls == [first, second, first]
+        assert frames_in(writers[4].chunks) == [first]
+
+    def test_a_fan_out_that_queues_nothing_encodes_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(node_module, "encode_message", calls.append)
+        node, writers = hosted(
+            RelayProtocol(lambda sender, payload: [SendTo((1, 2), wire_message(0))]),
+            peers=(3,),
+        )
+        asyncio.run(node.broadcast(b"ignored"))
+        assert calls == [] and node.dropped_messages == 2
 
     def test_crash_on_the_second_send_of_a_batch(self):
         # The observer runs after the frame is queued: two frames are
@@ -284,7 +292,7 @@ class TestOutbox:
         collector = CountingCollector()
         protocol = RelayProtocol(
             lambda sender, payload: [
-                SendTo(peer, message) for peer, message in zip(PEERS, messages)
+                SendTo((peer,), message) for peer, message in zip(PEERS, messages)
             ]
         )
         node, writers = hosted(protocol, collector=collector)
@@ -309,13 +317,33 @@ class TestOutbox:
             ("send", 0, 2, "ECHO", 0, 1),
         ]
 
+    def test_crash_on_the_second_destination_of_a_fan_out(self):
+        message = wire_message(0)
+        collector = MetricsCollector()
+        node, writers = hosted(
+            RelayProtocol(lambda sender, payload: [SendTo(PEERS, message)]),
+            collector=collector,
+        )
+        observed = []
+
+        def observer(observation):
+            observed.append(observation.dest)
+            if len(observed) == 2:
+                node.crash()
+
+        node.observer = observer
+        asyncio.run(node.broadcast(b"ignored"))
+        assert observed == [1, 2]
+        assert [len(writers[peer].chunks) for peer in PEERS] == [1, 1, 0, 0]
+        assert collector.message_count == 2
+
     def test_no_observation_is_built_without_an_observer(self, monkeypatch):
         def forbidden(**fields):
             raise AssertionError("Observation built although nobody observes")
 
         monkeypatch.setattr(node_module, "Observation", forbidden)
         node, writers = hosted(
-            RelayProtocol(lambda sender, payload: [SendTo(1, wire_message(0))])
+            RelayProtocol(lambda sender, payload: [SendTo((1,), wire_message(0))])
         )
         asyncio.run(node.broadcast(b"ignored"))
         assert len(writers[1].chunks) == 1
@@ -323,7 +351,7 @@ class TestOutbox:
     def test_per_link_order_across_concurrent_flushes(self):
         # A read loop blocked in drain() must not let a later batch
         # overtake the frames it already wrote.
-        protocol = RelayProtocol(lambda sender, message: [SendTo(3, message)])
+        protocol = RelayProtocol(lambda sender, message: [SendTo((3,), message)])
         node, writers = hosted(protocol)
         first, second = wire_message(1), wire_message(2)
 
@@ -346,7 +374,7 @@ class TestOutbox:
 class TestBackPressure:
     def test_blocked_drain_stalls_only_the_loop_that_relayed_to_it(self):
         protocol = RelayProtocol(
-            lambda sender, message: [SendTo(3 if sender == 1 else 4, message)]
+            lambda sender, message: [SendTo((3 if sender == 1 else 4,), message)]
         )
         node, writers = hosted(protocol)
         stream = [wire_message(index) for index in range(6)]
@@ -403,7 +431,7 @@ class TestLossModelDraws:
         batches = [sends[:1], sends[1:60], sends[60:61], sends[61:]]
         pending = iter(batches)
         protocol = RelayProtocol(
-            lambda sender, payload: [SendTo(dest, m) for dest, m in next(pending)]
+            lambda sender, payload: [SendTo((dest,), m) for dest, m in next(pending)]
         )
         node, writers = hosted(
             protocol,
@@ -431,6 +459,41 @@ class TestLossModelDraws:
         for peer in PEERS:
             assert frames_in(writers[peer].chunks) == expected[peer]
         assert node.frames_sent == len(sends) - lost
+
+
+# ----------------------------------------------------------------------
+# A destination without a channel is a loss that is not charged
+# ----------------------------------------------------------------------
+class TestNoChannel:
+    """The simulator's rule for a send onto a cut edge: dropped, not charged."""
+
+    def test_a_link_closed_after_a_corrupt_prefix(self):
+        collector = MetricsCollector()
+        protocol = RelayProtocol(lambda sender, message: [SendTo((1,), message)])
+        node, writers = hosted(protocol, collector=collector)
+        read_to_eof(node, 1, [LENGTH.pack(MAX_FRAME_BYTES + 1)])
+        assert writers[1].closed and 1 not in node._writers
+        asyncio.run(node.handle_message(2, wire_message(1)))
+        assert node.dropped_messages == 1
+        assert collector.message_count == 0
+        assert writers[1].chunks == [] and node.frames_sent == 0
+
+    def test_a_severed_peer_inside_a_fan_out(self):
+        collector = MetricsCollector()
+        model = LossyDelay(FixedDelay(5.0), 0.5)
+        protocol = RelayProtocol(lambda sender, payload: [SendTo((3, 4), wire_message(2))])
+        node, writers = hosted(protocol, collector=collector, delay_model=model, seed=8)
+        node.disconnect_peer(3)
+        asyncio.run(node.broadcast(b"ignored"))
+        lost_to_model = node.dropped_messages - 1
+        assert collector.message_count == 1  # the send to 4 only
+        assert writers[3].chunks == []
+        assert len(frames_in(writers[4].chunks)) == 1 - lost_to_model
+        # The severed link's loss RNG drew once, as for a charged send, so
+        # its later drop decisions are the ones they always were.
+        replay = random.Random(8 ^ 3)
+        replay.random()
+        assert node._link_rngs[3].getstate() == replay.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +528,7 @@ class TestWaitsAndCounters:
         asyncio.run(scenario())
 
     def test_wake_replays_the_buffer_in_order_with_a_flush_per_step(self):
-        protocol = RelayProtocol(lambda sender, message: [SendTo(2, message)])
+        protocol = RelayProtocol(lambda sender, message: [SendTo((2,), message)])
         node, writers = hosted(protocol)
         buffered = [wire_message(index) for index in range(5)]
 

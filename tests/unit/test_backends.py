@@ -312,7 +312,7 @@ class TestNodeLossModel:
 
 
 class SendingProtocol(StubProtocol):
-    """Answers a broadcast with one send per scripted destination."""
+    """Answers a broadcast with one fan-out to the scripted destinations."""
 
     def __init__(self, dests, **kwargs):
         super().__init__(**kwargs)
@@ -322,7 +322,7 @@ class SendingProtocol(StubProtocol):
         message = CrossLayerMessage(
             mtype=MessageType.ECHO, source=self.process_id, bid=bid, payload=payload
         )
-        return [SendTo(dest, message) for dest in self.dests]
+        return [SendTo(tuple(self.dests), message)]
 
 
 class FakeWriter:

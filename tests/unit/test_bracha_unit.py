@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
-from repro.core.events import BRBDeliver, sends
+from repro.core.events import deliveries, sends
 from repro.core.messages import BrachaMessage, MessageType
 from repro.brb.bracha import BrachaBroadcast, BrachaQuorumState
 
@@ -96,7 +96,7 @@ class TestBrachaBroadcast:
     def test_broadcast_sends_send_and_echo_to_everyone(self):
         _, protocols = self._protocols()
         commands = protocols[0].broadcast(b"m", bid=3)
-        send_messages = [c.message for c in sends(commands)]
+        send_messages = [m for _, m in sends(commands)]
         assert sum(1 for m in send_messages if m.mtype == MessageType.SEND) == 3
         assert sum(1 for m in send_messages if m.mtype == MessageType.ECHO) == 3
 
@@ -118,19 +118,19 @@ class TestBrachaBroadcast:
         _, protocols = self._protocols(n=4, f=1)
         # Simulate the full message exchange synchronously.
         inboxes = {pid: [] for pid in protocols}
-        for command in protocols[0].broadcast(b"m"):
-            inboxes[command.dest].append((0, command.message))
+        for dest, message in sends(protocols[0].broadcast(b"m")):
+            inboxes[dest].append((0, message))
         delivered = set()
         # Iterate a few rounds of synchronous delivery.
         for _ in range(6):
             new_inboxes = {pid: [] for pid in protocols}
             for pid, inbox in inboxes.items():
                 for sender, message in inbox:
-                    for command in protocols[pid].on_message(sender, message):
-                        if isinstance(command, BRBDeliver):
-                            delivered.add(pid)
-                        else:
-                            new_inboxes[command.dest].append((pid, command.message))
+                    commands = protocols[pid].on_message(sender, message)
+                    if deliveries(commands):
+                        delivered.add(pid)
+                    for dest, relayed in sends(commands):
+                        new_inboxes[dest].append((pid, relayed))
             inboxes = new_inboxes
         assert delivered == {0, 1, 2, 3}
         assert all(p.delivered[(0, 0)] == b"m" for p in protocols.values())

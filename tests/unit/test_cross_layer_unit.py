@@ -60,8 +60,8 @@ def group(protocol, dests, kind, creator, path=()):
 
 def wire_summary(commands):
     return [
-        (c.dest, c.message.mtype.name, c.message.creator, c.message.embedded_creator)
-        for c in sends(commands)
+        (d, m.mtype.name, m.creator, m.embedded_creator)
+        for d, m in sends(commands)
     ]
 
 
@@ -69,7 +69,7 @@ class TestBroadcastWireFormat:
     def test_bdopt_send_carries_payload_and_path(self):
         protocol = make_protocol()
         commands = protocol.broadcast(b"payload", bid=4)
-        send_messages = [c.message for c in sends(commands) if c.message.mtype == MessageType.SEND]
+        send_messages = [m for _, m in sends(commands) if m.mtype == MessageType.SEND]
         assert len(send_messages) == 3
         for message in send_messages:
             assert message.payload == b"payload"
@@ -79,21 +79,21 @@ class TestBroadcastWireFormat:
     def test_source_also_sends_its_own_echo(self):
         protocol = make_protocol()
         commands = protocol.broadcast(b"payload")
-        echo_messages = [c.message for c in sends(commands) if c.message.mtype == MessageType.ECHO]
+        echo_messages = [m for _, m in sends(commands) if m.mtype == MessageType.ECHO]
         assert len(echo_messages) == 3
 
     def test_mbd2_send_has_no_path_field(self):
         mods = ModificationSet.dolev_optimized().with_enabled("mbd2_single_hop_send")
         protocol = make_protocol(mods=mods)
         commands = protocol.broadcast(b"payload")
-        send_messages = [c.message for c in sends(commands) if c.message.mtype == MessageType.SEND]
+        send_messages = [m for _, m in sends(commands) if m.mtype == MessageType.SEND]
         assert send_messages and all(m.path is None for m in send_messages)
 
     def test_mbd12_limits_fanout_to_two_f_plus_one(self):
         mods = ModificationSet.dolev_optimized().with_enabled("mbd12_reduced_fanout")
         protocol = make_protocol(n=10, f=1, neighbors=(1, 2, 3, 4, 5, 6), mods=mods)
         commands = protocol.broadcast(b"payload")
-        send_dests = {c.dest for c in sends(commands) if c.message.mtype == MessageType.SEND}
+        send_dests = {d for d, m in sends(commands) if m.mtype == MessageType.SEND}
         assert len(send_dests) == 3  # 2f + 1
 
     def test_mbd11_non_generator_does_not_echo(self):
@@ -111,7 +111,7 @@ class TestBroadcastWireFormat:
             mtype=MessageType.SEND, source=0, bid=0, payload=b"m", path=()
         )
         commands = protocol.on_message(0, send) if 0 in protocol.neighbors else []
-        echoes = [c for c in sends(commands) if c.message.mtype == MessageType.ECHO]
+        echoes = [m for _, m in sends(commands) if m.mtype == MessageType.ECHO]
         assert echoes == []
 
 
@@ -123,11 +123,11 @@ class TestMBD1LocalIds:
         # neighbor of 0 here, so feed an ECHO carrying the payload instead.
         first = protocol.on_message(1, echo_from(1, path=()))
         second = protocol.on_message(2, echo_from(2, path=()))
-        outgoing = [c.message for c in sends(first) + sends(second)]
+        outgoing = [m for _, m in sends(first) + sends(second)]
         with_payload = [m for m in outgoing if m.payload is not None]
         without_payload = [m for m in outgoing if m.payload is None]
         # Each neighbor receives the payload at most once.
-        dests_with_payload = [c.dest for c in sends(first) + sends(second) if c.message.payload is not None]
+        dests_with_payload = [d for d, m in sends(first) + sends(second) if m.payload is not None]
         assert len(dests_with_payload) == len(set(dests_with_payload))
         # Later messages rely on the local payload id.
         assert all(m.local_payload_id is not None for m in without_payload)
@@ -208,7 +208,7 @@ class TestMBD1LocalIds:
     def test_without_mbd1_every_message_carries_payload(self):
         protocol = make_protocol(mods=ModificationSet.dolev_optimized())
         commands = protocol.on_message(1, echo_from(1, path=()))
-        assert all(c.message.payload is not None for c in sends(commands))
+        assert all(m.payload is not None for _, m in sends(commands))
 
 
 def announce(kind, creator, local_id, path=()):
@@ -325,7 +325,7 @@ class TestRelayTargets:
             # Neighbor 6 announces creator 4's ECHO with an empty path.
             protocol.on_message(6, echo_from(4, path=()))
             commands = protocol.on_message(2, echo_from(4, path=(3,)))
-            relayed = [c.dest for c in sends(commands) if c.message.path == (3, 2)]
+            relayed = [d for d, m in sends(commands) if m.path == (3, 2)]
             # Creator 4, sender 2 and path hop 3 never; neighbor 6 only
             # when MD.3 is off.
             assert relayed == expected
@@ -340,9 +340,9 @@ class TestMBD5OptionalFields:
         )
         commands = protocol.on_message(0, send)
         own_echoes = [
-            c.message
-            for c in sends(commands)
-            if c.message.mtype == MessageType.ECHO and c.message.path == ()
+            m
+            for _, m in sends(commands)
+            if m.mtype == MessageType.ECHO and m.path == ()
         ]
         assert own_echoes and all(m.creator is None for m in own_echoes)
 
@@ -350,7 +350,7 @@ class TestMBD5OptionalFields:
         mods = ModificationSet.dolev_optimized().with_enabled("mbd5_optional_fields")
         protocol = make_protocol(pid=2, n=7, f=2, neighbors=(0, 1, 3), mods=mods)
         commands = protocol.on_message(1, echo_from(4, path=(5,)))
-        relayed = [c.message for c in sends(commands) if c.message.mtype == MessageType.ECHO]
+        relayed = [m for _, m in sends(commands) if m.mtype == MessageType.ECHO]
         assert relayed and all(m.creator == 4 for m in relayed)
 
     def test_creator_defaults_to_sender_on_reception(self):
@@ -381,7 +381,7 @@ class TestMergedMessages:
         protocol.on_message(0, send)
         protocol.on_message(1, echo_from(1, path=()))
         commands = protocol.on_message(2, echo_from(2, path=()))
-        merged = [c.message for c in sends(commands) if c.message.mtype == MessageType.READY_ECHO]
+        merged = [m for _, m in sends(commands) if m.mtype == MessageType.READY_ECHO]
         assert merged
         assert all(m.creator == 3 and m.embedded_creator == 2 for m in merged)
 
@@ -395,7 +395,7 @@ class TestMergedMessages:
         protocol = make_protocol(pid=3, n=4, f=1, neighbors=(0, 1, 2), mods=mods)
         protocol.on_message(0, echo_from(0, path=()))
         commands = protocol.on_message(1, echo_from(1, path=()))
-        assert any(c.message.mtype.is_merged for c in sends(commands))
+        assert any(m.mtype.is_merged for _, m in sends(commands))
 
     def test_merged_message_decomposition_counts_both_contents(self):
         protocol = make_protocol(pid=3, n=7, f=1, neighbors=(0, 1, 2))
@@ -435,7 +435,7 @@ class TestMergedMessages:
         protocol.on_message(1, echo_from(1, path=()))
         commands = protocol.on_message(2, echo_from(2, path=()))
         assert all(
-            not c.message.mtype.is_merged for c in sends(commands)
+            not m.mtype.is_merged for _, m in sends(commands)
         )
 
 
@@ -510,7 +510,7 @@ class TestMergedMessages:
         def kinds(mods, *specs):
             protocol = make_protocol(pid=3, neighbors=(0, 1, 2), mods=mods)
             commands = protocol._finalize([group(protocol, *spec) for spec in specs])
-            return [c.message.mtype.name for c in sends(commands)]
+            return [m.mtype.name for _, m in sends(commands)]
 
         # MBD.3 alone never builds READY_ECHO, MBD.4 alone never ECHO_ECHO.
         mbd3 = bdopt.with_enabled("mbd3_echo_echo")
@@ -542,8 +542,8 @@ class TestMergedMessages:
                 group(protocol, (0, 2, 4, 5), MessageType.READY, 3),
             ]
         )
-        to_0, to_2, to_4, to_5 = (c.message for c in sends(commands))
-        assert [c.dest for c in sends(commands)] == [0, 2, 4, 5]
+        to_0, to_2, to_4, to_5 = (m for _, m in sends(commands))
+        assert [d for d, _ in sends(commands)] == [0, 2, 4, 5]
         assert to_0 is to_4 and to_2 is to_5
         assert to_0.payload is None and to_2.payload == b"m"
         assert to_0.local_payload_id == to_2.local_payload_id == record.my_local_id

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.events import BRBDeliver
+from repro.core.events import BRBDeliver, SendTo, sends
 from repro.core.messages import BrachaMessage, DolevMessage, MessageType
 from repro.core.modifications import ModificationSet
 from repro.brb.dolev import (
@@ -30,8 +30,7 @@ class TestPlainDisseminator:
         d = DolevDisseminator(0, [1, 2, 3], required_paths=2)
         out, delivered = d.originate(content(source=0))
         assert delivered == [content(source=0)]
-        assert {s.dest for s in out} == {1, 2, 3}
-        assert all(s.message.path == () for s in out)
+        assert out == [SendTo((1, 2, 3), DolevMessage(content=content(source=0), path=()))]
 
     def test_originate_twice_is_noop(self):
         d = DolevDisseminator(0, [1], required_paths=1)
@@ -45,8 +44,7 @@ class TestPlainDisseminator:
         out, delivered = d.on_message(2, message)
         assert delivered == []
         # Relays go to neighbors not in path ∪ {sender} ∪ {origin}.
-        assert {s.dest for s in out} == {3}
-        assert all(s.message.path == (1, 2) for s in out)
+        assert out == [SendTo((3,), DolevMessage(content=content(source=0), path=(1, 2)))]
 
     def test_delivery_requires_disjoint_paths(self):
         d = DolevDisseminator(5, [1, 2, 3, 4], required_paths=2)
@@ -93,7 +91,7 @@ class TestOptimizedDisseminator:
         d = self._disseminator()
         c = content(source=0)
         out, _ = d.on_message(0, DolevMessage(content=c, path=()))
-        assert out and all(s.message.path == () for s in out)
+        assert out and all(m.path == () for _, m in sends(out))
 
     def test_md3_skips_neighbors_that_delivered(self):
         d = self._disseminator()
@@ -101,7 +99,7 @@ class TestOptimizedDisseminator:
         # Neighbor 1 announces delivery (empty path); it is not the origin.
         d.on_message(1, DolevMessage(content=c, path=()))
         out, _ = d.on_message(2, DolevMessage(content=c, path=(6,)))
-        assert 1 not in {s.dest for s in out}
+        assert 1 not in {d for d, _ in sends(out)}
 
     def test_md4_ignores_paths_through_delivered_neighbors(self):
         d = self._disseminator()
@@ -139,7 +137,7 @@ class TestOptimizedDisseminator:
         d = self._disseminator()
         c = content(source=0, creator=-7, mtype=MessageType.ECHO)
         out, delivered = d.on_message(1, DolevMessage(content=c, path=(6,)))
-        assert delivered == [] and {s.message.path for s in out} == {(6, 1)}
+        assert delivered == [] and {m.path for _, m in sends(out)} == {(6, 1)}
 
     def test_intermediaries_exclude_origin_and_self(self):
         # (0, 6) via 1 and (5, 7) via 2 share nothing once the origin 0 and

@@ -44,7 +44,7 @@ class Recorder:
     def broadcast(self, payload, bid=0):
         self.calls.append(("broadcast", payload, bid))
         if self.fan_out:
-            return [SendTo(dest, payload) for dest in self.neighbors]
+            return [SendTo(self.neighbors, payload)]
         return []
 
     def on_message(self, sender, message):

@@ -39,7 +39,7 @@ class StubInner(BroadcastProtocol):
 
     def broadcast(self, payload, bid=0):
         self.broadcasts.append((bid, payload))
-        return [SendTo(dest=self.neighbors[0], message=(bid, payload))]
+        return [SendTo(self.neighbors[:1], (bid, payload))]
 
     def on_message(self, sender, message):
         source, bid, payload = message

@@ -194,7 +194,7 @@ class TestDelayModels:
         for dest in (2, 3):
             topo = complete_topology(4)
             protocols = {pid: _Scripted(pid, []) for pid in topo.nodes}
-            protocols[0].on_broadcast = lambda payload, dest=dest: [SendTo(dest, "m")]
+            protocols[0].on_broadcast = lambda payload, dest=dest: [SendTo((dest,), "m")]
             network = SimulatedNetwork(topo, protocols, delay_model=Broken())
             with pytest.raises(ValueError):
                 network.broadcast(0, b"", 0)
@@ -288,7 +288,7 @@ class TestSimulatedNetwork:
 
             def broadcast(self, payload, bid=0):
                 message = BrachaMessage(MessageType.SEND, 0, bid, payload)
-                return [SendTo(dest=2, message=message)]
+                return [SendTo((2,), message)]
 
             def on_message(self, sender, message):
                 return []
@@ -672,7 +672,7 @@ class TestNetworkFlights:
 
     @staticmethod
     def _fan_out(message, dests):
-        return lambda payload: [SendTo(dest, message) for dest in dests]
+        return lambda payload: [SendTo(tuple(dests), message)]
 
     @staticmethod
     def _entries(network):
@@ -791,7 +791,7 @@ class TestNetworkFlights:
 
     def _interrupted(self, log, **network_kwargs):
         def commands(payload):
-            return [SendTo(1, "m"), BRBDeliver(0, 0, b"x"), SendTo(2, "m"), SendTo(3, "m")]
+            return [SendTo((1,), "m"), BRBDeliver(0, 0, b"x"), SendTo((2, 3), "m")]
 
         return self._star(
             log,
@@ -803,7 +803,7 @@ class TestNetworkFlights:
     def test_a_delivery_between_two_sends_closes_the_flight(self):
         network = self._interrupted([])
         network.broadcast(0, b"", 0)
-        # Same message object on both sides of the BRBDeliver: two flights.
+        # Two commands of one message object around the BRBDeliver: two flights.
         assert self._entries(network) == 2
         assert network.scheduler.pending == 3
 
@@ -841,8 +841,8 @@ class TestNetworkFlights:
 
         network, (log, error, metrics, dropped, _, pending) = self._both(build, drive)
         assert "tried to send to 3 without a channel" in error
-        # What was gathered before the bad send is charged and in flight;
-        # the send after it never happened.
+        # One command: the destinations before the missing channel are
+        # charged and in flight; the one after it never happened.
         assert log == [] and dropped == 0
         assert metrics.message_count == 2 and pending == 2
         network.run()
@@ -864,3 +864,18 @@ class TestNetworkFlights:
         assert [entry[1] for entry in log] == [0, 2, 0]
         assert metrics.message_count == 3 and dropped == 1
         assert (executed, pending) == (3, 0)
+
+    def test_one_command_across_a_cut_edge(self):
+        # One SendTo names 1, 2 and 3; the edge to 2 was cut mid-run.
+        def build(log):
+            network = self._star(log, p0=dict(on_broadcast=self._fan_out("m", [1, 2, 3])))
+            network.cut_edge(0, 2)
+            return network
+
+        _, (log, error, metrics, dropped, executed, pending) = self._both(
+            build, lambda network: network.broadcast(0, b"", 0)
+        )
+        assert error is None
+        assert log == [(50.0, 1, 0, "m"), (50.0, 3, 0, "m")]
+        assert metrics.message_count == 2 and dropped == 1
+        assert (executed, pending) == (2, 0)
