@@ -765,9 +765,17 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             announced = record.announced_to
             # MBD.1: the payload goes to each neighbor once, with the local id
             # that stands for it afterwards (a group's dests are distinct).
-            runs = groupby(dests, announced.__contains__) if mbd1 else ((False, dests),)
+            # A group whose dests are all announced, or none, is one run.
+            if not mbd1 or announced.isdisjoint(dests):
+                runs = ((False, tuple(dests)),)
+            elif announced.issuperset(dests):
+                runs = ((True, tuple(dests)),)
+            else:
+                runs = (
+                    (bare, tuple(run))
+                    for bare, run in groupby(dests, announced.__contains__)
+                )
             for bare, run in runs:
-                run = tuple(run)
                 # The key omits what is constant per record (payload, local
                 # id) or a function of the rest (source, bid).
                 key = (mtype, creator_field, embedded, not bare, path)

@@ -73,7 +73,8 @@ class PayloadRecord:
     delivered_ready_creators: int = 0
     #: Interned wire messages, keyed by every field that varies between
     #: them (the payload bytes are fixed per record).  A fan-out of the
-    #: same content to many neighbors reuses one frozen message object.
+    #: same content to many neighbors reuses one message object, which
+    #: is why no code writes a field of a sent message.
     wire_cache: Dict[Tuple, object] = field(default_factory=dict)
 
     def content(self, kind: MessageType, creator: int, required_paths: int) -> ContentRecord:

@@ -9,6 +9,15 @@ or hand a payload to the application (:class:`BRBDeliver`, the one
 delivery command of every protocol, plain Dolev's reliable communication
 included).  Both the discrete-event simulation runtime and the asyncio
 runtime interpret the same commands.
+
+Commands are values: they compare and hash by their fields, and no code
+writes a field after construction.  :class:`SendTo` is built once per
+fan-out, so it is a plain slotted dataclass (``unsafe_hash=True``, not
+frozen: a frozen constructor stores each field through
+``object.__setattr__``), immutable by convention —
+``tests/unit/test_wire_values.py`` pins that.  Its ``dests`` tuple is
+handed to the simulator's scheduler as it is, uncopied.
+:class:`BRBDeliver`, built once per delivery, stays frozen.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SendTo:
     """Ask the runtime to send ``message`` to each neighbor in ``dests``.
 

@@ -17,6 +17,18 @@ Three message families are defined:
 Every message exposes ``wire_size(sizes)`` returning the number of bytes
 the message occupies on a link, computed from the per-field sizes of
 Table 3 (:class:`repro.core.sizes.FieldSizes`).
+
+Messages are values: they compare and hash by their fields, and no code
+writes a field after construction.  :class:`BrachaMessage` (a dict key
+with a hash memo, built once per broadcast and role) enforces that as a
+frozen dataclass.  :class:`DolevMessage` and :class:`CrossLayerMessage`
+are built once per fan-out or per decoded frame, where a frozen
+constructor's ``object.__setattr__`` per field costs two to four times a
+plain slot store, so they are plain slotted dataclasses with
+``unsafe_hash=True``: immutable by convention, which
+``tests/unit/test_wire_values.py`` pins by running whole cells with every
+second field write turned into an error.  The one field written later is
+``CrossLayerMessage._size_memo``, a cache.
 """
 
 from __future__ import annotations
@@ -107,7 +119,7 @@ class BrachaMessage:
         return replace(self, creator=creator)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DolevMessage:
     """A Bracha message and the path of intermediary processes it traversed.
 
@@ -137,7 +149,7 @@ class DolevMessage:
         return DolevMessage(content=self.content, path=())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CrossLayerMessage:
     """A message of the cross-layer Bracha-Dolev protocol (Sec. 5–6).
 
@@ -193,9 +205,7 @@ class CrossLayerMessage:
         if self.path is not None:
             total += sizes.path_cost(len(self.path))
         if sizes is PAPER_FIELD_SIZES:
-            # Frozen dataclass: route the one-time memo store around the
-            # immutability guard.
-            object.__setattr__(self, "_size_memo", total)
+            self._size_memo = total
         return total
 
     # ------------------------------------------------------------------

@@ -37,7 +37,8 @@ Flights
 -------
 A protocol reacting to one stimulus sends one message object to a set
 of neighbours, and says so in one command: a ``SendTo(dests, message)``
-*is* a **flight** ``(sender, message, dests)``.
+*is* a **flight** ``(sender, message, dests)``, and its ``dests`` tuple
+is the flight's, passed along uncopied.
 :meth:`SimulatedNetwork._launch` charges it to the metrics once and,
 when every destination is bound to share the arrival time
 (:class:`FixedDelay`, no shared medium, no link-drop window), schedules
@@ -402,10 +403,11 @@ class SimulatedNetwork:
                 break
             if isinstance(command, SendTo):
                 message = command.message
-                if observer is None and neighbors.issuperset(command.dests):
-                    launch(pid, message, list(command.dests))
+                dests = command.dests
+                if observer is None and neighbors.issuperset(dests):
+                    launch(pid, message, dests)
                     continue
-                for dest in command.dests:
+                for dest in dests:
                     if pid in crashed:
                         break
                     if dest not in neighbors:
@@ -417,7 +419,7 @@ class SimulatedNetwork:
                         raise RuntimeAbort(
                             f"process {pid} tried to send to {dest} without a channel"
                         )
-                    launch(pid, message, [dest])
+                    launch(pid, message, (dest,))
                     # Observed last: a crash the observer triggers cannot
                     # retract a message already on the wire (or lost).
                     if observer is not None:
@@ -437,10 +439,12 @@ class SimulatedNetwork:
             else:  # pragma: no cover - defensive
                 raise RuntimeAbort(f"unknown command {command!r} from process {pid}")
 
-    def _launch(self, pid: int, message: object, dests: List[int]) -> None:
+    def _launch(self, pid: int, message: object, dests: Tuple[int, ...]) -> None:
         """Put one flight on the wire.
 
-        The one place a send is charged and scheduled.  The flight is
+        The one place a send is charged and scheduled.  ``dests`` is the
+        tuple a ``SendTo`` carries, taken as it is: a fixed-delay flight
+        hands that very tuple to the scheduler, uncopied.  The flight is
         charged to the metrics once; then, when the arrival time cannot
         depend on the destination (fixed delay, no shared medium, no
         link-drop window), the scheduler gets one entry for the whole
@@ -461,7 +465,7 @@ class SimulatedNetwork:
         if fixed is not None and bandwidth is None and not link_drops:
             # The dominant configuration (the paper's synchronous 50 ms
             # links) consumes no RNG and never drops.
-            self.scheduler.schedule_flight(fixed, deliver, tuple(dests), pid, message)
+            self.scheduler.schedule_flight(fixed, deliver, dests, pid, message)
             return
         buckets = self._sched_buckets
         times = self._sched_times

@@ -21,7 +21,9 @@ A *flight* is one message object that one sender puts on the links to
 several destinations at once, all arriving at the same time: ``(sender,
 message, dests)``.  :meth:`EventScheduler.schedule_flight` stores it as
 *one* bucket entry and the drain runs ``deliver(dest, sender, message)``
-for each destination in order.  By contract this is **equal to
+for each destination in order.  ``dests`` is a tuple, held as given (the
+simulator passes the one its ``SendTo`` command carries), never copied
+and never mutated.  By contract this is **equal to
 scheduling the destinations one by one** with :meth:`schedule`: the same
 execution order (nothing can be scheduled between two destinations of a
 flight, so they were adjacent anyway), every delivery is one event for

@@ -148,7 +148,12 @@ class _Tap:
 def _story(spec, *, link_window, reference):
     network, _ = build_network(spec)
     if reference:
-        network._launch = types.MethodType(_reference_launch, network)
+        # ``_launch`` takes the command's tuple as it is; the frozen
+        # reference clears what it is given, so it gets a list copy.
+        network._launch = types.MethodType(
+            lambda self, pid, message, dests: _reference_launch(self, pid, message, list(dests)),
+            network,
+        )
     if link_window:
         source = spec.broadcasts()[0].source
         network.drop_link(source, min(network.topology.adjacency[source]), 0.0, 120.0)

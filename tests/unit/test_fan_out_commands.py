@@ -14,7 +14,10 @@ from repro.brb.optimized import CrossLayerBrachaDolev
 from repro.core.config import SystemConfig
 from repro.core.events import SendTo, sends
 from repro.core.messages import BrachaMessage, CrossLayerMessage, DolevMessage, MessageType
+from repro.network.simulation.network import SimulatedNetwork
+from repro.network.simulation.scheduler import EventScheduler, _Flight
 from repro.runner.configs import modification_set_for
+from repro.scenarios import DelaySpec, ScenarioSpec, TopologySpec, run_scenario
 
 CONFIG = SystemConfig.for_system(7, 1)
 NEIGHBORS = (1, 2, 4, 5, 6)
@@ -106,3 +109,42 @@ class TestMBD1Runs:
     def test_a_uniform_announced_set_is_one_command(self, announced):
         commands, _ = self._finalize(announced)
         assert [c.dests for c in commands] == [(0, 1, 2, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("protocol, configuration", [("cross_layer", "all"), ("bracha_dolev", "bdopt")])
+def test_a_fixed_delay_flight_holds_the_very_tuple_its_command_carried(
+    monkeypatch, protocol, configuration
+):
+    """No copy of a fan-out's destinations between the protocol and the scheduler."""
+    carried, flown = [], []
+    execute = SimulatedNetwork._execute_commands
+    insert = EventScheduler._insert
+
+    def record_commands(self, pid, commands):
+        commands = list(commands)
+        carried.extend(c.dests for c in commands if isinstance(c, SendTo))
+        execute(self, pid, commands)
+
+    def record_flights(self, time, entry):
+        if type(entry) is _Flight:
+            flown.append(entry.dests)
+        insert(self, time, entry)
+
+    monkeypatch.setattr(SimulatedNetwork, "_execute_commands", record_commands)
+    monkeypatch.setattr(EventScheduler, "_insert", record_flights)
+    result = run_scenario(
+        ScenarioSpec(
+            name=f"fan-out-uncopied-{protocol}",
+            topology=TopologySpec("random_regular", n=10, k=5, min_connectivity=5),
+            delay=DelaySpec("fixed", mean_ms=50.0),
+            protocol=protocol,
+            modifications=modification_set_for(configuration),
+            f=2,
+            seed=7,
+        )
+    )
+    assert result.all_correct_delivered
+    # ``carried`` keeps every tuple alive, so no two of them share an id.
+    carried_ids = {id(dests) for dests in carried}
+    assert len(flown) == len(carried) > 0
+    assert all(id(dests) in carried_ids for dests in flown)
