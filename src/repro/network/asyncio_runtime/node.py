@@ -9,18 +9,26 @@ neighbors, mirroring the authenticated-channel assumption.
 
 The data path works on batches, not on single frames.  *Inbound*, each
 connection's read loop takes whatever the socket holds (up to
-:data:`READ_CHUNK_BYTES`), appends it to a buffer and hands every frame
-the chunk completes to the protocol, synchronously and in order; a
-partial frame waits for the next chunk.  A frame whose body does not
-decode is dropped and counted (:attr:`AsyncioNode.malformed_frames`) —
-its length prefix was valid, so the framing is intact — while an
-oversized prefix closes the link.  *Outbound*, interpreting a command
-list never touches a socket: each destination of a ``SendTo`` is
-checked against the crash flag, recorded in the collector if it has an
-open channel, checked against the drop windows, the delay model and
-the channel (in that order), and its frame is appended to a
-per-destination outbox.  A command's message is encoded once however
-many neighbors it goes to.  The outbox is flushed — one ``write`` of the
+:data:`READ_CHUNK_BYTES`), appends it to a buffer, and walks every frame
+the chunk completes: each body is decoded in place in the buffer
+(:func:`~repro.core.encoding.decode_from`, no copy of the frame) and
+handed to the protocol, synchronously and in order; a partial frame
+waits for the next chunk.  A frame whose body does not decode is
+dropped and counted (:attr:`AsyncioNode.malformed_frames`) — its length
+prefix was valid, so the framing is intact — while an oversized prefix
+closes the link.  *Outbound*, interpreting a command list never touches
+a socket.  A ``SendTo`` that nothing can drop or observe — no observer,
+no delay model, no drop window, no severed peer, and an open channel to
+every destination — is one *flight*, as in the simulator: the clock is
+read once, the collector charges the fan-out once
+(:meth:`~repro.metrics.collector.MetricsCollector.record_flight`), the
+message is encoded once, and that one frame is appended to each
+destination's outbox.  Any other ``SendTo`` goes destination by
+destination: each is checked against the crash flag, recorded in the
+collector if it has an open channel, checked against the drop windows,
+the delay model and the channel (in that order), appended to the
+outbox and then observed, the message still encoded at most once.
+The outbox is flushed — one ``write`` of the
 concatenated frames per destination, then one ``drain`` each — after
 every chunk, every :meth:`broadcast`, every :meth:`handle_message` and
 every ``on_start``/:meth:`wake` replay step.
@@ -74,15 +82,16 @@ import random
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.encoding import decode_message, encode_message
+from repro.core.encoding import decode_from, encode_message
 from repro.core.errors import EncodingError, RuntimeAbort
 from repro.core.events import BRBDeliver, Command, Observation, SendTo
 from repro.metrics.collector import MetricsCollector, message_type_name
 from repro.network.asyncio_runtime.framing import (
     HELLO as _HELLO,
+    LENGTH,
+    MAX_FRAME_BYTES,
     FrameError,
     encode_frame,
-    iter_frames,
 )
 from repro.network.simulation.delays import DROP, DelayModel
 
@@ -90,6 +99,11 @@ from repro.network.simulation.delays import DROP, DelayModel
 #: handled before the next read, so this also bounds how much inbound
 #: traffic one flush (and one back-pressure wait) covers.
 READ_CHUNK_BYTES = 64 * 1024
+
+# The frame loop reads each length prefix straight from the read buffer.
+_PREFIX = LENGTH.size
+_unpack_prefix = LENGTH.unpack_from
+
 
 class AsyncioNode:
     """Hosts one sans-io protocol instance over TCP.
@@ -499,16 +513,44 @@ class AsyncioNode:
             return
 
     def _handle_frames(self, peer_id: int, buffer: bytearray) -> None:
-        """Feed every frame ``buffer`` completes to the protocol."""
-        for frame in iter_frames(buffer):
-            try:
-                message = decode_message(frame)
-            except EncodingError:
-                # Garbage inside a well-formed frame: the framing is
-                # intact, so only this body is lost.
-                self.malformed_frames += 1
-                continue
-            self._handle(peer_id, message)
+        """Feed every frame ``buffer`` completes to the protocol.
+
+        Each frame is decoded in place (:func:`decode_from`); the frames
+        handled are removed from ``buffer`` on the way out, also when an
+        oversized length prefix raises :class:`FrameError` — the stream
+        cannot be resynchronised past it — while an incomplete tail stays
+        for the next chunk.  The hosted protocol and the crash and
+        dormant flags are read per frame: a handler may crash the node,
+        and an observer may replace the protocol.
+        """
+        offset = 0
+        available = len(buffer)
+        try:
+            while available - offset >= _PREFIX:
+                (length,) = _unpack_prefix(buffer, offset)
+                if length > MAX_FRAME_BYTES:
+                    raise FrameError(
+                        f"frame prefix announces {length} bytes, above the "
+                        f"{MAX_FRAME_BYTES}-byte cap"
+                    )
+                start = offset + _PREFIX
+                end = start + length
+                if end > available:
+                    break
+                offset = end
+                try:
+                    message = decode_from(buffer, start, end)
+                except EncodingError:
+                    # Garbage inside a well-formed frame: the framing is
+                    # intact, so only this body is lost.
+                    self.malformed_frames += 1
+                    continue
+                if self._crashed or self._dormant:
+                    self._handle(peer_id, message)
+                else:
+                    self._execute(self.protocol.on_message(peer_id, message))
+        finally:
+            del buffer[:offset]
 
     def _execute(self, commands: Iterable[Command]) -> None:
         """Interpret one command batch; sends are queued for :meth:`_flush`."""
@@ -545,11 +587,55 @@ class AsyncioNode:
             )
 
     def _send(self, dests: Tuple[int, ...], message) -> None:
+        """Queue one fan-out, as one flight whenever no send of it can be
+        lost or observed.
+
+        That is the case without an observer, a loss model or a drop
+        window, with no severed peer and an open channel to every
+        destination: the clock is read once, the collector charges the
+        fan-out once (:meth:`MetricsCollector.record_flight`), and the one
+        encoded frame is queued to each destination.  Anything else goes
+        destination by destination (:meth:`_send_each`).
+        """
+        if (
+            self.observer is None
+            and self.delay_model is None
+            and not self._drop_windows
+            and not self._severed
+            and all(map(self._writers.__contains__, dests))
+            and dests
+        ):
+            if self.collector is not None:
+                self.collector.record_flight(
+                    self._elapsed_s() * 1000.0, self.process_id, dests, message
+                )
+            frame = self._frame(message)
+            outbox = self._outbox
+            for dest in dests:
+                outbox.setdefault(dest, []).append(frame)
+        else:
+            self._send_each(dests, message)
+
+    def _frame(self, message) -> bytes:
+        try:
+            return encode_frame(encode_message(message))
+        except FrameError as exc:
+            # Outbound overflow is our own bug, not a peer disconnect:
+            # surface it instead of letting _read_loop's FrameError
+            # handling (meant for corrupt *inbound* prefixes) eat it.
+            raise RuntimeAbort(
+                f"outbound message from {self.process_id} exceeds the frame cap: {exc}"
+            ) from exc
+
+    def _send_each(self, dests: Tuple[int, ...], message) -> None:
         """Queue one fan-out destination by destination, encoding it at most once.
 
-        A destination without an open channel (severed, or no writer) is
-        lost and not charged, like a send onto a cut edge in the
-        simulator; its link's loss RNG still draws, as for any send.
+        Each destination is checked against the crash flag, charged if it
+        has an open channel, checked against the drop windows, the delay
+        model and the channel, queued, and then observed.  A destination
+        without an open channel (severed, or no writer) is lost and not
+        charged, like a send onto a cut edge in the simulator; its link's
+        loss RNG still draws, as for any send.
         """
         frame = None
         for dest in dests:
@@ -566,16 +652,7 @@ class AsyncioNode:
                 self.dropped_messages += 1
             else:
                 if frame is None:
-                    try:
-                        frame = encode_frame(encode_message(message))
-                    except FrameError as exc:
-                        # Outbound overflow is our own bug, not a peer
-                        # disconnect: surface it instead of letting
-                        # _read_loop's FrameError handling (meant for
-                        # corrupt *inbound* prefixes) eat it.
-                        raise RuntimeAbort(
-                            f"outbound message to {dest} exceeds the frame cap: {exc}"
-                        ) from exc
+                    frame = self._frame(message)
                 self._outbox.setdefault(dest, []).append(frame)
             # Observed last, like the simulator: the message is queued for
             # the wire (or provably lost) before an adaptive adversary

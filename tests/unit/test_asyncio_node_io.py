@@ -21,7 +21,6 @@ from repro.network.asyncio_runtime.framing import (
     LENGTH,
     MAX_FRAME_BYTES,
     encode_frame,
-    iter_frames,
 )
 from repro.network.asyncio_runtime.node import AsyncioNode
 from repro.network.simulation.delays import FixedDelay, LossyDelay
@@ -107,9 +106,14 @@ def read_to_eof(node, peer, chunks):
 
 def frames_in(chunks) -> list:
     """Split what a fake writer was handed back into decoded messages."""
-    buffer = bytearray(b"".join(chunks))
-    messages = [decode_message(frame) for frame in iter_frames(buffer)]
-    assert not buffer, "a writer was handed a partial frame"
+    stream = b"".join(chunks)
+    messages = []
+    offset = 0
+    while offset < len(stream):
+        (length,) = LENGTH.unpack_from(stream, offset)
+        offset += LENGTH.size + length
+        assert offset <= len(stream), "a writer was handed a partial frame"
+        messages.append(decode_message(stream[offset - length : offset]))
     return messages
 
 
@@ -161,6 +165,12 @@ MALFORMED_BODIES = [
     b"\x01\x09\x00",
     # Retired kind 2: a raw-bytes Dolev envelope (empty content, empty path).
     bytes.fromhex("02000000000000"),
+    # Frames the encoder cannot produce: presence-mask bit 7, and creator
+    # flags other than 0 / 1 on a Bracha and a Dolev-Bracha body.
+    bytes.fromhex("0402e0000000020000"),
+    bytes.fromhex("0101020000000300000008000000050000000178"),
+    bytes.fromhex("0303ff0000000100000002000000090000000378797a0000"),
+    b"",
 ]
 
 
@@ -366,6 +376,90 @@ class TestOutbox:
 
         asyncio.run(scenario())
         assert frames_in(writers[3].chunks) == [first, second]
+
+
+# ----------------------------------------------------------------------
+# A fan-out nothing can drop or observe is one flight
+# ----------------------------------------------------------------------
+class FlightCountingCollector(MetricsCollector):
+    __slots__ = ("flights",)
+
+    def __init__(self):
+        super().__init__()
+        self.flights = 0
+
+    def record_flight(self, time, sender, dests, message):
+        self.flights += 1
+        return super().record_flight(time, sender, dests, message)
+
+
+class TestFlights:
+    COMMANDS = [
+        SendTo(PEERS, wire_message(1)),
+        SendTo((4, 2), wire_message(2)),
+        SendTo((3,), wire_message(3)),
+        SendTo(PEERS, wire_message(1).with_fields(creator=7)),
+        SendTo((1, 2), wire_message(4)),
+    ]
+
+    def run(self, observer=None, **node_kwargs):
+        collector = FlightCountingCollector()
+        node, writers = hosted(
+            RelayProtocol(lambda sender, payload: list(self.COMMANDS)),
+            collector=collector,
+            **node_kwargs,
+        )
+        node.observer = observer
+        return node, writers, collector
+
+    def test_a_flight_charges_and_queues_what_the_per_destination_path_does(self):
+        node, flight_writers, flight = self.run()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a flight consulted link_dropped")
+
+        node.link_dropped = forbidden
+        asyncio.run(node.broadcast(b"ignored"))
+        # A no-op observer forces every fan-out down the per-destination path.
+        node, each_writers, each = self.run(observer=lambda observation: None)
+        asyncio.run(node.broadcast(b"ignored"))
+        assert flight.flights == len(self.COMMANDS) and each.flights == 0
+        assert flight.snapshot() == each.snapshot()
+        assert flight.messages_by_type == each.messages_by_type
+        assert flight.bytes_by_process == each.bytes_by_process
+        assert flight.message_count == sum(len(c.dests) for c in self.COMMANDS)
+        for peer in PEERS:
+            assert flight_writers[peer].chunks == each_writers[peer].chunks
+            assert frames_in(flight_writers[peer].chunks) == [
+                c.message for c in self.COMMANDS if peer in c.dests
+            ]
+
+    def test_a_drop_window_sends_destination_by_destination(self):
+        node, writers, collector = self.run()
+        node.add_drop_window(3, 0.0)
+        asyncio.run(node.broadcast(b"ignored"))
+        assert collector.flights == 0
+        assert writers[3].chunks == []
+        assert node.dropped_messages == sum(3 in c.dests for c in self.COMMANDS)
+        # A dropped transmission is still charged, as in the simulator.
+        assert collector.message_count == sum(len(c.dests) for c in self.COMMANDS)
+
+    def test_the_hop_count_memo_stays_bounded(self):
+        from repro.core import encoding
+
+        protocol = RelayProtocol()
+        node, _ = hosted(protocol)
+        messages = [
+            CrossLayerMessage(mtype=MessageType.ECHO, bid=hops, path=tuple(range(hops)))
+            for hops in range(1000)
+        ]
+        read_to_eof(node, 1, [b"".join(frame_of(message) for message in messages)])
+        assert protocol.received == [(1, message) for message in messages]
+        info = encoding._hops.cache_info()
+        assert info.maxsize == encoding.HOP_STRUCTS_CACHED
+        assert info.currsize <= encoding.HOP_STRUCTS_CACHED
+        # One layout per presence-mask byte at most.
+        assert len(encoding._CL_LAYOUTS) <= 256
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.core.events import SendTo
 from repro.core.messages import CrossLayerMessage, MessageType
 from repro.metrics.collector import MetricsCollector
 from repro.network.asyncio_runtime import AsyncioCluster, AsyncioNode
-from repro.network.asyncio_runtime.framing import iter_frames
+from repro.network.asyncio_runtime.framing import LENGTH
 from repro.network.simulation.delays import (
     DROP,
     BurstyLossWindow,
@@ -330,7 +330,11 @@ class FakeWriter:
         self.frames = 0
 
     def write(self, data):
-        self.frames += len(list(iter_frames(bytearray(data))))
+        offset = 0
+        while offset < len(data):
+            (length,) = LENGTH.unpack_from(data, offset)
+            offset += LENGTH.size + length
+            self.frames += 1
 
     async def drain(self):
         pass

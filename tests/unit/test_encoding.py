@@ -212,6 +212,12 @@ class TestErrors:
             b"\x04\x02\x40\x00\x02\x00\x00\x00\x01",  # 2 hops announced, 1 present
             b"\x04\x01\x10\x00\x00\x00\x05abc",  # payload shorter than announced
             b"\x04\x02\x40\xff\xff",  # 65535 hops announced, none present
+            # Non-canonical: mask bit 7 (no such field) on a body that is
+            # otherwise local id 2 and an empty path.
+            bytes.fromhex("0402e0000000020000"),
+            # Non-canonical: creator flags other than 0 / 1.
+            bytes.fromhex("0101020000000300000008000000050000000178"),
+            bytes.fromhex("0303ff0000000100000002000000090000000378797a0000"),
         ],
     )
     def test_malformed_input_raises_encoding_error_only(self, data):

@@ -1,8 +1,8 @@
 """Unit tests of the byte codecs: frames and pickled payloads.
 
-* :mod:`repro.network.asyncio_runtime.framing` — length-prefixed frames
-  (round-trip, a partial tail kept for the next read, oversized
-  prefixes and payloads);
+* :mod:`repro.network.asyncio_runtime.framing` — length-prefixed frames,
+  read by the node's frame loop (round-trip, a partial tail kept for
+  the next read, oversized prefixes and payloads);
 * :mod:`repro.scenarios.serialize` — spec/result payloads (round-trip
   of every spec part the process pool pickles, garbage, wrong-type
   rejection).
@@ -13,14 +13,16 @@ import pickle
 
 import pytest
 
+from repro.core.encoding import encode_message
+from repro.core.messages import CrossLayerMessage, MessageType
 from repro.core.modifications import ModificationSet
 from repro.network.asyncio_runtime.framing import (
     MAX_FRAME_BYTES,
     FrameError,
     LENGTH,
     encode_frame,
-    iter_frames,
 )
+from repro.network.asyncio_runtime.node import AsyncioNode
 from repro.scenarios import (
     AdversarySpec,
     CrashAt,
@@ -137,47 +139,94 @@ SPEC_ROWS = {
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
+class Recorder:
+    """A protocol that records the messages its node's frame loop decodes."""
+
+    process_id = 0
+    neighbors = (1,)
+
+    def __init__(self):
+        self.received = []
+
+    def on_message(self, sender, message):
+        self.received.append(message)
+        return []
+
+
+def reader():
+    """A node (never started) and the protocol its frame loop feeds."""
+    protocol = Recorder()
+    return AsyncioNode(protocol), protocol
+
+
+MESSAGES = [
+    CrossLayerMessage(MessageType.READY),
+    CrossLayerMessage(MessageType.ECHO, source=1, bid=2, payload=b"x", path=(3,)),
+    CrossLayerMessage(MessageType.SEND, source=0, bid=0, payload=b"hello" * 100),
+]
+BODIES = [encode_message(message) for message in MESSAGES]
+
+
 class TestFraming:
     def test_frames_round_trip_back_to_back(self):
-        payloads = [b"", b"x", b"hello" * 100]
-        buffer = bytearray(b"".join(encode_frame(p) for p in payloads))
-        assert list(iter_frames(buffer)) == payloads
+        # An empty frame is a well-formed frame with an undecodable body.
+        node, protocol = reader()
+        buffer = bytearray(b"".join(encode_frame(b) for b in [b""] + BODIES))
+        node._handle_frames(1, buffer)
+        assert protocol.received == MESSAGES
+        assert node.malformed_frames == 1
         assert not buffer
 
     @pytest.mark.parametrize("cut", [1, 2, 3, LENGTH.size, LENGTH.size + 5])
     def test_a_partial_tail_stays_in_the_buffer(self, cut):
-        frame = encode_frame(b"truncate-me")
-        buffer = bytearray(encode_frame(b"whole") + frame[:cut])
-        assert list(iter_frames(buffer)) == [b"whole"]
+        node, protocol = reader()
+        frame = encode_frame(BODIES[2])
+        buffer = bytearray(encode_frame(BODIES[1]) + frame[:cut])
+        node._handle_frames(1, buffer)
+        assert protocol.received == MESSAGES[1:2]
         assert bytes(buffer) == frame[:cut]
-        assert list(iter_frames(buffer)) == []
+        node._handle_frames(1, buffer)
+        assert protocol.received == MESSAGES[1:2]
         buffer += frame[cut:]
-        assert list(iter_frames(buffer)) == [b"truncate-me"]
+        node._handle_frames(1, buffer)
+        assert protocol.received == MESSAGES[1:]
         assert not buffer
 
     def test_frames_fed_one_byte_at_a_time_come_out_whole(self):
-        payloads = [b"", b"x", b"hello" * 100]
-        stream = b"".join(encode_frame(p) for p in payloads)
+        node, protocol = reader()
+        stream = b"".join(encode_frame(body) for body in BODIES)
         buffer = bytearray()
-        frames = []
         for byte in stream:
             buffer.append(byte)
-            frames.extend(iter_frames(buffer))
-        assert frames == payloads
-        assert not buffer
+            node._handle_frames(1, buffer)
+        assert protocol.received == MESSAGES
+        assert not buffer and node.malformed_frames == 0
+
+    def test_a_body_is_decoded_up_to_its_frame_end_only(self):
+        # Each body is read in place in the shared buffer: a body cut
+        # short must not borrow the next frame's bytes to complete it.
+        node, protocol = reader()
+        whole = BODIES[1]
+        for cut in range(len(whole)):
+            buffer = bytearray(encode_frame(whole[:cut]) + encode_frame(whole))
+            node._handle_frames(1, buffer)
+            assert not buffer
+        assert protocol.received == [MESSAGES[1]] * len(whole)
+        assert node.malformed_frames == len(whole)
 
     def test_oversized_prefix_is_rejected_not_allocated(self):
+        node, _ = reader()
         buffer = bytearray(LENGTH.pack(MAX_FRAME_BYTES + 1))
         with pytest.raises(FrameError):
-            list(iter_frames(buffer))
+            node._handle_frames(1, buffer)
 
-    def test_iter_frames_yields_what_precedes_an_oversized_prefix(self):
+    def test_frames_in_front_of_an_oversized_prefix_are_handled(self):
+        node, protocol = reader()
         poison = LENGTH.pack(MAX_FRAME_BYTES + 1) + b"unreachable"
-        buffer = bytearray(encode_frame(b"fine") + poison)
-        frames = iter_frames(buffer)
-        assert next(frames) == b"fine"
+        buffer = bytearray(encode_frame(BODIES[0]) + poison)
         with pytest.raises(FrameError):
-            next(frames)
+            node._handle_frames(1, buffer)
+        assert protocol.received == MESSAGES[:1]
         assert bytes(buffer) == poison
 
     def test_oversized_payload_is_rejected_at_encode_time(self):
